@@ -164,22 +164,33 @@ func TestPMFirstLeavesClusterFree(t *testing.T) {
 	}
 }
 
-func TestSortByPlacementPriorityStable(t *testing.T) {
+// TestPlaceRoundClassPriorityStable: the two-pass loop walks the prefix
+// class A first while keeping the scheduling order within a class. With
+// every GPU scoring the same except an ascending ladder, each job takes
+// the best GPU left, so the GPU ranks reveal the walk order.
+func TestPlaceRoundClassPriorityStable(t *testing.T) {
+	scores := make([]float64, 16)
+	for g := range scores {
+		scores[g] = 1 + float64(g)*0.01
+	}
+	p := NewPMFirst(newFake(uniformScores(scores, 2)))
 	jobs := []*sim.Job{
 		mkJob(0, 1, vprof.ClassB),
 		mkJob(1, 1, vprof.ClassA),
 		mkJob(2, 1, vprof.ClassB),
 		mkJob(3, 1, vprof.ClassA),
 	}
-	got := SortByPlacementPriority(jobs)
-	wantIDs := []int{1, 3, 0, 2}
-	for i, j := range got {
-		if j.Spec.ID != wantIDs[i] {
-			t.Fatalf("order = %v, want %v", got, wantIDs)
+	out := p.PlaceRound(topo16(), jobs, 0)
+	// Walk order 1, 3, 0, 2 takes GPUs 0, 1, 2, 3.
+	for rank, id := range []int{1, 3, 0, 2} {
+		if got := out[id]; len(got) != 1 || int(got[0]) != rank {
+			t.Errorf("job %d got %v, want GPU %d (walk order 1, 3, 0, 2)", id, got, rank)
 		}
 	}
-	if jobs[0].Spec.ID != 0 {
-		t.Error("input mutated")
+	for i, j := range jobs {
+		if j.Spec.ID != i {
+			t.Fatal("PlaceRound reordered the caller's need slice")
+		}
 	}
 }
 

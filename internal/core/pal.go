@@ -31,6 +31,7 @@ type PAL struct {
 	cache    orderCache
 	order    *scoreOrder
 	pmf      *PMFirst
+	hyst     hysteresis
 
 	// NoHysteresis disables previous-allocation reuse (ablation).
 	NoHysteresis bool
@@ -79,6 +80,13 @@ func (p *PAL) Name() string { return "pal" }
 
 // Sticky implements sim.Placer: PAL is non-sticky (§IV-A1).
 func (p *PAL) Sticky() bool { return false }
+
+// FixpointStable implements sim.FixpointPlacer: with hysteresis on and
+// static scores, a round in which every job kept its GPUs repeats until
+// the job set changes.
+func (p *PAL) FixpointStable() bool {
+	return fixpointStable(p.scorer, placeOpts{noHysteresis: p.NoHysteresis})
+}
 
 // levels returns the locality-penalty column of the L×V matrix for the
 // given across-node penalty: two levels in the paper's model, three when
@@ -133,8 +141,7 @@ func (p *PAL) matrixFor(j *sim.Job) *LVMatrix {
 func (p *PAL) PlaceRound(c *cluster.Cluster, need []*sim.Job, now float64) map[int][]cluster.GPUID {
 	p.order = p.cache.get(p.scorer, p.scorer.NumClasses(), c.Size(), c.GPUsPerNode())
 	p.pmf.order = p.order // share the precomputed orders
-	opts := placeOpts{noHysteresis: p.NoHysteresis}
-	return placeWithHysteresis(c, need, opts,
+	return p.hyst.place(c, need, placeOpts{noHysteresis: p.NoHysteresis},
 		func(j *sim.Job) []cluster.GPUID { return p.placeJob(c, j) },
 		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(c, j, gpus) })
 }
@@ -273,4 +280,4 @@ func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) [
 	return best
 }
 
-var _ sim.Placer = (*PAL)(nil)
+var _ sim.FixpointPlacer = (*PAL)(nil)

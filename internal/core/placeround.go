@@ -1,13 +1,28 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/vprof"
 )
 
-// placeWithHysteresis is the two-pass allocation loop shared by PM-First
-// and PAL.
+// placeOpts toggles the ablation switches of the two-pass loop.
+type placeOpts struct {
+	// noClassPriority keeps the scheduling order instead of sorting the
+	// prefix by class (the "placement priority off" ablation).
+	noClassPriority bool
+	// noHysteresis re-places every job fresh each round (the paper's
+	// plain Non-Sticky semantics, used by the hysteresis ablation).
+	noHysteresis bool
+}
+
+// hysteresis is the two-pass allocation loop shared by PM-First and PAL,
+// together with the scratch it sorts, holds and returns through. The
+// owning placer keeps one across rounds, so a steady-state round
+// allocates only the fresh candidate picks.
 //
 // Both policies are Non-Sticky so jobs *can* migrate to better GPUs every
 // round, but a migration costs a checkpoint/restore, so a rational policy
@@ -19,46 +34,60 @@ import (
 // strictly better under the policy's quality metric (max PM score for
 // PM-First, LV-product for PAL; lower is better).
 //
-// fresh must return a valid allocation given the cluster's current free
-// state; quality evaluates an allocation for a job.
-// placeOpts toggles the ablation switches of the two-pass loop.
-type placeOpts struct {
-	// noClassPriority keeps the scheduling order instead of sorting the
-	// prefix by class (the "placement priority off" ablation).
-	noClassPriority bool
-	// noHysteresis re-places every job fresh each round (the paper's
-	// plain Non-Sticky semantics, used by the hysteresis ablation).
-	noHysteresis bool
+// A round in which every job keeps its previous GPUs is a fixpoint:
+// each job's fresh pick was computed against the complement of the
+// other jobs' held GPUs, a set that does not depend on the walk order,
+// so the same job set placed again — in any order — keeps them again.
+// That is what lets the engine skip such rounds (sim.FixpointPlacer).
+type hysteresis struct {
+	ordered  []*sim.Job
+	kept     [][]cluster.GPUID // kept[i] is ordered[i]'s held previous allocation
+	reserved []cluster.GPUID
+	out      map[int][]cluster.GPUID
 }
 
-func placeWithHysteresis(
+// place runs the loop. fresh must return a valid allocation given the
+// cluster's current free state; quality evaluates an allocation for a
+// job. The returned map is the scratch's own: valid until the next call.
+func (h *hysteresis) place(
 	c *cluster.Cluster,
 	need []*sim.Job,
 	opts placeOpts,
 	fresh func(*sim.Job) []cluster.GPUID,
 	quality func(*sim.Job, []cluster.GPUID) float64,
 ) map[int][]cluster.GPUID {
-	ordered := need
+	// Placement priority (§III-B): a stable sort by class, class A
+	// first, so within a class the scheduling order is kept. The caller
+	// already truncated the queue at cluster size, so every job here is
+	// scheduled this round — reordering cannot starve anyone.
+	h.ordered = append(h.ordered[:0], need...)
 	if !opts.noClassPriority {
-		ordered = SortByPlacementPriority(need)
+		slices.SortStableFunc(h.ordered, func(a, b *sim.Job) int {
+			return cmp.Compare(a.Spec.Class, b.Spec.Class)
+		})
 	}
 
 	// Pass 1: tentatively hold every job's previous allocation.
-	kept := make(map[int][]cluster.GPUID)
-	if !opts.noHysteresis {
-		for _, j := range ordered {
-			if prev := reusablePrev(c, j); prev != nil {
-				c.Allocate(j.Spec.ID, prev)
-				kept[j.Spec.ID] = prev
-			}
+	h.kept = slices.Grow(h.kept[:0], len(h.ordered))[:len(h.ordered)]
+	for i, j := range h.ordered {
+		h.kept[i] = nil
+		if opts.noHysteresis {
+			continue
+		}
+		if prev := reusablePrev(c, j); prev != nil {
+			c.Allocate(j.Spec.ID, prev)
+			h.kept[i] = prev
 		}
 	}
 
 	// Pass 2: fresh-vs-previous decision per job, in priority order.
-	out := make(map[int][]cluster.GPUID, len(need))
-	reserved := make([]cluster.GPUID, 0, 16)
-	for _, j := range ordered {
-		prev := kept[j.Spec.ID]
+	if h.out == nil {
+		h.out = make(map[int][]cluster.GPUID, len(need))
+	}
+	clear(h.out)
+	h.reserved = h.reserved[:0]
+	for i, j := range h.ordered {
+		prev := h.kept[i]
 		if prev != nil {
 			c.Release(prev) // expose the job's own GPUs to its fresh pick
 		}
@@ -67,11 +96,14 @@ func placeWithHysteresis(
 			alloc = prev
 		}
 		c.Allocate(j.Spec.ID, alloc)
-		reserved = append(reserved, alloc...)
-		out[j.Spec.ID] = alloc
+		h.reserved = append(h.reserved, alloc...)
+		h.out[j.Spec.ID] = alloc
 	}
-	c.Release(reserved) // hand ownership back to the engine
-	return out
+	c.Release(h.reserved) // hand ownership back to the engine
+	// Drop the job references so the scratch pins no finished jobs.
+	clear(h.ordered)
+	clear(h.kept)
+	return h.out
 }
 
 // reusablePrev returns the job's previous allocation if it is intact and
@@ -87,6 +119,15 @@ func reusablePrev(c cluster.View, j *sim.Job) []cluster.GPUID {
 		}
 	}
 	return prev
+}
+
+// fixpointStable reports whether a hysteresis placer over scorer may
+// declare its fixpoints stable (sim.FixpointPlacer): only with
+// hysteresis on, and only over static scores — a versioned scorer can
+// change every fresh pick between two otherwise identical rounds.
+func fixpointStable(scorer vprof.Scorer, opts placeOpts) bool {
+	_, versioned := scorer.(versionedScorer)
+	return !opts.noHysteresis && !versioned
 }
 
 // maxScore returns the worst PM score in the allocation for the class.

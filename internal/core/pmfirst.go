@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -20,6 +19,7 @@ type PMFirst struct {
 	scorer vprof.Scorer
 	cache  orderCache // precomputed score orders, rebuilt if scores drift
 	order  *scoreOrder
+	hyst   hysteresis
 
 	// NoClassPriority disables the class-based reordering of the
 	// schedulable prefix (ablation: placement priority off). Set before
@@ -43,6 +43,16 @@ func (p *PMFirst) Name() string { return "pm-first" }
 // Sticky implements sim.Placer: PM-First is non-sticky (§IV-A1).
 func (p *PMFirst) Sticky() bool { return false }
 
+// opts returns the two-pass loop's ablation switches.
+func (p *PMFirst) opts() placeOpts {
+	return placeOpts{noClassPriority: p.NoClassPriority, noHysteresis: p.NoHysteresis}
+}
+
+// FixpointStable implements sim.FixpointPlacer: with hysteresis on and
+// static scores, a round in which every job kept its GPUs repeats until
+// the job set changes.
+func (p *PMFirst) FixpointStable() bool { return fixpointStable(p.scorer, p.opts()) }
+
 // ensureOrder refreshes the precomputed score orders (rebuilding when a
 // dynamic scorer's version moves).
 func (p *PMFirst) ensureOrder(c cluster.View) {
@@ -52,8 +62,7 @@ func (p *PMFirst) ensureOrder(c cluster.View) {
 // PlaceRound implements sim.Placer.
 func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
 	p.ensureOrder(c)
-	opts := placeOpts{noClassPriority: p.NoClassPriority, noHysteresis: p.NoHysteresis}
-	return placeWithHysteresis(c, need, opts,
+	return p.hyst.place(c, need, p.opts(),
 		func(j *sim.Job) []cluster.GPUID {
 			alloc := p.order.takeBest(c, j.Spec.Class, j.Spec.Demand)
 			if alloc == nil {
@@ -67,18 +76,4 @@ func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map
 		})
 }
 
-// SortByPlacementPriority stably sorts jobs by class (class A = 0 first).
-// The input order is the scheduling order, so within a class the
-// scheduling policy's priorities are preserved; across classes the
-// placement priority of §III-B applies. The caller already truncated the
-// queue at cluster size, so every job here is guaranteed to be scheduled
-// this round — reordering cannot starve anyone.
-func SortByPlacementPriority(need []*sim.Job) []*sim.Job {
-	out := append([]*sim.Job(nil), need...)
-	sort.SliceStable(out, func(a, b int) bool {
-		return out[a].Spec.Class < out[b].Spec.Class
-	})
-	return out
-}
-
-var _ sim.Placer = (*PMFirst)(nil)
+var _ sim.FixpointPlacer = (*PMFirst)(nil)

@@ -119,6 +119,14 @@ type RunSpec struct {
 	// Result, so a counter-bearing spec must share its cache entry with
 	// a bare one.
 	Counters *sim.Counters
+
+	// DisableFastForward runs the engine's naive reference loop
+	// (sim.Config.DisableFastForward): every phase, every round. Like
+	// Counters it is excluded from Key(): every stepping regime produces
+	// the same Result, so only the wall-clock PlaceTimes — how many
+	// rounds call the placer — can tell the two apart. Fig. 18 sets it so
+	// its per-epoch timings cover every round that placed a job.
+	DisableFastForward bool
 }
 
 // DefaultMigrationPenaltySec is the checkpoint/restore cost charged per
@@ -208,6 +216,7 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		RoundSec:            spec.RoundSec,
 		MigrationPenaltySec: migration,
 		Counters:            spec.Counters,
+		DisableFastForward:  spec.DisableFastForward,
 	}
 	if spec.RecordMetrics {
 		schedName := ""

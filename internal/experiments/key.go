@@ -67,10 +67,12 @@ func hashTrace(h *runner.Hash, t *trace.Trace) {
 // RunSpec that can influence the simulation's outcome feeds the digest;
 // extending RunSpec requires extending this function (the version tag
 // below guards against silent drift: bump it whenever the encoding
-// changes). The one deliberate exception is Counters: an
+// changes). The deliberate exceptions are Counters — an
 // observation-only out-param that never changes the Result, so it must
-// NOT feed the digest — hashing it would needlessly split cache
-// entries between instrumented and bare runs of the same simulation.
+// NOT feed the digest: hashing it would needlessly split cache entries
+// between instrumented and bare runs of the same simulation — and
+// DisableFastForward, a stepping switch every regime of which yields
+// the same Result.
 func (s RunSpec) Key() string {
 	h := runner.NewHash()
 	// v3: RecordDecisions joined the encoding (a trace-carrying result

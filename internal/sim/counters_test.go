@@ -65,11 +65,10 @@ func TestCountersDoNotPerturbSimulation(t *testing.T) {
 				}
 
 				// Byte-identity: wall-clock PlaceTimes and the sink pointers
-				// are the only legitimately differing fields.
-				if len(bare.PlaceTimes) != len(res.PlaceTimes) {
-					t.Errorf("PlaceTimes count: bare %d, instrumented %d",
-						len(bare.PlaceTimes), len(res.PlaceTimes))
-				}
+				// are the only legitimately differing fields. The decision
+				// sink keeps a fixpoint placer on every round, so the bare
+				// fast run may place less often than the instrumented one.
+				checkPlaceCalls(t, c, "instrumented", res, "bare", bare, !disableFF)
 				bare.PlaceTimes, res.PlaceTimes = nil, nil
 				res.Metrics, res.Decisions = nil, nil
 				if !reflect.DeepEqual(bare, res) {

@@ -10,13 +10,19 @@ package sim_test
 // and Synergy queues under FIFO and LAS, and a preemption-heavy
 // synthetic workload whose LAS priorities churn the partition
 // constantly (the regression regime for the demotion-during-advance
-// ceiling bug).
+// ceiling bug). The paper's own placers, PAL and PM-First, run the same
+// saturated queues under all three schedulers: they are non-sticky, and
+// their fast runs take the placement-fixpoint regime (sim.FixpointPlacer)
+// — skipping placement and bulk advancing after rounds in which every
+// job kept its GPUs — including under the PM-First class-priority
+// ablation and PAL's rack-level, per-model-penalty extension.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/place"
 	"repro/internal/sched"
@@ -39,6 +45,12 @@ func denseCases(t *testing.T) []ffCase {
 	}
 	synParams := trace.DefaultSynergyParams(12) // saturating on 32 GPUs
 	synParams.NumJobs = 250
+	// The paper placers consult the binned view of the cases' true
+	// profile (8 nodes x 4 GPUs, the seed every ffCase config uses).
+	binned32 := vprof.BinProfile(vprof.GenerateLonghorn(32, 0x9A1))
+	pal := func() sim.Placer { return core.NewPAL(binned32, 1.5, nil) }
+	pmFirst := func() sim.Placer { return core.NewPMFirst(binned32) }
+	const lrack = 1.2
 	return []ffCase{
 		{
 			name:   "dense-sia5/las/packed-sticky",
@@ -80,11 +92,56 @@ func denseCases(t *testing.T) []ffCase {
 			sched:  sched.LAS{Threshold: 1800},
 			placer: func() sim.Placer { return place.NewPacked(true, 21) },
 		},
+		{name: "dense-sia5/fifo/pal", trace: trace.SiaPhilly(trace.DefaultSiaPhillyParams(), 5),
+			nodes: 8, sched: sched.FIFO{}, placer: pal},
+		{name: "dense-synergy/las/pal", trace: trace.Synergy(synParams),
+			nodes: 8, sched: sched.LAS{}, placer: pal},
+		{name: "dense-sia3/srtf/pal", trace: trace.SiaPhilly(trace.DefaultSiaPhillyParams(), 3),
+			nodes: 8, sched: sched.SRTF{}, placer: pal},
+		{name: "dense-synergy/fifo/pm-first", trace: trace.Synergy(synParams),
+			nodes: 8, sched: sched.FIFO{}, placer: pmFirst},
+		{name: "dense-sia5/las/pm-first", trace: trace.SiaPhilly(trace.DefaultSiaPhillyParams(), 5),
+			nodes: 8, sched: sched.LAS{}, placer: pmFirst},
+		{name: "dense-synergy/srtf/pm-first", trace: trace.Synergy(synParams),
+			nodes: 8, sched: sched.SRTF{}, placer: pmFirst},
+		{
+			// Placement-priority ablation: the prefix is walked in
+			// scheduling order, which LAS reshuffles as service accrues —
+			// the fixpoint must not depend on that order.
+			name:  "dense-sia5/las/pm-first-no-class-priority",
+			trace: trace.SiaPhilly(trace.DefaultSiaPhillyParams(), 5),
+			nodes: 8,
+			sched: sched.LAS{},
+			placer: func() sim.Placer {
+				p := core.NewPMFirst(binned32)
+				p.NoClassPriority = true
+				return p
+			},
+		},
+		{
+			// Three-level locality with per-model penalties: the engine
+			// and PAL both charge Lrack inside a rack of two nodes.
+			name:  "dense-synergy/las/pal-rack-model",
+			trace: trace.Synergy(synParams),
+			nodes: 8,
+			sched: sched.LAS{},
+			placer: func() sim.Placer {
+				p := core.NewPAL(binned32, 1.5, trace.LacrossByModel())
+				p.EnableRackLevel(lrack)
+				return p
+			},
+			tweak: func(cfg *sim.Config) {
+				cfg.Topology.NodesPerRack = 2
+				cfg.Lrack = lrack
+				cfg.ModelLacross = trace.LacrossByModel()
+			},
+		},
 	}
 }
 
 func TestDenseIncrementalByteIdentical(t *testing.T) {
 	suiteCtr := &sim.Counters{}
+	fixpointCtr := &sim.Counters{}
 	for _, c := range denseCases(t) {
 		c := c
 		for _, withMetrics := range []bool{false, true} {
@@ -106,10 +163,10 @@ func TestDenseIncrementalByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				suiteCtr.Add(fastCfg.Counters)
-				if len(naive.PlaceTimes) != len(fast.PlaceTimes) {
-					t.Errorf("PlaceTimes count: naive %d, incremental %d",
-						len(naive.PlaceTimes), len(fast.PlaceTimes))
+				if c.fixpoint() {
+					fixpointCtr.Add(fastCfg.Counters)
 				}
+				checkPlaceCalls(t, c, "naive", naive, "incremental", fast, true)
 				if withMetrics {
 					np, fp := metrics.FromResult(naive), metrics.FromResult(fast)
 					if np == nil || fp == nil {
@@ -142,6 +199,9 @@ func TestDenseIncrementalByteIdentical(t *testing.T) {
 	// the byte-identity above is vacuous.
 	if suiteCtr.DenseSpans == 0 {
 		t.Error("dense bulk-advance path never engaged across the dense suite")
+	}
+	if fixpointCtr.PlacementsSkipped == 0 || fixpointCtr.DenseSpans == 0 {
+		t.Errorf("fixpoint regime never engaged across the paper-placer cases: %+v", *fixpointCtr)
 	}
 }
 

@@ -7,7 +7,8 @@ package sim_test
 // migration counts), same aggregate metrics, same utilization series,
 // same event log, bit for bit. The only field excluded is PlaceTimes'
 // values, which are wall-clock measurements; their count must still
-// match.
+// match, except under a placer that declares stable fixpoints
+// (sim.FixpointPlacer), whose fast run skips placement calls by design.
 
 import (
 	"reflect"
@@ -34,6 +35,35 @@ type ffCase struct {
 	nodes  int
 	sched  sim.Scheduler
 	placer func() sim.Placer // fresh placer per run (placers hold RNG state)
+	// tweak, when set, adjusts the case's config after the defaults.
+	tweak func(*sim.Config)
+}
+
+// fixpoint reports whether the case's placer takes the
+// placement-fixpoint regime (and so calls PlaceRound less often on the
+// fast path than the naive loop does).
+func (c ffCase) fixpoint() bool {
+	fp, ok := c.placer().(sim.FixpointPlacer)
+	return ok && fp.FixpointStable()
+}
+
+// checkPlaceCalls compares the PlaceRound call counts (the length of
+// PlaceTimes) of two runs of one case. They must match, unless the
+// case's placer takes the fixpoint regime and only run b had it open:
+// then b may place less often, never more.
+func checkPlaceCalls(t *testing.T, c ffCase, nameA string, a *sim.Result, nameB string, b *sim.Result, bSkips bool) {
+	t.Helper()
+	na, nb := len(a.PlaceTimes), len(b.PlaceTimes)
+	if bSkips && c.fixpoint() {
+		if nb > na {
+			t.Errorf("PlaceTimes count: %s %d, %s %d; the fixpoint regime placed more often",
+				nameA, na, nameB, nb)
+		}
+		return
+	}
+	if na != nb {
+		t.Errorf("PlaceTimes count: %s %d, %s %d", nameA, na, nameB, nb)
+	}
 }
 
 func ffCases(t *testing.T) []ffCase {
@@ -75,9 +105,10 @@ func ffCases(t *testing.T) []ffCase {
 			placer: func() sim.Placer { return place.NewPacked(true, 7) },
 		},
 		{
-			// PAL is non-sticky, so fast-forward must decline and the naive
-			// path must be taken in both runs — results identical trivially,
-			// but this pins the eligibility gate.
+			// PAL is non-sticky but declares stable fixpoints: after a round
+			// in which every job kept its GPUs the fast run skips placement
+			// and bulk advances until the prefix set changes. The test
+			// pins that the regime engages and stays byte-identical.
 			name:   "sia1/fifo/pal",
 			trace:  trace.SiaPhilly(siaParams, 1),
 			nodes:  16,
@@ -91,7 +122,7 @@ func (c ffCase) config(t *testing.T, disableFF bool) sim.Config {
 	t.Helper()
 	topo := clusterTopology(c.nodes)
 	profile := vprof.GenerateLonghorn(topo.Size(), 0x9A1)
-	return sim.Config{
+	cfg := sim.Config{
 		Topology:            topo,
 		Trace:               c.trace,
 		Sched:               c.sched,
@@ -103,6 +134,10 @@ func (c ffCase) config(t *testing.T, disableFF bool) sim.Config {
 		RecordEvents:        true,
 		DisableFastForward:  disableFF,
 	}
+	if c.tweak != nil {
+		c.tweak(&cfg)
+	}
+	return cfg
 }
 
 func TestFastForwardByteIdentical(t *testing.T) {
@@ -113,13 +148,24 @@ func TestFastForwardByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := sim.Run(c.config(t, false))
+			fastCfg := c.config(t, false)
+			ctr := &sim.Counters{}
+			fastCfg.Counters = ctr
+			fast, err := sim.Run(fastCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(naive.PlaceTimes) != len(fast.PlaceTimes) {
-				t.Errorf("PlaceTimes count: naive %d, fast-forward %d",
-					len(naive.PlaceTimes), len(fast.PlaceTimes))
+			if c.fixpoint() {
+				// Positive pin: the fixpoint regime must engage — skip
+				// placements and bulk advance — or the byte-identity
+				// below is vacuous for this placer.
+				if ctr.PlacementsSkipped == 0 || ctr.BulkRounds() == 0 ||
+					len(fast.PlaceTimes) >= len(naive.PlaceTimes) {
+					t.Errorf("fixpoint regime did not engage: skipped=%d bulk=%d place calls naive %d, fast %d",
+						ctr.PlacementsSkipped, ctr.BulkRounds(), len(naive.PlaceTimes), len(fast.PlaceTimes))
+				}
+			} else {
+				checkPlaceCalls(t, c, "naive", naive, "fast-forward", fast, false)
 			}
 			// Wall-clock values are the one legitimately nondeterministic
 			// field; blank them before the exact comparison.

@@ -101,11 +101,15 @@ type Scheduler interface {
 // free state already excludes GPUs retained by sticky jobs. The returned
 // map must assign each job exactly Spec.Demand free GPUs. The need
 // slice is engine-owned scratch, valid only for the duration of the
-// call — copy it if the policy retains state across rounds.
+// call — copy it if the policy retains state across rounds. The engine
+// reads the returned map before the next PlaceRound call, so a policy
+// may reuse one map across rounds; the allocation slices in it become
+// job state and must not be mutated afterwards.
 //
 // Sticky reports the placement flavor (§IV-A1): sticky placers keep a
 // running job's allocation until it completes or is preempted; non-sticky
-// placers re-place every running job every round.
+// placers re-place every running job every round (a FixpointPlacer lets
+// the engine skip the rounds that provably repeat).
 type Placer interface {
 	Name() string
 	Sticky() bool
@@ -436,8 +440,10 @@ func (r *Result) MultiGPUJCTs() []float64 {
 // is exactly the naive loop's, in the same order, so results are
 // byte-identical (fastforward_test.go enforces this). Non-sticky
 // placers re-place every running job every round by definition — that
-// per-round re-roll is the behaviour §V-B measures — so they always
-// take the naive path, as does any run with an Observer attached.
+// per-round re-roll is the behaviour §V-B measures — so they take the
+// naive path, except that a FixpointPlacer (PAL, PM-First) skips rounds
+// after one in which every placed job kept its GPUs, until the prefix
+// set changes. Any run with an Observer attached takes the naive path.
 func Run(cfg Config) (*Result, error) {
 	eng, err := newEngine(cfg)
 	if err != nil {
@@ -473,7 +479,20 @@ func newEngine(cfg Config) (*engine, error) {
 	for i, spec := range cfg.Trace.Jobs {
 		jobs[i] = &Job{Spec: spec, Remaining: spec.Work}
 	}
-	return &engine{cfg: cfg, cluster: c, jobs: jobs, ctr: cfg.Counters}, nil
+	fp, ok := cfg.Placer.(FixpointPlacer)
+	return &engine{
+		cfg:     cfg,
+		cluster: c,
+		jobs:    jobs,
+		ctr:     cfg.Counters,
+		// The fixpoint regime needs every skipped placement to be
+		// unobservable: the naive reference loop, an Observer (one
+		// callback per job per round) and a decision sink (non-sticky
+		// placements are traced every round) keep the placer on every
+		// round.
+		fixpointGate: ok && fp.FixpointStable() && !cfg.DisableFastForward &&
+			cfg.Observer == nil && cfg.Decisions == nil,
+	}, nil
 }
 
 // engine holds the per-run mutable state.
@@ -496,6 +515,16 @@ type engine struct {
 	// gained or lost jobs since it was built, forcing a full re-sort.
 	ordered           []*Job
 	membershipChanged bool
+
+	// Placement-fixpoint state (see FixpointPlacer). fixpointGate is
+	// fixed at construction: the placer declares stable fixpoints and no
+	// consumer needs every round placed. fixpoint reports that the last
+	// placement kept every placed job on its previous GPUs and no job
+	// has completed since, so the allocations in force repeat for as
+	// long as the prefix set holds. A resumed engine starts with it
+	// false and re-derives it from its first placement.
+	fixpointGate bool
+	fixpoint     bool
 
 	utilSeries []UtilSample
 	placeTimes []float64
@@ -843,15 +872,26 @@ func (e *engine) orderActive(now float64) ([]*Job, error) {
 	return ordered, nil
 }
 
+// placementRepeats reports whether the allocations in force provably
+// survive a placement call over the same job set: always under a sticky
+// placer, and under a FixpointPlacer after a fixpoint round.
+func (e *engine) placementRepeats() bool {
+	return e.cfg.Placer.Sticky() || e.fixpoint
+}
+
 // placementClean reports whether the placement phase is provably a no-op
-// this round: sticky placer, every prefix job already holding GPUs, and
-// nobody outside the prefix holding any (no preemption due). The check
-// is the dirty-set gate — O(n) with no allocation — and mirrors exactly
-// the conditions under which place() would fall through without touching
-// the cluster, so skipping it cannot be observed. The reference loop
+// this round: the allocations in force repeat (placementRepeats), every
+// prefix job already holds GPUs, and nobody outside the prefix holds any
+// (no preemption due) — so the prefix set is exactly the set those
+// allocations were made for. The check is the dirty-set gate — O(n) with
+// no allocation. For a sticky placer it mirrors exactly the conditions
+// under which place() would fall through without touching the cluster;
+// for a fixpoint placer place() would release every job and hand it
+// back the GPUs it already holds. Either way skipping it cannot be
+// observed beyond the PlaceTimes sample it saves. The reference loop
 // always re-enters place().
 func (e *engine) placementClean(prefix []*Job) bool {
-	if e.cfg.DisableFastForward || !e.cfg.Placer.Sticky() {
+	if e.cfg.DisableFastForward || !e.placementRepeats() {
 		return false
 	}
 	for _, j := range prefix {
@@ -886,10 +926,11 @@ func (e *engine) allActiveRunning() bool {
 // state-changing round back to the full loop. A round repeats when
 // nothing arrives (checked against the next-arrival horizon), nothing
 // finishes (earliest-completion horizon under the frozen slowdowns),
-// and the schedulable prefix is unchanged. With a sticky placer the
-// prefix is a pure function of the scheduling order, the job demands
-// and the cluster *size* — not the free state — so prefix stability
-// reduces to order stability:
+// and the schedulable prefix is unchanged. With a sticky placer — or a
+// fixpoint placer after a fixpoint round, whose allocations repeat for
+// as long as the prefix set holds — the prefix is a pure function of
+// the scheduling order, the job demands and the cluster *size* — not
+// the free state — so prefix stability reduces to order stability:
 //
 //   - with an empty waiting set, any permutation of the running jobs
 //     fits, so the prefix is trivially stable (the sparse fast-forward
@@ -906,13 +947,14 @@ func (e *engine) allActiveRunning() bool {
 // are byte-identical to naive iteration. Waiting jobs are untouched,
 // exactly as a naive round would leave them. The whole span reaches the
 // metrics sink as one observation (every per-round quantity is frozen
-// for its duration). Non-sticky placers re-place — and may re-roll
+// for its duration). Other non-sticky placers re-place — and may re-roll
 // their RNG — every round, which is observable behaviour, so they never
-// bulk advance; nor do runs with an Observer attached (its contract is
-// one callback per job per round).
+// bulk advance, and a fixpoint placer bulk advances only from a
+// fixpoint; nor do runs with an Observer attached (its contract is one
+// callback per job per round).
 func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 	cfg := e.cfg
-	if cfg.DisableFastForward || cfg.Observer != nil || !cfg.Placer.Sticky() || len(e.active) == 0 {
+	if cfg.DisableFastForward || cfg.Observer != nil || !e.placementRepeats() || len(e.active) == 0 {
 		return now, rounds
 	}
 	// Arrival horizon first: if the next arrival is already due, the
@@ -1054,8 +1096,10 @@ func schedulablePrefix(ordered []*Job, clusterSize int) []*Job {
 // the placement policy for jobs needing GPUs. Prefix membership and
 // was-running state ride on per-job scratch marks rather than per-round
 // maps, so the phase allocates nothing in steady state; both marks are
-// false again by the time place returns.
+// false again by the time place returns. Under the fixpoint gate it also
+// records whether every placed job kept its previous GPUs.
 func (e *engine) place(prefix []*Job, now float64) error {
+	e.fixpoint = e.fixpointGate
 	for _, j := range prefix {
 		j.inPrefix = true
 	}
@@ -1140,6 +1184,9 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		wasRunning := j.wasRunning
 		j.wasRunning = false
 		migrated := wasRunning && !sameGPUs(j.PrevAlloc, alloc)
+		if !wasRunning || migrated {
+			e.fixpoint = false
+		}
 		if migrated {
 			j.Migrations++
 			if e.ctr != nil {
@@ -1282,6 +1329,8 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 		j.Attained += wallRun * float64(j.Spec.Demand)
 	}
 	if finished > 0 {
+		// Freed GPUs can change every remaining job's fresh pick.
+		e.fixpoint = false
 		// Compact the active list.
 		kept := e.active[:0]
 		for _, j := range e.active {

@@ -23,8 +23,8 @@ import (
 
 // snapshotCases selects the matrix the issue names: Sia, dense Synergy,
 // a preemption-heavy bursty LAS workload — plus an rng-bearing Random
-// placer (stream-position round-trip) and PAL (stateless policy,
-// naive-only regime).
+// placer (stream-position round-trip) and PAL (stateless policy whose
+// fast run takes the placement-fixpoint regime).
 func snapshotCases(t *testing.T) []ffCase {
 	t.Helper()
 	want := map[string]bool{
@@ -187,5 +187,96 @@ func TestSnapshotCodecFixedPoint(t *testing.T) {
 	}
 	if len(snap.Jobs) == 0 || snap.NextArrival == 0 {
 		t.Fatal("fixed-point snapshot captured no arrived jobs; the case is vacuous")
+	}
+}
+
+// spanLog is a metrics sink that records each observed span's length
+// and running-set size, to locate bulk spans from outside the engine.
+type spanLog struct{ spans [][2]int }
+
+func (s *spanLog) ObserveRounds(o sim.RoundObservation) {
+	s.spans = append(s.spans, [2]int{o.Rounds, len(o.Running)})
+}
+func (s *spanLog) FinishRun(*sim.Result) {}
+
+// TestSnapshotResumeInsideFixpointSpan captures PAL and PM-First runs in
+// the middle of a placement-fixpoint span — a bulk span of a non-sticky
+// placer — and resumes them. The resumed engine does not carry the
+// fixpoint mark: it re-places at the horizon, and must land on the GPUs
+// the straight-through run kept, byte for byte.
+func TestSnapshotResumeInsideFixpointSpan(t *testing.T) {
+	want := map[string]bool{"sia1/fifo/pal": true, "dense-sia5/fifo/pal": true, "dense-synergy/fifo/pm-first": true}
+	found := 0
+	for _, c := range append(ffCases(t), denseCases(t)...) {
+		if !want[c.name] {
+			continue
+		}
+		found++
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			log := &spanLog{}
+			logCfg := c.config(t, false)
+			logCfg.Metrics = log
+			if _, err := sim.Run(logCfg); err != nil {
+				t.Fatal(err)
+			}
+			// The longest busy span: a non-sticky placer bulk advances
+			// only from a fixpoint, so every busy span longer than one
+			// round is a fixpoint span.
+			horizon, longest, round := 0, 0, 0
+			for _, sp := range log.spans {
+				if sp[1] > 0 && sp[0] > longest {
+					longest, horizon = sp[0], round+sp[0]/2
+				}
+				round += sp[0]
+			}
+			if longest < 3 {
+				t.Fatalf("no fixpoint span of 3+ rounds (longest %d)", longest)
+			}
+
+			for _, withMetrics := range []bool{false, true} {
+				attach := func(cfg *sim.Config) {
+					if withMetrics {
+						cfg.Metrics = collectorFor(t, c, 3)
+					}
+				}
+				straightCfg := c.config(t, false)
+				attach(&straightCfg)
+				straight, err := sim.Run(straightCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				capCfg := c.config(t, false)
+				attach(&capCfg)
+				snap, early, err := sim.Capture(capCfg, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if early != nil {
+					t.Fatalf("run completed before horizon %d", horizon)
+				}
+				var buf bytes.Buffer
+				if err := export.EncodeSnapshot(&buf, snap); err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := export.DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resCfg := c.config(t, false)
+				attach(&resCfg)
+				forked, err := sim.Resume(resCfg, decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(archiveBytes(t, straight), archiveBytes(t, forked)) {
+					t.Fatalf("resume at round %d, inside a %d-round fixpoint span, diverged (metrics=%v)",
+						horizon, longest, withMetrics)
+				}
+			}
+		})
+	}
+	if found != len(want) {
+		t.Fatalf("found %d of %d cases (case names drifted?)", found, len(want))
 	}
 }

@@ -59,3 +59,26 @@ type PartitionStableScheduler interface {
 	Scheduler
 	AttainedCeilings(running, waiting []*Job, ceilings []float64)
 }
+
+// FixpointPlacer is implemented by non-sticky placers whose placement
+// rounds can reach a fixpoint: a round in which every placed job kept
+// exactly its previous GPUs (no start, no resume, no migration). The
+// contract: while the set of placed jobs is unchanged — no arrival into
+// the schedulable prefix, no completion, no preemption — placing that
+// set again, in any order, with each job's PrevAlloc equal to its
+// current allocation, returns those same allocations and touches no
+// state that a later round reads (no RNG draw, no clock or score
+// dependence). FixpointStable reports whether the contract holds for
+// the placer as configured; a placer may hold it only conditionally
+// (PAL and PM-First lose it without hysteresis or over a scorer whose
+// scores move at run time).
+//
+// The engine uses it exactly as it uses stickiness: after a fixpoint
+// round it skips the placement phase while the prefix set is unchanged,
+// and bulk advances through rounds that provably repeat it. The skipped
+// PlaceRound calls are the only difference — Result.PlaceTimes gets
+// fewer samples — so results stay byte-identical to the naive loop.
+type FixpointPlacer interface {
+	Placer
+	FixpointStable() bool
+}
