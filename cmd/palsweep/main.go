@@ -360,8 +360,7 @@ func main() {
 		}
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "palsweep: %d experiments, %s, %d workers, %.1fs total\n",
-			len(names)-failures, cacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
+		fmt.Fprintln(os.Stderr, sweepSummary(len(names)-failures, "experiments", pool, time.Since(start)))
 	}
 	finish()
 	if failures > 0 {
@@ -388,6 +387,14 @@ func storeWarning(cache *runner.ResultCache) {
 		msg += "; store detached after repeated failures, later results were not persisted"
 	}
 	fmt.Fprintln(os.Stderr, msg)
+}
+
+// sweepSummary is a sweep's closing stderr line. The elapsed time has
+// millisecond resolution: a warm sweep served from the store takes tens
+// of milliseconds, which a one-decimal format rounded to "0.0s".
+func sweepSummary(n int, noun string, pool *runner.Pool, took time.Duration) string {
+	return fmt.Sprintf("palsweep: %d %s, %s, %d workers, %.3fs total",
+		n, noun, cacheSummary(pool), pool.Workers(), took.Seconds())
 }
 
 // cacheSummary renders the sweep's cache effectiveness: simulations
@@ -688,8 +695,7 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 			fmt.Fprintf(os.Stderr, "palsweep: shard %d/%d covers %d of %d cells\n",
 				shard.index, shard.count, len(cells), total)
 		}
-		fmt.Fprintf(os.Stderr, "palsweep: %d scenarios, %s, %d workers, %.1fs total\n",
-			len(cells), cacheSummary(pool), pool.Workers(), time.Since(start).Seconds())
+		fmt.Fprintln(os.Stderr, sweepSummary(len(cells), "scenarios", pool, time.Since(start)))
 		// Engine summary: cells served from a cache tier contribute zeros
 		// (no engine stepped here), so the line describes this process's
 		// actual simulation work.

@@ -13,9 +13,9 @@
 // free-GPU counts per node and per rack alongside the flat bitmap, so the
 // occupancy queries the placement policies issue every round — NumFree,
 // FreeOnNode, FreeOnRack, and the busy-node skip inside FreeGPUs — cost
-// O(1) per node instead of rescanning the whole cluster. Placers consume
-// that surface through the read-only View interface; only the engine
-// holds the mutable *Cluster.
+// O(1) per node instead of rescanning the whole cluster. Placers choose
+// allocations through the read-only View handle; only the engine and a
+// placer's own PlaceRound hold the mutable *Cluster.
 package cluster
 
 import "fmt"
@@ -59,36 +59,6 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// View is the read-only query surface placement policies work against.
-// *Cluster implements it; the engine passes its cluster to placers, and
-// every allocation-*choosing* helper (PackJob, the score-order walks in
-// internal/core, ...) is typed against View so the compiler separates
-// querying occupancy from mutating it. All methods are O(1) or bounded
-// by their output/argument size — none rescans the whole cluster.
-type View interface {
-	// Shape.
-	Topology() Topology
-	Size() int
-	NumNodes() int
-	GPUsPerNode() int
-	NumRacks() int
-	NodeOf(g GPUID) NodeID
-	RackOf(g GPUID) int
-	GPUsOnNode(n NodeID) []GPUID
-
-	// Occupancy, answered from the incremental indexes.
-	NumFree() int
-	FreeOnNode(n NodeID) int
-	FreeOnRack(r int) int
-	IsFree(g GPUID) bool
-	Owner(g GPUID) int
-	FreeGPUs() []GPUID
-
-	// Span accounting for the locality model.
-	NodesSpanned(gpus []GPUID) int
-	RacksSpanned(gpus []GPUID) int
-}
-
 // Cluster is the allocatable state of a GPU cluster. It tracks which GPUs
 // are free and which job owns each busy GPU, plus incrementally-maintained
 // free counts per node and per rack. Cluster is not safe for concurrent
@@ -103,8 +73,6 @@ type Cluster struct {
 	freeNode []int // freeNode[n] counts free GPUs on node n
 	freeRack []int // freeRack[r] counts free GPUs in rack r
 }
-
-var _ View = (*Cluster)(nil)
 
 // New creates a cluster with the given topology, all GPUs free.
 // It panics if the topology is invalid (a programming error, not an input
@@ -210,7 +178,14 @@ func (c *Cluster) Owner(g GPUID) int { return c.owner[g] }
 // nodes are skipped via the per-node index, so the scan is bounded by
 // NumNodes plus the free GPUs actually returned rather than cluster size.
 func (c *Cluster) FreeGPUs() []GPUID {
-	out := make([]GPUID, 0, c.nfree)
+	return c.AppendFreeGPUs(make([]GPUID, 0, c.nfree))
+}
+
+// AppendFreeGPUs appends the IDs of all free GPUs to out in ascending
+// order (FreeGPUs' order) and returns the extended slice, so a caller
+// that keeps a buffer across rounds lists the free set without
+// allocating.
+func (c *Cluster) AppendFreeGPUs(out []GPUID) []GPUID {
 	per := c.topo.GPUsPerNode
 	for n, nf := range c.freeNode {
 		if nf == 0 {
@@ -273,12 +248,47 @@ func (c *Cluster) Release(gpus []GPUID) {
 	}
 }
 
+// MultiNode reports whether the GPU set spans more than one node — the
+// locality model's only question (it charges L_across exactly then). It
+// compares every GPU with the first GPU's node ID range: O(len(gpus)),
+// no division per GPU, and equal to NodesSpanned(gpus) > 1.
+func (c *Cluster) MultiNode(gpus []GPUID) bool {
+	return spansBlocks(gpus, c.topo.GPUsPerNode)
+}
+
+// MultiRack reports whether the GPU set spans more than one rack, in
+// O(len(gpus)) like MultiNode; it equals RacksSpanned(gpus) > 1. Without
+// rack grouping every GPU shares rack 0, so it is always false.
+func (c *Cluster) MultiRack(gpus []GPUID) bool {
+	if c.topo.NodesPerRack <= 0 {
+		return false
+	}
+	return spansBlocks(gpus, c.topo.NodesPerRack*c.topo.GPUsPerNode)
+}
+
+// spansBlocks reports whether gpus fall in more than one of the aligned
+// ID blocks of the given size (a node's or a rack's GPUs are one block:
+// IDs are laid out node-major).
+func spansBlocks(gpus []GPUID, size int) bool {
+	if len(gpus) == 0 {
+		return false
+	}
+	lo := GPUID(int(gpus[0]) / size * size)
+	hi := lo + GPUID(size)
+	for _, g := range gpus[1:] {
+		if g < lo || g >= hi {
+			return true
+		}
+	}
+	return false
+}
+
 // NodesSpanned returns the number of distinct nodes covered by the given
-// GPU set. The locality model charges L_across whenever this exceeds 1.
-// The count is allocation-free: distinct nodes are tracked in a small
-// stack buffer (allocations span at most demand nodes, which is small for
-// every workload the engine simulates), falling back to a linear
-// distinct-scan beyond that.
+// GPU set; the decision trace records it. The locality model asks only
+// whether it exceeds 1, which MultiNode answers in linear time. The count
+// is allocation-free: distinct nodes are tracked in a small stack buffer,
+// falling back to a distinct-scan, quadratic in the set's size, beyond
+// 16 nodes.
 func (c *Cluster) NodesSpanned(gpus []GPUID) int {
 	if len(gpus) == 0 {
 		return 0
@@ -329,7 +339,8 @@ func (c *Cluster) nodesSpannedSlow(gpus []GPUID) int {
 }
 
 // RacksSpanned returns the number of distinct racks covered by the given
-// GPU set (extension for three-level locality). Allocation-free like
+// GPU set (extension for three-level locality; the decision trace
+// records it, MultiRack answers RacksSpanned > 1). Allocation-free like
 // NodesSpanned.
 func (c *Cluster) RacksSpanned(gpus []GPUID) int {
 	if len(gpus) == 0 {

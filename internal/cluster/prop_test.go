@@ -147,3 +147,75 @@ func TestResetRestoresIndexes(t *testing.T) {
 		t.Fatalf("Reset left %d free, want %d", c.NumFree(), topo.Size())
 	}
 }
+
+// TestMultiSpanMatchesSpanned: the O(d) locality predicates agree with
+// the distinct counts on random GPU sets — the empty set, single GPUs,
+// sets inside one node or rack, and scattered sets spanning more than
+// 16 nodes (NodesSpanned's slow path) — over topologies with and
+// without rack grouping, including a partial last rack and a rack
+// grouping wider than the cluster.
+func TestMultiSpanMatchesSpanned(t *testing.T) {
+	topologies := []Topology{
+		{NumNodes: 1, GPUsPerNode: 4},
+		{NumNodes: 64, GPUsPerNode: 4},
+		{NumNodes: 64, GPUsPerNode: 4, NodesPerRack: 4},
+		{NumNodes: 13, GPUsPerNode: 3, NodesPerRack: 5},
+		{NumNodes: 8, GPUsPerNode: 2, NodesPerRack: 16},
+		{NumNodes: 104, GPUsPerNode: 8, NodesPerRack: 2},
+	}
+	root := rng.New(0x5BA7)
+	wide := 0 // sets past NodesSpanned's 16-node stack buffer
+	for ti, topo := range topologies {
+		stream := root.Split(uint64(ti))
+		c := New(topo)
+		check := func(gpus []GPUID) {
+			t.Helper()
+			nodes, racks := c.NodesSpanned(gpus), c.RacksSpanned(gpus)
+			if nodes > 16 {
+				wide++
+			}
+			if got := c.MultiNode(gpus); got != (nodes > 1) {
+				t.Fatalf("topo %d: MultiNode(%v) = %v, NodesSpanned = %d", ti, gpus, got, nodes)
+			}
+			if got := c.MultiRack(gpus); got != (racks > 1) {
+				t.Fatalf("topo %d: MultiRack(%v) = %v, RacksSpanned = %d", ti, gpus, got, racks)
+			}
+			v := c.View()
+			if v.MultiNode(gpus) != c.MultiNode(gpus) || v.MultiRack(gpus) != c.MultiRack(gpus) {
+				t.Fatalf("topo %d: View disagrees with Cluster on %v", ti, gpus)
+			}
+		}
+		check(nil)
+		all := make([]GPUID, topo.Size())
+		for g := range all {
+			all[g] = GPUID(g)
+		}
+		check(all)
+		for step := 0; step < 500; step++ {
+			stream.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			var gpus []GPUID
+			switch step % 3 {
+			case 0: // scattered: often wider than 16 nodes
+				gpus = all[:1+stream.Intn(len(all))]
+			case 1: // inside one node
+				base := stream.Intn(topo.NumNodes) * topo.GPUsPerNode
+				for i := 0; i <= stream.Intn(topo.GPUsPerNode); i++ {
+					gpus = append(gpus, GPUID(base+i))
+				}
+			default: // inside one rack (or, ungrouped, anywhere)
+				span := topo.Size()
+				if topo.NodesPerRack > 0 {
+					span = min(topo.NodesPerRack*topo.GPUsPerNode, topo.Size())
+				}
+				base := stream.Intn(topo.Size()/span) * span
+				for i := 0; i < 1+stream.Intn(span); i++ {
+					gpus = append(gpus, GPUID(base+stream.Intn(span)))
+				}
+			}
+			check(gpus)
+		}
+	}
+	if wide == 0 {
+		t.Fatal("no set spanned more than 16 nodes; the slow path went unchecked")
+	}
+}

@@ -117,27 +117,28 @@ func (oc *orderCache) get(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *
 	return oc.order
 }
 
-// takeBest returns the first demand free GPUs in class order, i.e. the
-// free GPUs with the lowest PM scores (Algorithm 1's selection). The
-// result is nil if fewer than demand GPUs are free.
-func (o *scoreOrder) takeBest(c cluster.View, class vprof.Class, demand int) []cluster.GPUID {
-	out := make([]cluster.GPUID, 0, demand)
+// takeBest writes into dst[:0] the first demand free GPUs in class
+// order, i.e. the free GPUs with the lowest PM scores (Algorithm 1's
+// selection). It returns the buffer, grown as needed so the caller can
+// keep it for the next pick, and whether demand GPUs were found.
+func (o *scoreOrder) takeBest(dst []cluster.GPUID, c cluster.View, class vprof.Class, demand int) ([]cluster.GPUID, bool) {
+	out := dst[:0]
 	for _, g := range o.byClass[class] {
 		if !c.IsFree(g) {
 			continue
 		}
 		out = append(out, g)
 		if len(out) == demand {
-			return out
+			return out, true
 		}
 	}
-	return nil
+	return out, false
 }
 
 // takeBestUnder is takeBest restricted to GPUs with score <= v. The class
 // order is ascending by score, so the walk stops at the first GPU over v.
-func (o *scoreOrder) takeBestUnder(c cluster.View, class vprof.Class, demand int, v float64) []cluster.GPUID {
-	out := make([]cluster.GPUID, 0, demand)
+func (o *scoreOrder) takeBestUnder(dst []cluster.GPUID, c cluster.View, class vprof.Class, demand int, v float64) ([]cluster.GPUID, bool) {
+	out := dst[:0]
 	for _, g := range o.byClass[class] {
 		if o.scorer.Score(class, int(g)) > v {
 			break
@@ -147,18 +148,17 @@ func (o *scoreOrder) takeBestUnder(c cluster.View, class vprof.Class, demand int
 		}
 		out = append(out, g)
 		if len(out) == demand {
-			return out
+			return out, true
 		}
 	}
-	return nil
+	return out, false
 }
 
-// takeNodeUnder returns the demand lowest-score free GPUs on the node
-// with score <= v, or nil if the node cannot supply them. The second
-// return is the allocation's max score.
-func (o *scoreOrder) takeNodeUnder(c cluster.View, class vprof.Class, node, demand int, v float64) ([]cluster.GPUID, float64) {
-	out := make([]cluster.GPUID, 0, demand)
-	maxV := 0.0
+// takeNodeUnder writes into dst[:0] the demand lowest-score free GPUs on
+// the node with score <= v. Like takeBest it returns the buffer and
+// whether the node could supply them; maxV is the allocation's max score.
+func (o *scoreOrder) takeNodeUnder(dst []cluster.GPUID, c cluster.View, class vprof.Class, node, demand int, v float64) (out []cluster.GPUID, maxV float64, ok bool) {
+	out = dst[:0]
 	for _, g := range o.nodeByClass[class][node] {
 		s := o.scorer.Score(class, int(g))
 		if s > v {
@@ -170,8 +170,8 @@ func (o *scoreOrder) takeNodeUnder(c cluster.View, class vprof.Class, node, dema
 		out = append(out, g)
 		maxV = s
 		if len(out) == demand {
-			return out, maxV
+			return out, maxV, true
 		}
 	}
-	return nil, 0
+	return out, 0, false
 }

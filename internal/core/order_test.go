@@ -53,7 +53,10 @@ func TestTakeBestSkipsBusy(t *testing.T) {
 	o, c, f := orderFixture()
 	// Occupy all the score-1.0 GPUs (positions 0, 4, 8, 12).
 	c.Allocate(1, []cluster.GPUID{0, 4, 8, 12})
-	got := o.takeBest(c, 0, 2)
+	got, ok := o.takeBest(nil, c.View(), 0, 2)
+	if !ok || len(got) != 2 {
+		t.Fatalf("takeBest = %v, %v", got, ok)
+	}
 	for _, g := range got {
 		if f.Score(0, int(g)) != 1.1 {
 			t.Errorf("takeBest picked score %v, want 1.1 tier", f.Score(0, int(g)))
@@ -64,16 +67,16 @@ func TestTakeBestSkipsBusy(t *testing.T) {
 func TestTakeBestInsufficient(t *testing.T) {
 	o, c, _ := orderFixture()
 	c.Allocate(1, c.FreeGPUs()[:15])
-	if got := o.takeBest(c, 0, 2); got != nil {
-		t.Errorf("takeBest with 1 free GPU for demand 2 = %v, want nil", got)
+	if got, ok := o.takeBest(nil, c.View(), 0, 2); ok {
+		t.Errorf("takeBest with 1 free GPU for demand 2 = %v, want not ok", got)
 	}
 }
 
 func TestTakeBestUnderStopsAtThreshold(t *testing.T) {
 	o, c, f := orderFixture()
 	// Filter at 1.05: only the four 1.0-score GPUs qualify.
-	got := o.takeBestUnder(c, 0, 4, 1.05)
-	if len(got) != 4 {
+	got, ok := o.takeBestUnder(nil, c.View(), 0, 4, 1.05)
+	if !ok || len(got) != 4 {
 		t.Fatalf("takeBestUnder = %v", got)
 	}
 	for _, g := range got {
@@ -82,7 +85,7 @@ func TestTakeBestUnderStopsAtThreshold(t *testing.T) {
 		}
 	}
 	// Demand 5 at the same threshold cannot be met.
-	if got := o.takeBestUnder(c, 0, 5, 1.05); got != nil {
+	if got, ok := o.takeBestUnder(nil, c.View(), 0, 5, 1.05); ok {
 		t.Errorf("threshold overrun: %v", got)
 	}
 }
@@ -90,15 +93,15 @@ func TestTakeBestUnderStopsAtThreshold(t *testing.T) {
 func TestTakeNodeUnder(t *testing.T) {
 	o, c, _ := orderFixture()
 	// Node 0: scores 1.0-1.3; at threshold 1.15, two GPUs qualify.
-	alloc, maxV := o.takeNodeUnder(c, 0, 0, 2, 1.15)
-	if len(alloc) != 2 {
+	alloc, maxV, ok := o.takeNodeUnder(nil, c.View(), 0, 0, 2, 1.15)
+	if !ok || len(alloc) != 2 {
 		t.Fatalf("takeNodeUnder = %v", alloc)
 	}
 	if maxV != 1.1 {
 		t.Errorf("maxV = %v, want 1.1", maxV)
 	}
 	// Demand 3 at that threshold fails.
-	if alloc, _ := o.takeNodeUnder(c, 0, 0, 3, 1.15); alloc != nil {
+	if alloc, _, ok := o.takeNodeUnder(nil, c.View(), 0, 0, 3, 1.15); ok {
 		t.Errorf("over-demand succeeded: %v", alloc)
 	}
 }

@@ -30,8 +30,13 @@ type PAL struct {
 	modelMat map[string][]*LVMatrix
 	cache    orderCache
 	order    *scoreOrder
-	pmf      *PMFirst
 	hyst     hysteresis
+
+	// Scratch the fresh picks are written into (valid until the next
+	// pick; the hysteresis loop copies out the picks it returns).
+	pick    []cluster.GPUID   // the current pick; packedUnder's running best
+	cand    []cluster.GPUID   // packedUnder's per-node candidate
+	buckets [][]cluster.GPUID // rackUnder's per-rack accumulators
 
 	// NoHysteresis disables previous-allocation reuse (ablation).
 	NoHysteresis bool
@@ -50,7 +55,6 @@ func NewPAL(scorer vprof.BinnedScorer, lacross float64, modelLacross map[string]
 		modelL:   modelLacross,
 		matrices: make([]*LVMatrix, scorer.NumClasses()),
 		modelMat: make(map[string][]*LVMatrix),
-		pmf:      NewPMFirst(scorer),
 	}
 	return p
 }
@@ -139,11 +143,11 @@ func (p *PAL) matrixFor(j *sim.Job) *LVMatrix {
 
 // PlaceRound implements sim.Placer.
 func (p *PAL) PlaceRound(c *cluster.Cluster, need []*sim.Job, now float64) map[int][]cluster.GPUID {
-	p.order = p.cache.get(p.scorer, p.scorer.NumClasses(), c.Size(), c.GPUsPerNode())
-	p.pmf.order = p.order // share the precomputed orders
+	v := c.View()
+	p.order = p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode())
 	return p.hyst.place(c, need, placeOpts{noHysteresis: p.NoHysteresis},
-		func(j *sim.Job) []cluster.GPUID { return p.placeJob(c, j) },
-		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(c, j, gpus) })
+		func(j *sim.Job) []cluster.GPUID { return p.placeJob(v, j) },
+		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(v, j, gpus) })
 }
 
 // lvProduct evaluates the combined locality × variability slowdown of an
@@ -152,14 +156,14 @@ func (p *PAL) PlaceRound(c *cluster.Cluster, need []*sim.Job, now float64) map[i
 // level when enabled.
 func (p *PAL) lvProduct(c cluster.View, j *sim.Job, gpus []cluster.GPUID) float64 {
 	l := 1.0
-	if c.NodesSpanned(gpus) > 1 {
+	if c.MultiNode(gpus) {
 		l = p.lacross
 		if p.modelL != nil {
 			if v, ok := p.modelL[j.Spec.Model]; ok {
 				l = v
 			}
 		}
-		if p.lrack > 0 && c.RacksSpanned(gpus) <= 1 {
+		if p.lrack > 0 && !c.MultiRack(gpus) {
 			l = min(p.lrack, l)
 		}
 	}
@@ -167,7 +171,7 @@ func (p *PAL) lvProduct(c cluster.View, j *sim.Job, gpus []cluster.GPUID) float6
 }
 
 // placeJob implements Algorithm 2 for one job against the cluster's
-// current free state.
+// current free state. The pick lives in the placer's scratch.
 func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 	d := j.Spec.Demand
 	rackCap := 0
@@ -183,11 +187,12 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 		// the deepest locality scope must spread regardless, so
 		// variability is all that is left to optimize (Algorithm 2
 		// lines 23-25).
-		alloc := p.order.takeBest(c, j.Spec.Class, d)
-		if alloc == nil {
+		var ok bool
+		p.pick, ok = p.order.takeBest(p.pick[:0], c, j.Spec.Class, d)
+		if !ok {
 			panic("core: PAL/PM-First path out of free GPUs")
 		}
-		return alloc
+		return p.pick
 	}
 	m := p.matrixFor(j)
 	class := j.Spec.Class
@@ -208,7 +213,10 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 			// (L_across, V_i): locality cost is acceptable at this point
 			// in the traversal; make a PM-First pick over the filtered
 			// free list.
-			alloc = p.order.takeBestUnder(c, class, d, e.V)
+			var ok bool
+			if p.pick, ok = p.order.takeBestUnder(p.pick[:0], c, class, d, e.V); ok {
+				alloc = p.pick
+			}
 		default:
 			// (L_rack, V_i): rack-level extension — the best allocation
 			// confined to a single rack.
@@ -227,14 +235,20 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 // rackUnder finds the d lowest-score free GPUs with score <= v confined
 // to a single rack, picking the rack whose d-th-best score is lowest. It
 // walks the global ascending score order, so the first rack to
-// accumulate d GPUs wins.
+// accumulate d GPUs wins. The racks accumulate in the placer's
+// scratch, and the pick is the winning rack's bucket.
 func (p *PAL) rackUnder(c cluster.View, class vprof.Class, d int, v float64) []cluster.GPUID {
-	nodesPerRack := c.Topology().NodesPerRack
-	if nodesPerRack <= 0 {
+	if c.Topology().NodesPerRack <= 0 {
 		return nil
 	}
-	numRacks := (c.NumNodes() + nodesPerRack - 1) / nodesPerRack
-	buckets := make([][]cluster.GPUID, numRacks)
+	numRacks := c.NumRacks()
+	if cap(p.buckets) < numRacks {
+		p.buckets = make([][]cluster.GPUID, numRacks)
+	}
+	buckets := p.buckets[:numRacks]
+	for r := range buckets {
+		buckets[r] = buckets[r][:0]
+	}
 	for _, g := range p.order.byClass[class] {
 		if p.scorer.Score(class, int(g)) > v {
 			break
@@ -245,7 +259,7 @@ func (p *PAL) rackUnder(c cluster.View, class vprof.Class, d int, v float64) []c
 		r := c.RackOf(g)
 		buckets[r] = append(buckets[r], g)
 		if len(buckets[r]) == d {
-			return append([]cluster.GPUID(nil), buckets[r]...)
+			return buckets[r]
 		}
 	}
 	return nil
@@ -255,9 +269,11 @@ func (p *PAL) rackUnder(c cluster.View, class vprof.Class, d int, v float64) []c
 // whose binned scores are all <= v, returning the one with the lowest max
 // score. Ties between equally-good nodes break on a hash of the node ID
 // so packed class-A traffic does not pile onto the lowest-numbered node
-// (see newScoreOrder for why that matters).
+// (see newScoreOrder for why that matters). The running best lives in
+// p.pick and each node's candidate in p.cand; a winning candidate swaps
+// buffers with the best instead of being copied.
 func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) []cluster.GPUID {
-	var best []cluster.GPUID
+	found := false
 	bestMax := 0.0
 	bestTie := uint64(0)
 	for n := 0; n < c.NumNodes(); n++ {
@@ -266,18 +282,23 @@ func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) [
 		if c.FreeOnNode(cluster.NodeID(n)) < d {
 			continue
 		}
-		alloc, maxV := p.order.takeNodeUnder(c, class, n, d, v)
-		if alloc == nil {
+		cand, maxV, ok := p.order.takeNodeUnder(p.cand[:0], c, class, n, d, v)
+		p.cand = cand
+		if !ok {
 			continue
 		}
 		tie := mix64(uint64(n))
-		if best == nil || maxV < bestMax || (maxV == bestMax && tie < bestTie) {
-			best = alloc
+		if !found || maxV < bestMax || (maxV == bestMax && tie < bestTie) {
+			p.pick, p.cand = p.cand, p.pick
+			found = true
 			bestMax = maxV
 			bestTie = tie
 		}
 	}
-	return best
+	if !found {
+		return nil
+	}
+	return p.pick
 }
 
 var _ sim.FixpointPlacer = (*PAL)(nil)

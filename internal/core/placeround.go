@@ -21,8 +21,10 @@ type placeOpts struct {
 
 // hysteresis is the two-pass allocation loop shared by PM-First and PAL,
 // together with the scratch it sorts, holds and returns through. The
-// owning placer keeps one across rounds, so a steady-state round
-// allocates only the fresh candidate picks.
+// owning placer keeps one across rounds and writes its fresh picks into
+// scratch of its own, so a round allocates only the one slice per job
+// whose fresh pick beats its kept allocation — a fixpoint round
+// allocates nothing.
 //
 // Both policies are Non-Sticky so jobs *can* migrate to better GPUs every
 // round, but a migration costs a checkpoint/restore, so a rational policy
@@ -47,8 +49,10 @@ type hysteresis struct {
 }
 
 // place runs the loop. fresh must return a valid allocation given the
-// cluster's current free state; quality evaluates an allocation for a
-// job. The returned map is the scratch's own: valid until the next call.
+// cluster's current free state; it may return placer scratch, valid
+// until its next call, because place copies a fresh pick before keeping
+// it. quality evaluates an allocation for a job. The returned map is the
+// scratch's own: valid until the next call.
 func (h *hysteresis) place(
 	c *cluster.Cluster,
 	need []*sim.Job,
@@ -68,13 +72,14 @@ func (h *hysteresis) place(
 	}
 
 	// Pass 1: tentatively hold every job's previous allocation.
+	v := c.View()
 	h.kept = slices.Grow(h.kept[:0], len(h.ordered))[:len(h.ordered)]
 	for i, j := range h.ordered {
 		h.kept[i] = nil
 		if opts.noHysteresis {
 			continue
 		}
-		if prev := reusablePrev(c, j); prev != nil {
+		if prev := reusablePrev(v, j); prev != nil {
 			c.Allocate(j.Spec.ID, prev)
 			h.kept[i] = prev
 		}
@@ -94,6 +99,10 @@ func (h *hysteresis) place(
 		alloc := fresh(j)
 		if prev != nil && quality(j, prev) <= quality(j, alloc) {
 			alloc = prev
+		} else {
+			// The engine keeps every returned slice (sim.Placer), so a
+			// winning pick leaves the placer's scratch.
+			alloc = slices.Clone(alloc)
 		}
 		c.Allocate(j.Spec.ID, alloc)
 		h.reserved = append(h.reserved, alloc...)

@@ -20,6 +20,7 @@ type PMFirst struct {
 	cache  orderCache // precomputed score orders, rebuilt if scores drift
 	order  *scoreOrder
 	hyst   hysteresis
+	pick   []cluster.GPUID // a fresh pick, valid until the next one
 
 	// NoClassPriority disables the class-based reordering of the
 	// schedulable prefix (ablation: placement priority off). Set before
@@ -61,15 +62,17 @@ func (p *PMFirst) ensureOrder(c cluster.View) {
 
 // PlaceRound implements sim.Placer.
 func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
-	p.ensureOrder(c)
+	v := c.View()
+	p.ensureOrder(v)
 	return p.hyst.place(c, need, p.opts(),
 		func(j *sim.Job) []cluster.GPUID {
-			alloc := p.order.takeBest(c, j.Spec.Class, j.Spec.Demand)
-			if alloc == nil {
+			var ok bool
+			p.pick, ok = p.order.takeBest(p.pick[:0], v, j.Spec.Class, j.Spec.Demand)
+			if !ok {
 				panic(fmt.Sprintf("core: PM-First cannot place job %d (demand %d, free %d)",
-					j.Spec.ID, j.Spec.Demand, c.NumFree()))
+					j.Spec.ID, j.Spec.Demand, v.NumFree()))
 			}
-			return alloc
+			return p.pick
 		},
 		func(j *sim.Job, gpus []cluster.GPUID) float64 {
 			return maxScore(p.scorer, j.Spec.Class, gpus)

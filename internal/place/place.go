@@ -32,9 +32,11 @@ import (
 // any node's free capacity take the fullest-free nodes first, minimizing
 // the number of nodes spanned.
 type Packed struct {
-	sticky  bool
-	rng     *rng.RNG
-	scratch packScratch
+	sticky   bool
+	rng      *rng.RNG
+	scratch  packScratch
+	reserved []cluster.GPUID         // a round's in-flight reservations
+	out      map[int][]cluster.GPUID // returned map, reused across rounds
 }
 
 // NewPacked returns a Packed placer with the given stickiness.
@@ -57,17 +59,30 @@ func (p *Packed) Sticky() bool { return p.sticky }
 
 // PlaceRound implements sim.Placer.
 func (p *Packed) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
-	out := make(map[int][]cluster.GPUID, len(need))
+	p.out = resetOut(p.out)
+	v := c.View()
+	reserved := p.reserved[:0]
 	for _, j := range need {
-		alloc := p.scratch.packJob(c, j.Spec.Demand, p.rng)
+		alloc := p.scratch.packJob(v, j.Spec.Demand, p.rng)
 		c.Allocate(j.Spec.ID, alloc)
-		out[j.Spec.ID] = alloc
+		reserved = append(reserved, alloc...)
+		p.out[j.Spec.ID] = alloc
 	}
+	p.reserved = reserved
 	// The engine performs the real allocation from the returned map;
 	// release our in-flight reservations so it sees the GPUs as free.
-	for _, alloc := range out {
-		c.Release(alloc)
+	c.Release(reserved)
+	return p.out
+}
+
+// resetOut empties a placer's reusable result map, creating it on first
+// use. The engine reads the map before the next round (sim.Placer) and
+// keeps only the fresh slices in it.
+func resetOut(out map[int][]cluster.GPUID) map[int][]cluster.GPUID {
+	if out == nil {
+		return make(map[int][]cluster.GPUID)
 	}
+	clear(out)
 	return out
 }
 
@@ -98,30 +113,23 @@ func PackJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
 
 // packJob is PackJob over reusable scratch buffers.
 func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
-	nodes := s.nodes[:0]
-	for n := 0; n < c.NumNodes(); n++ {
-		if f := c.FreeOnNode(cluster.NodeID(n)); f > 0 {
-			nodes = append(nodes, nodeFree{node: cluster.NodeID(n), free: f})
-		}
-	}
-	s.nodes = nodes
-
 	if demand <= c.GPUsPerNode() {
 		// Best fit: the smallest sufficient free count; collect all nodes
 		// tied at that count and let the RNG pick one.
 		bestFree := -1
 		tied := s.tied[:0]
-		for _, nf := range nodes {
-			if nf.free < demand {
+		for n := 0; n < c.NumNodes(); n++ {
+			f := c.FreeOnNode(cluster.NodeID(n))
+			if f == 0 || f < demand {
 				continue
 			}
 			switch {
-			case bestFree == -1 || nf.free < bestFree:
-				bestFree = nf.free
+			case bestFree == -1 || f < bestFree:
+				bestFree = f
 				tied = tied[:0]
-				tied = append(tied, nf.node)
-			case nf.free == bestFree:
-				tied = append(tied, nf.node)
+				tied = append(tied, cluster.NodeID(n))
+			case f == bestFree:
+				tied = append(tied, cluster.NodeID(n))
 			}
 		}
 		s.tied = tied
@@ -133,6 +141,14 @@ func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.
 			return s.appendFromNode(make([]cluster.GPUID, 0, demand), c, pick, demand, r)
 		}
 	}
+
+	nodes := s.nodes[:0]
+	for n := 0; n < c.NumNodes(); n++ {
+		if f := c.FreeOnNode(cluster.NodeID(n)); f > 0 {
+			nodes = append(nodes, nodeFree{node: cluster.NodeID(n), free: f})
+		}
+	}
+	s.nodes = nodes
 
 	// Spill across nodes: fullest-free nodes first to minimize the span;
 	// ties between equally-full nodes are randomized (the shuffle before
@@ -159,7 +175,8 @@ func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.
 // subset when r is non-nil, else the lowest IDs.
 func (s *packScratch) appendFromNode(dst []cluster.GPUID, c cluster.View, node cluster.NodeID, n int, r *rng.RNG) []cluster.GPUID {
 	free := s.free[:0]
-	for _, g := range c.GPUsOnNode(node) {
+	base := cluster.GPUID(int(node) * c.GPUsPerNode())
+	for g := base; g < base+cluster.GPUID(c.GPUsPerNode()); g++ {
 		if c.IsFree(g) {
 			free = append(free, g)
 		}
@@ -179,6 +196,8 @@ func (s *packScratch) appendFromNode(dst []cluster.GPUID, c cluster.View, node c
 type Random struct {
 	sticky bool
 	rng    *rng.RNG
+	free   []cluster.GPUID         // the round's free list, reused
+	out    map[int][]cluster.GPUID // returned map, reused across rounds
 }
 
 // NewRandom returns a Random placer seeded deterministically.
@@ -199,16 +218,18 @@ func (r *Random) Sticky() bool { return r.sticky }
 
 // PlaceRound implements sim.Placer.
 func (r *Random) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
-	out := make(map[int][]cluster.GPUID, len(need))
-	free := c.FreeGPUs()
+	r.out = resetOut(r.out)
+	// The free list must be in ascending ID order (FreeGPUs' order): the
+	// shuffle's outcome, and so every recorded result, depends on it.
+	free := c.AppendFreeGPUs(r.free[:0])
+	r.free = free
 	r.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 	idx := 0
 	for _, j := range need {
-		alloc := append([]cluster.GPUID(nil), free[idx:idx+j.Spec.Demand]...)
+		r.out[j.Spec.ID] = slices.Clone(free[idx : idx+j.Spec.Demand])
 		idx += j.Spec.Demand
-		out[j.Spec.ID] = alloc
 	}
-	return out
+	return r.out
 }
 
 var (

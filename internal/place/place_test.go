@@ -20,7 +20,7 @@ func mkJob(id, demand int) *sim.Job {
 
 func TestPackJobSingleNode(t *testing.T) {
 	c := mkCluster()
-	alloc := PackJob(c, 4, nil)
+	alloc := PackJob(c.View(), 4, nil)
 	if len(alloc) != 4 {
 		t.Fatalf("alloc = %v", alloc)
 	}
@@ -36,7 +36,7 @@ func TestPackJobBestFit(t *testing.T) {
 	c.Allocate(2, []cluster.GPUID{4, 5})
 	c.Allocate(3, []cluster.GPUID{8, 9, 10, 11, 12, 13, 14, 15})
 	// A 2-GPU job must pick node 1 (exactly 2 free), not split.
-	alloc := PackJob(c, 2, nil)
+	alloc := PackJob(c.View(), 2, nil)
 	if len(alloc) != 2 || c.NodesSpanned(alloc) != 1 {
 		t.Fatalf("alloc = %v", alloc)
 	}
@@ -46,7 +46,7 @@ func TestPackJobBestFit(t *testing.T) {
 		}
 	}
 	// A 1-GPU job must pick the tighter node 0.
-	alloc1 := PackJob(c, 1, nil)
+	alloc1 := PackJob(c.View(), 1, nil)
 	if c.NodeOf(alloc1[0]) != 0 {
 		t.Errorf("1-GPU best fit picked node %d, want 0", c.NodeOf(alloc1[0]))
 	}
@@ -55,7 +55,7 @@ func TestPackJobBestFit(t *testing.T) {
 func TestPackJobSpillMinimizesNodes(t *testing.T) {
 	c := mkCluster()
 	// 6-GPU job on 4-GPU nodes must span exactly 2 nodes.
-	alloc := PackJob(c, 6, nil)
+	alloc := PackJob(c.View(), 6, nil)
 	if len(alloc) != 6 {
 		t.Fatalf("alloc size %d", len(alloc))
 	}
@@ -68,7 +68,7 @@ func TestPackJobSpillPrefersFullestNodes(t *testing.T) {
 	c := mkCluster()
 	c.Allocate(1, []cluster.GPUID{0, 1, 2}) // node 0: 1 free
 	// 5-GPU job: best packing is 4 (node with 4 free) + 1.
-	alloc := PackJob(c, 5, nil)
+	alloc := PackJob(c.View(), 5, nil)
 	if got := c.NodesSpanned(alloc); got != 2 {
 		t.Errorf("spanned %d nodes, want 2", got)
 	}
@@ -119,7 +119,7 @@ func TestPackedRandomizedTieBreak(t *testing.T) {
 	nodes := map[cluster.NodeID]bool{}
 	for i := 0; i < 30; i++ {
 		c := mkCluster()
-		alloc := PackJob(c, 2, r)
+		alloc := PackJob(c.View(), 2, r)
 		nodes[c.NodeOf(alloc[0])] = true
 	}
 	if len(nodes) < 2 {
@@ -200,7 +200,7 @@ func TestPackJobDemandSatisfiedProperty(t *testing.T) {
 			return true
 		}
 		demand := 1 + r.Intn(free)
-		alloc := PackJob(c, demand, r)
+		alloc := PackJob(c.View(), demand, r)
 		if len(alloc) != demand {
 			return false
 		}
@@ -233,7 +233,7 @@ func TestPackJobMinimalSpanProperty(t *testing.T) {
 			return true
 		}
 		demand := 1 + r.Intn(c.NumFree())
-		alloc := PackJob(c, demand, r)
+		alloc := PackJob(c.View(), demand, r)
 		// Minimum span: greedily take nodes by descending free count.
 		frees := make([]int, c.NumNodes())
 		for n := range frees {
@@ -264,18 +264,41 @@ func TestPackJobMinimalSpanProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkPackJob(b *testing.B) {
+// fragmented64x4 returns a 64-node, 4-GPU-per-node cluster with about
+// half its GPUs held by single-GPU background jobs, drawing from r.
+func fragmented64x4(r *rng.RNG) *cluster.Cluster {
 	c := cluster.New(cluster.Topology{NumNodes: 64, GPUsPerNode: 4})
-	r := rng.New(1)
-	// Fragment the cluster realistically.
-	for g := 0; g < 256; g++ {
+	for g := 0; g < c.Size(); g++ {
 		if r.Float64() < 0.5 {
 			c.Allocate(1000+g, []cluster.GPUID{cluster.GPUID(g)})
 		}
 	}
+	return c
+}
+
+// TestNonStickyPlaceRoundAllocs pins the baselines' per-round garbage:
+// once a placer's scratch is warm, a round allocates at most one slice
+// per placed job — the allocation the engine keeps. Both the best-fit
+// and the spill-across-nodes paths of Packed are exercised.
+func TestNonStickyPlaceRoundAllocs(t *testing.T) {
+	c := fragmented64x4(rng.New(7))
+	jobs := []*sim.Job{mkJob(0, 4), mkJob(1, 8), mkJob(2, 1), mkJob(3, 2), mkJob(4, 3)}
+	for _, p := range []sim.Placer{NewPacked(false, 1), NewRandom(false, 1)} {
+		got := testing.AllocsPerRun(50, func() { p.PlaceRound(c, jobs, 0) })
+		if got > float64(len(jobs)) {
+			t.Errorf("%s: %v allocations per round, want at most %d (one per placed job)",
+				p.Name(), got, len(jobs))
+		}
+	}
+}
+
+func BenchmarkPackJob(b *testing.B) {
+	r := rng.New(1)
+	c := fragmented64x4(r)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alloc := PackJob(c, 4, r)
+		alloc := PackJob(c.View(), 4, r)
 		if len(alloc) != 4 {
 			b.Fatal("pack failed")
 		}
@@ -286,6 +309,7 @@ func BenchmarkRandomPlaceRound(b *testing.B) {
 	c := cluster.New(cluster.Topology{NumNodes: 64, GPUsPerNode: 4})
 	p := NewRandom(false, 1)
 	jobs := []*sim.Job{mkJob(0, 4), mkJob(1, 8), mkJob(2, 1)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.PlaceRound(c, jobs, 0)

@@ -103,8 +103,11 @@ type Scheduler interface {
 // slice is engine-owned scratch, valid only for the duration of the
 // call — copy it if the policy retains state across rounds. The engine
 // reads the returned map before the next PlaceRound call, so a policy
-// may reuse one map across rounds; the allocation slices in it become
-// job state and must not be mutated afterwards.
+// may reuse one map across rounds. The allocation slices in it are
+// different: the engine keeps every one as job state (Job.Alloc, then
+// Job.PrevAlloc), so each must be a fresh slice, or a job's own
+// PrevAlloc handed back unchanged, and never scratch the policy writes
+// to again.
 //
 // Sticky reports the placement flavor (§IV-A1): sticky placers keep a
 // running job's allocation until it completes or is preempted; non-sticky
@@ -1266,14 +1269,14 @@ func (e *engine) slowdown(j *Job) float64 {
 // product in the same order).
 func (e *engine) slowdownParts(j *Job) (l, maxV float64) {
 	l = 1.0
-	if e.cluster.NodesSpanned(j.Alloc) > 1 {
+	if e.cluster.MultiNode(j.Alloc) {
 		l = e.cfg.Lacross
 		if e.cfg.ModelLacross != nil {
 			if v, ok := e.cfg.ModelLacross[j.Spec.Model]; ok {
 				l = v
 			}
 		}
-		if e.cfg.Lrack > 0 && e.cluster.RacksSpanned(j.Alloc) <= 1 {
+		if e.cfg.Lrack > 0 && !e.cluster.MultiRack(j.Alloc) {
 			l = e.cfg.Lrack
 		}
 	}
