@@ -111,19 +111,20 @@ func journalShardsTable(procs []*journal.Process) *experiments.Table {
 // journalEngineTable renders the engine-introspection view: per
 // process, how the simulated rounds of its executed tasks split across
 // the four stepping regimes, how often the placement-skip and
-// incremental-ordering fast paths engaged, and what snapshot forks
-// saved — the cross-shard aggregation of sim.Counters. Processes whose
-// journals predate the counters field (or whose runs carried none)
-// render "-" instead of fabricated zeros. Like the shards table, each
-// complete process's summary total is cross-checked against the sum of
-// its task events: a "counters diverge" note is a bug report.
+// incremental-ordering fast paths engaged, and how many prefix rounds
+// snapshot resumes started past — the cross-shard aggregation of
+// sim.Counters. Processes whose journals predate the counters field (or
+// whose runs carried none) render "-" instead of fabricated zeros. Like
+// the shards table, each complete process's summary total is
+// cross-checked against the sum of its task events: a "counters
+// diverge" note is a bug report.
 func journalEngineTable(procs []*journal.Process) *experiments.Table {
 	t := &experiments.Table{
 		Name:  "journal_engine",
 		Title: "engine stepping-regime engagement (from journal counters)",
 		Header: []string{"process", "rounds", "materialized_pct", "idle_gap_pct",
 			"sparse_pct", "dense_pct", "plc_skip_pct", "order_reval",
-			"order_rebuilds", "preempt", "migrate", "resumes", "rounds_saved"},
+			"order_rebuilds", "preempt", "migrate", "resumes", "resumed_rounds"},
 	}
 	tot := &sim.Counters{}
 	counted := 0

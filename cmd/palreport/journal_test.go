@@ -94,8 +94,11 @@ func TestJournalEngineTableReconciles(t *testing.T) {
 	if want := fmt.Sprint(wantTotal.TotalRounds()); totalRow[1] != want {
 		t.Errorf("TOTAL row reports %s rounds, cross-shard sum is %s", totalRow[1], want)
 	}
+	if table.Header[12] != "resumed_rounds" {
+		t.Errorf("column 12 is %q, want resumed_rounds", table.Header[12])
+	}
 	if want := fmt.Sprint(wantTotal.ResumedRounds); totalRow[12] != want {
-		t.Errorf("TOTAL rounds_saved = %s, want %s", totalRow[12], want)
+		t.Errorf("TOTAL resumed_rounds = %s, want %s", totalRow[12], want)
 	}
 	for _, n := range table.Notes {
 		if strings.Contains(n, "diverge") {

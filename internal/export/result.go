@@ -1,8 +1,6 @@
 package export
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -14,10 +12,10 @@ import (
 	"repro/internal/vprof"
 )
 
-// Canonical result codec: the deterministic JSON round-trip of a
-// *sim.Result the artifact store (internal/store) persists. The contract
-// is exact reproduction, same rigor as the engine's stepping
-// byte-identity suites:
+// Canonical result codec: the deterministic, compact JSON round-trip of
+// a *sim.Result the artifact store (internal/store) persists, decoded in
+// one strict pass (archive.go). The contract is exact reproduction, same
+// rigor as the engine's stepping byte-identity suites:
 //
 //   - every field of Result and of every Job round-trips bit-for-bit
 //     (floats use Go's shortest-round-trip encoding, which decodes back
@@ -32,13 +30,15 @@ import (
 //     and a decision trace (Result.Decisions) likewise embeds and comes
 //     back as a decision.ArchivedSink;
 //   - the format field names the codec revision; DecodeResult rejects
-//     any other revision loudly instead of guessing.
+//     any other revision loudly instead of guessing, and rejects trailing
+//     data after the archive.
 //
 // Bumping the codec (any change to the archive schema or its semantics)
-// means bumping ResultFormatVersion. The version is deliberately part of
-// the store's on-disk layout, NOT of the simulation cache keys: a codec
-// bump invalidates persisted artifacts without perturbing RunSpec/
-// scenario keys or their golden-key tests.
+// means bumping ResultFormatVersion. Whitespace is not part of the
+// format: archives indented by earlier encoders decode unchanged. The
+// version is deliberately part of the store's on-disk layout, NOT of the
+// simulation cache keys: a codec bump invalidates persisted artifacts
+// without perturbing RunSpec/scenario keys or their golden-key tests.
 
 // ResultFormatVersion names the result-codec revision. internal/store
 // namespaces its object tree by this string, so a bump orphans (and
@@ -136,11 +136,11 @@ func intsToGPUs(a []int) []cluster.GPUID {
 	return out
 }
 
-// EncodeResult writes res as a deterministic, versioned JSON archive.
-// Encoding the same result twice produces identical bytes. A result
-// carrying a metrics sink that does not expose a payload (anything
-// other than a metrics.Collector or metrics.ArchivedSink) — or a
-// decision sink that does not expose a trace — cannot be archived
+// EncodeResult writes res as a deterministic, versioned, compact JSON
+// archive. Encoding the same result twice produces identical bytes. A
+// result carrying a metrics sink that does not expose a payload
+// (anything other than a metrics.Collector or metrics.ArchivedSink) —
+// or a decision sink that does not expose a trace — cannot be archived
 // faithfully and is an error rather than a silent drop.
 func EncodeResult(w io.Writer, res *sim.Result) error {
 	if res == nil {
@@ -221,40 +221,28 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 			arch.Events[i] = archivedEvent{Time: ev.Time, JobID: ev.JobID, Kind: int(ev.Kind), GPUs: ev.GPUs}
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&arch); err != nil {
-		return fmt.Errorf("export: encode result: %w", err)
-	}
-	return nil
+	return encodeArchive(w, &arch, "result")
 }
 
 // DecodeResult reads an archive written by EncodeResult back into a
-// *sim.Result. Unknown fields and any format revision other than the
-// current one are rejected — a store populated by a future codec fails
-// loudly instead of yielding a silently lossy result.
+// *sim.Result; see UnmarshalResult for what it rejects.
 func DecodeResult(r io.Reader) (*sim.Result, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("export: read result archive: %w", err)
 	}
-	// Peek at the format tag before a strict decode, so an archive from a
-	// newer codec (with fields this decoder does not know) reports the
-	// version mismatch, not a confusing unknown-field error.
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("export: decode result archive: %w", err)
-	}
-	if probe.Format != resultFormat {
-		return nil, fmt.Errorf("export: result archive format %q, want %q (codec version mismatch)", probe.Format, resultFormat)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
+	return UnmarshalResult(data)
+}
+
+// UnmarshalResult decodes the archive in data, in one strict pass.
+// Unknown fields, trailing data after the archive and any format
+// revision other than the current one are rejected — a store populated
+// by a future codec fails loudly instead of yielding a silently lossy
+// result. data is not retained.
+func UnmarshalResult(data []byte) (*sim.Result, error) {
 	var arch resultArchive
-	if err := dec.Decode(&arch); err != nil {
-		return nil, fmt.Errorf("export: decode result archive: %w", err)
+	if err := decodeArchive(data, &arch, &arch.Format, resultFormat, "result"); err != nil {
+		return nil, err
 	}
 
 	res := &sim.Result{
@@ -292,6 +280,9 @@ func DecodeResult(r io.Reader) (*sim.Result, error) {
 		}
 	}
 	if arch.Measured != nil {
+		if arch.Jobs == nil {
+			return nil, fmt.Errorf("export: result archive: measured jobs but no jobs")
+		}
 		res.Measured = make([]*sim.Job, len(arch.Measured))
 		for i, idx := range arch.Measured {
 			if idx < 0 || idx >= len(res.Jobs) {

@@ -163,8 +163,8 @@ func TestResultCodecRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"format": "pal-result/`+ResultFormatVersion+`"`),
-		[]byte(`"format": "pal-result/v999"`), 1)
+		[]byte(`"format":"pal-result/`+ResultFormatVersion+`"`),
+		[]byte(`"format":"pal-result/v999"`), 1)
 	if bytes.Equal(tampered, buf.Bytes()) {
 		t.Fatal("tampering failed to find the format field")
 	}
@@ -196,16 +196,24 @@ func TestResultCodecRejectsBadMeasuredIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"measured": [
-  0
- ]`), []byte(`"measured": [
-  7
- ]`), 1)
+		[]byte(`"measured":[0]`), []byte(`"measured":[7]`), 1)
 	if bytes.Equal(tampered, buf.Bytes()) {
 		t.Fatal("tampering failed to find the measured field")
 	}
 	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want out-of-range error", err)
+	}
+}
+
+// TestResultCodecRejectsMeasuredWithoutJobs: EncodeResult refuses a
+// result with Measured jobs but no Jobs, so an archive claiming one —
+// even with an empty measured list — is corruption, not a result that
+// could never be archived again.
+func TestResultCodecRejectsMeasuredWithoutJobs(t *testing.T) {
+	archive := `{"format":"pal-result/` + ResultFormatVersion + `","jobs":null,"measured":[]}`
+	if _, err := DecodeResult(strings.NewReader(archive)); err == nil ||
+		!strings.Contains(err.Error(), "no jobs") {
+		t.Fatalf("err = %v, want measured-without-jobs error", err)
 	}
 }

@@ -1,21 +1,21 @@
 package export
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/sim"
 )
 
-// Canonical snapshot codec: the deterministic JSON round-trip of a
-// *sim.Snapshot the artifact store persists beside results. Same
+// Canonical snapshot codec: the deterministic, compact JSON round-trip
+// of a *sim.Snapshot the artifact store persists beside results. Same
 // contract as the result codec: encoding the same snapshot twice
 // produces identical bytes, every field round-trips exactly (floats use
 // Go's shortest-round-trip encoding), nil and empty slices are
-// preserved as written, and a format tag names the codec revision so a
-// snapshot written by a different codec fails loudly.
+// preserved as written, decoding is one strict pass that rejects
+// unknown fields and trailing data, and a format tag names the codec
+// revision so a snapshot written by a different codec fails loudly.
+// Whitespace is not part of the format.
 //
 // Like ResultFormatVersion, SnapshotFormatVersion is part of the
 // store's on-disk layout (the snapshot sub-tree's path component) and
@@ -37,41 +37,33 @@ type snapshotArchive struct {
 	Snapshot *sim.Snapshot `json:"snapshot"`
 }
 
-// EncodeSnapshot writes snap as a deterministic, versioned JSON archive.
+// EncodeSnapshot writes snap as a deterministic, versioned, compact
+// JSON archive.
 func EncodeSnapshot(w io.Writer, snap *sim.Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("export: nil snapshot")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(&snapshotArchive{Format: snapshotFormat, Snapshot: snap}); err != nil {
-		return fmt.Errorf("export: encode snapshot: %w", err)
-	}
-	return nil
+	return encodeArchive(w, &snapshotArchive{Format: snapshotFormat, Snapshot: snap}, "snapshot")
 }
 
-// DecodeSnapshot reads an archive written by EncodeSnapshot. Unknown
-// fields and any format revision other than the current one are
-// rejected.
+// DecodeSnapshot reads an archive written by EncodeSnapshot; see
+// UnmarshalSnapshot for what it rejects.
 func DecodeSnapshot(r io.Reader) (*sim.Snapshot, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("export: read snapshot archive: %w", err)
 	}
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("export: decode snapshot archive: %w", err)
-	}
-	if probe.Format != snapshotFormat {
-		return nil, fmt.Errorf("export: snapshot archive format %q, want %q (codec version mismatch)", probe.Format, snapshotFormat)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
+	return UnmarshalSnapshot(data)
+}
+
+// UnmarshalSnapshot decodes the archive in data, in one strict pass.
+// Unknown fields, trailing data after the archive and any format
+// revision other than the current one are rejected. data is not
+// retained.
+func UnmarshalSnapshot(data []byte) (*sim.Snapshot, error) {
 	var arch snapshotArchive
-	if err := dec.Decode(&arch); err != nil {
-		return nil, fmt.Errorf("export: decode snapshot archive: %w", err)
+	if err := decodeArchive(data, &arch, &arch.Format, snapshotFormat, "snapshot"); err != nil {
+		return nil, err
 	}
 	if arch.Snapshot == nil {
 		return nil, fmt.Errorf("export: snapshot archive has no snapshot body")

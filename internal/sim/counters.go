@@ -71,7 +71,9 @@ type Counters struct {
 
 	// Snapshot traffic: captures freeze this engine at a horizon,
 	// resumes reconstruct it from one, and ResumedRounds is the prefix
-	// length a resume skipped simulating (the snapshot-fork savings).
+	// length a resume started past. That is not a saving: the prefix
+	// was simulated once, by the capture, and is shared only when more
+	// than one cell resumes the same snapshot.
 	SnapshotsCaptured int64 `json:"snapshots_captured,omitempty"`
 	SnapshotsResumed  int64 `json:"snapshots_resumed,omitempty"`
 	ResumedRounds     int64 `json:"resumed_rounds,omitempty"`
@@ -80,7 +82,7 @@ type Counters struct {
 // TotalRounds is the number of rounds this engine actually stepped —
 // the four regime counts, which partition them. For a fresh run it
 // equals Result.Rounds; for a resumed run it equals Result.Rounds minus
-// ResumedRounds (the prefix the snapshot saved).
+// ResumedRounds (the prefix the snapshot carried).
 func (c *Counters) TotalRounds() int64 {
 	return c.MaterializedRounds + c.IdleGapRounds + c.SparseRounds + c.DenseRounds
 }
@@ -119,7 +121,7 @@ func (c *Counters) Add(o *Counters) {
 }
 
 // Summary renders the human one-liner palsim and palsweep print: the
-// regime mix, the placement-skip rate, churn, and snapshot savings.
+// regime mix, the placement-skip rate, churn, and snapshot resumes.
 func (c *Counters) Summary() string {
 	total := c.TotalRounds()
 	if total == 0 {
@@ -135,7 +137,7 @@ func (c *Counters) Summary() string {
 		s += fmt.Sprintf("; %d preemptions, %d migrations", c.Preemptions, c.Migrations)
 	}
 	if c.SnapshotsResumed > 0 {
-		s += fmt.Sprintf("; %d snapshot resumes saved %d rounds", c.SnapshotsResumed, c.ResumedRounds)
+		s += fmt.Sprintf("; %d snapshot resumes started past %d prefix rounds", c.SnapshotsResumed, c.ResumedRounds)
 	}
 	return s
 }

@@ -12,6 +12,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -174,5 +175,20 @@ func TestCountersAcrossSnapshotResume(t *testing.T) {
 	whole.PlaceTimes, res.PlaceTimes = nil, nil
 	if !reflect.DeepEqual(whole, res) {
 		t.Fatal("resumed result with counters attached diverged from the whole run")
+	}
+}
+
+// TestCountersSummaryResumeWording: a resume starts past a prefix the
+// capture simulated, which is shared only when several cells resume one
+// snapshot — the engine cannot tell, so its summary states rounds
+// resumed past and claims no savings.
+func TestCountersSummaryResumeWording(t *testing.T) {
+	c := &sim.Counters{MaterializedRounds: 10, SnapshotsResumed: 4, ResumedRounds: 48}
+	got := c.Summary()
+	if want := "; 4 snapshot resumes started past 48 prefix rounds"; !strings.HasSuffix(got, want) {
+		t.Errorf("summary %q, want suffix %q", got, want)
+	}
+	if strings.Contains(got, "saved") {
+		t.Errorf("summary %q claims savings", got)
 	}
 }

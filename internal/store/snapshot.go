@@ -101,7 +101,7 @@ func (s *Store) loadSnapshot(key string, touch bool) (*sim.Snapshot, bool, error
 		}
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	snap, err := export.DecodeSnapshot(bytes.NewReader(data))
+	snap, err := export.UnmarshalSnapshot(data)
 	if err != nil {
 		return nil, false, fmt.Errorf("store: snapshot %s: %w", key, err)
 	}

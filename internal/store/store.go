@@ -291,15 +291,14 @@ func (s *Store) load(key string, touch bool) (*sim.Result, bool, error) {
 	if !validKey(key) {
 		return nil, false, fmt.Errorf("store: invalid key %q (want 64 hex digits)", key)
 	}
-	f, err := os.Open(s.objectPath(key))
+	data, err := os.ReadFile(s.objectPath(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, false, nil
 		}
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	res, err := export.DecodeResult(f)
+	res, err := export.UnmarshalResult(data)
 	if err != nil {
 		return nil, false, fmt.Errorf("store: object %s: %w", key, err)
 	}

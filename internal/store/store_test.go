@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -693,6 +694,76 @@ func TestStorePutRestoresLostIndexMetadata(t *testing.T) {
 	if err != nil || len(problems) != 1 {
 		t.Fatalf("problems=%v err=%v, want the restored hash to catch corruption", problems, err)
 	}
+}
+
+// TestStoreReadsIndentedObjects: earlier encoders wrote archives
+// indented. Whitespace is not part of either format, so a store holding
+// such objects (the same bytes, indexed with their own content hashes)
+// verifies and serves them unchanged, and a re-Put rewrites each
+// compact through Put's replace-on-difference path.
+func TestStoreReadsIndentedObjects(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, res := runSpec(t, tinySpec)
+	snap, _ := captureSpec(t, 5)
+	var compactRes, compactSnap bytes.Buffer
+	if err := export.EncodeResult(&compactRes, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := export.EncodeSnapshot(&compactSnap, snap); err != nil {
+		t.Fatal(err)
+	}
+	indented := func(b *bytes.Buffer) []byte {
+		var out bytes.Buffer
+		if err := json.Indent(&out, b.Bytes(), "", " "); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	if err := st.putBytes(key, indented(&compactRes)); err != nil {
+		t.Fatal(err)
+	}
+	sub := st.snapTree()
+	if err := os.MkdirAll(sub.objects, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.putBytes(key, indented(&compactSnap)); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(stage string) {
+		t.Helper()
+		if problems, err := st.Verify(); err != nil || len(problems) != 0 {
+			t.Fatalf("%s: verify: problems=%v err=%v", stage, problems, err)
+		}
+		gotRes, ok, err := st.Get(key)
+		if err != nil || !ok || !reflect.DeepEqual(gotRes, res) {
+			t.Fatalf("%s: result ok=%v err=%v, or not deep-equal", stage, ok, err)
+		}
+		gotSnap, ok, err := st.GetSnapshot(key)
+		if err != nil || !ok || !reflect.DeepEqual(gotSnap, snap) {
+			t.Fatalf("%s: snapshot ok=%v err=%v, or not deep-equal", stage, ok, err)
+		}
+	}
+	check("indented")
+
+	if err := st.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutSnapshot(key, snap); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string][]byte{
+		st.objectPath(key):  compactRes.Bytes(),
+		sub.objectPath(key): compactSnap.Bytes(),
+	} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s not rewritten compact (err=%v)", path, err)
+		}
+	}
+	check("re-put")
 }
 
 // TestStoreIsStoreRoot: a store whose only tree belongs to an older

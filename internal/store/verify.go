@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -36,7 +35,7 @@ func (p Problem) String() string {
 // problems found; an empty slice is a clean store.
 func (s *Store) Verify() ([]Problem, error) {
 	problems, err := s.verifyTree("result", func(data []byte) error {
-		_, err := export.DecodeResult(bytes.NewReader(data))
+		_, err := export.UnmarshalResult(data)
 		return err
 	})
 	if err != nil {
@@ -44,7 +43,7 @@ func (s *Store) Verify() ([]Problem, error) {
 	}
 	if s.hasSnapTree() {
 		snapProblems, err := s.snapTree().verifyTree("snapshot", func(data []byte) error {
-			_, err := export.DecodeSnapshot(bytes.NewReader(data))
+			_, err := export.UnmarshalSnapshot(data)
 			return err
 		})
 		if err != nil {
