@@ -12,15 +12,21 @@
 //	palsim -scenario spec.json -metrics out/               # archive telemetry (series CSVs + payload JSON)
 //	palsim -scenario spec.json -decisions -metrics out/    # + decision trace, ready for palexplain
 //	palsim -scenario spec.json -store results/.palstore    # repeat runs become O(read)
-//	palsim -scenario spec.json -journal out/journal        # append an execution-journal record
+//	palsim -scenario spec.json -journal out/journal        # append an execution journal record
 //	palsim -trace sia -workload 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// With -scenario, the whole configuration comes from the JSON spec
-// (internal/scenario documents the format) and the other
-// simulation-shaping flags are rejected to prevent silently-ignored
-// knobs. -metrics works on both paths: it attaches the fast-forward-safe
-// collector (internal/metrics) and dumps the run's series and payload
-// into the named directory, ready for cmd/palreport.
+// Both ways of configuring a run end in one scenario spec: the
+// simulation flags (-trace, -workload, -load, -jobs, -nodes, -policy,
+// -sched, -lacross, -per-model-lacross, -seed) are the command-line
+// spelling of a spec over the paper's Sia-Philly or Synergy workload on
+// a Longhorn-profiled cluster, so a flag run builds, runs and
+// cache-keys exactly like the same spec written as JSON
+// (internal/scenario documents the format). With -scenario the file
+// owns the whole configuration and the simulation flags are rejected to
+// prevent silently-ignored knobs. -metrics attaches the
+// fast-forward-safe collector (internal/metrics) and dumps the run's
+// series and payload into the named directory, ready for
+// cmd/palreport.
 //
 // With -journal, the run appends an execution journal (internal/journal)
 // into the named directory — one task record naming whether the result
@@ -36,38 +42,27 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/journal"
 	"repro/internal/metrics"
+	"repro/internal/place"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		traceKind  = flag.String("trace", "sia", "trace family: sia or synergy")
-		workload   = flag.Int("workload", 1, "Sia-Philly workload index (1-8)")
-		load       = flag.Float64("load", 10, "Synergy job arrival rate (jobs/hour)")
-		jobs       = flag.Int("jobs", 800, "Synergy trace length")
-		policy     = flag.String("policy", "pal", "placement policy: random-sticky, random, gandiva, tiresias, pm-first, pal")
-		schedName  = flag.String("sched", "fifo", "scheduling policy: fifo, las, srtf")
-		nodes      = flag.Int("nodes", 0, "cluster nodes (default: 16 for sia, 64 for synergy)")
-		lacross    = flag.Float64("lacross", 1.5, "inter-node locality penalty")
-		perModel   = flag.Bool("per-model-lacross", false, "use per-model locality penalties (Table II)")
-		seed       = flag.Uint64("seed", 0xE4B, "experiment seed")
+		sf         simFlags
 		utilize    = flag.Bool("util", false, "print the GPUs-in-use series (deciles)")
 		events     = flag.Int("events", 0, "print the first N lifecycle events")
 		asJSON     = flag.Bool("json", false, "print aggregate metrics as JSON")
 		scenPath   = flag.String("scenario", "", "run a declarative scenario spec (JSON) instead of the flag-built configuration")
-		dumpTrace  = flag.String("dump-trace", "", "with -scenario: save the scenario's workload as JSON for replay via a file-sourced spec")
+		dumpTrace  = flag.String("dump-trace", "", "save the run's workload as JSON for replay via a file-sourced spec")
 		metricsDir = flag.String("metrics", "", "collect telemetry and dump the run's series (CSV) and payload (JSON) into this directory")
 		decisions  = flag.Bool("decisions", false, "record the decision trace (internal/decision); with -metrics, the trace is archived next to the payload for palexplain")
 		storeDir   = flag.String("store", "", "persistent result-store directory: repeat runs of the same configuration load from disk instead of simulating")
@@ -75,6 +70,7 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a Go CPU profile to this file (flushed on clean exit)")
 		memProfile = flag.String("memprofile", "", "write a Go heap profile to this file on clean exit")
 	)
+	sf.register(flag.CommandLine)
 	flag.Parse()
 
 	var err error
@@ -91,89 +87,104 @@ func main() {
 		}
 	}
 
+	var spec *scenario.Spec
 	if *scenPath != "" {
-		runScenario(*scenPath, *dumpTrace, *asJSON, *events, *utilize, *metricsDir, *decisions, *storeDir)
-		finishJournal()
-		return
+		// The spec owns the whole configuration; a simulation flag
+		// alongside it would be silently ignored, so reject the
+		// combination.
+		flag.Visit(func(f *flag.Flag) {
+			if isSimFlag(f.Name) {
+				fmt.Fprintf(os.Stderr, "palsim: -%s conflicts with -scenario (the spec sets it)\n", f.Name)
+				os.Exit(2)
+			}
+		})
+		spec, err = scenario.LoadFile(*scenPath)
+	} else {
+		spec, err = sf.spec()
 	}
-	if *dumpTrace != "" {
-		fmt.Fprintln(os.Stderr, "palsim: -dump-trace requires -scenario")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-
-	pol, ok := policyByName(*policy)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "palsim: unknown policy %q\n", *policy)
-		os.Exit(2)
-	}
-	s := sched.ByName(*schedName)
-	if s == nil {
-		fmt.Fprintf(os.Stderr, "palsim: unknown scheduler %q\n", *schedName)
-		os.Exit(2)
-	}
-
-	var (
-		tr   *trace.Trace
-		topo cluster.Topology
-	)
-	switch *traceKind {
-	case "sia":
-		tr = experiments.SiaTrace(*workload)
-		topo = experiments.SiaTopology()
-	case "synergy":
-		params := trace.DefaultSynergyParams(*load)
-		params.NumJobs = *jobs
-		tr = trace.Synergy(params)
-		topo = experiments.SynergyTopology()
-	default:
-		fmt.Fprintf(os.Stderr, "palsim: unknown trace family %q\n", *traceKind)
-		os.Exit(2)
-	}
-	if *nodes > 0 {
-		topo = cluster.Topology{NumNodes: *nodes, GPUsPerNode: experiments.GPUsPerNode}
-	}
-
-	spec := experiments.RunSpec{
-		Trace:           tr,
-		Topo:            topo,
-		Sched:           s,
-		Policy:          pol,
-		Profile:         experiments.LonghornProfile(topo.Size()),
-		Lacross:         *lacross,
-		Seed:            *seed,
-		RecordUtil:      *utilize,
-		RecordEvents:    *events > 0,
-		RecordMetrics:   *metricsDir != "",
-		RecordDecisions: *decisions,
-		Counters:        engineCtrs,
-	}
-	if *perModel {
-		spec.ModelLacross = trace.LacrossByModel()
-	}
-
-	label := fmt.Sprintf("%s %s %s", tr.Name, spec.Policy.RegistryName(), s.Name())
-	res := throughStore(*storeDir, spec.Key(), label, func() (*sim.Result, error) {
-		return experiments.Run(spec)
-	})
-
-	if *metricsDir != "" {
-		base := fmt.Sprintf("%s-%s-%s", tr.Name, spec.Policy.RegistryName(), s.Name())
-		dumpMetrics(*metricsDir, base, res, spec.Key())
-	}
-
-	if *asJSON {
-		if err := export.ResultJSON(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(1)
-		}
-		finishJournal()
-		return
-	}
-
-	header := fmt.Sprintf("trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f",
-		tr.Name, len(tr.Jobs), topo.Size(), pol, s.Name(), *lacross)
-	printMetrics(header, res, *events, *utilize)
+	runScenario(spec, *dumpTrace, *asJSON, *events, *utilize, *metricsDir, *decisions, *storeDir)
 	finishJournal()
+}
+
+// simFlags holds palsim's simulation flags, the command-line spelling
+// of a scenario spec's core fields.
+type simFlags struct {
+	trace    string
+	workload int
+	load     float64
+	jobs     int
+	policy   string
+	sched    string
+	nodes    int
+	lacross  float64
+	perModel bool
+	seed     uint64
+}
+
+// register binds the simulation flags with their defaults.
+func (f *simFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.trace, "trace", "sia", "trace family: sia or synergy")
+	fs.IntVar(&f.workload, "workload", 1, "Sia-Philly workload index (1-8)")
+	fs.Float64Var(&f.load, "load", 10, "Synergy job arrival rate (jobs/hour)")
+	fs.IntVar(&f.jobs, "jobs", 800, "Synergy trace length")
+	fs.StringVar(&f.policy, "policy", "pal", "placement policy: random-sticky, random, gandiva, tiresias, pm-first, pal")
+	fs.StringVar(&f.sched, "sched", "fifo", "scheduling policy: fifo, las, srtf")
+	fs.IntVar(&f.nodes, "nodes", 0, "cluster nodes (default: 16 for sia, 64 for synergy)")
+	fs.Float64Var(&f.lacross, "lacross", 1.5, "inter-node locality penalty")
+	fs.BoolVar(&f.perModel, "per-model-lacross", false, "use per-model locality penalties (Table II)")
+	fs.Uint64Var(&f.seed, "seed", 0xE4B, "experiment seed")
+}
+
+// isSimFlag reports whether name is one of the flags register binds,
+// which -scenario rejects.
+func isSimFlag(name string) bool {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	new(simFlags).register(fs)
+	return fs.Lookup(name) != nil
+}
+
+// spec translates the flags into a normalized, validated scenario spec:
+// the paper's Sia-Philly (-workload) or Synergy (-load, -jobs) trace on
+// a Longhorn-profiled cluster of -nodes nodes (default: the paper's 64
+// GPUs for sia, 256 for synergy). The workload and profile seeds keep
+// the spec defaults, which are the paper figures' generators, so a flag
+// run consumes exactly the trace and profile its figure runs on. A
+// policy alias ("tiresias", "gandiva", ...) is spelled canonically, so
+// both names of one placer draw the same placer seed stream.
+func (f simFlags) spec() (*scenario.Spec, error) {
+	s := &scenario.Spec{
+		Seed:     f.seed,
+		Cluster:  scenario.ClusterSpec{Nodes: f.nodes, GPUsPerNode: experiments.GPUsPerNode},
+		Policy:   scenario.PolicySpec{Name: place.Canonical(f.policy)},
+		Sched:    scenario.SchedSpec{Name: f.sched},
+		Locality: scenario.LocalitySpec{Lacross: f.lacross, PerModel: f.perModel},
+	}
+	var traceName string
+	defaultNodes := experiments.SiaClusterNodes
+	switch f.trace {
+	case "sia":
+		s.Workload = scenario.WorkloadSpec{Source: "sia-philly", Workload: f.workload}
+		traceName = fmt.Sprintf("sia-philly-%d", f.workload)
+	case "synergy":
+		s.Workload = scenario.WorkloadSpec{Source: "synergy", JobsPerHour: f.load, NumJobs: f.jobs}
+		traceName = fmt.Sprintf("synergy-%.1fjph", f.load)
+		defaultNodes = experiments.SynergyClusterNodes
+	default:
+		return nil, fmt.Errorf("unknown trace family %q (want sia or synergy)", f.trace)
+	}
+	if s.Cluster.Nodes == 0 {
+		s.Cluster.Nodes = defaultNodes
+	}
+	s.Name = fmt.Sprintf("%s-%s-%s", traceName, s.Policy.Name, f.sched)
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Journal state for the optional -journal/-cpuprofile/-memprofile
@@ -329,31 +340,13 @@ func dumpMetrics(dir, base string, res *sim.Result, key string) {
 	}
 }
 
-// runScenario executes a declarative scenario spec end to end.
-// -events, -util and -metrics are output-shaping flags, not
-// configuration, so they are honored by switching the spec's recording
-// knobs on (with a re-Normalize so the forced spec canonicalizes — and
-// cache-keys — exactly like a file that enabled them).
-func runScenario(path, dumpTrace string, asJSON bool, events int, utilize bool, metricsDir string, decisions bool, storeDir string) {
-	// The spec owns the whole configuration; a flag-built knob alongside
-	// it would be silently ignored, so reject the combination.
-	conflicting := map[string]bool{
-		"trace": true, "workload": true, "load": true, "jobs": true,
-		"policy": true, "sched": true, "nodes": true, "lacross": true,
-		"per-model-lacross": true, "seed": true,
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if conflicting[f.Name] {
-			fmt.Fprintf(os.Stderr, "palsim: -%s conflicts with -scenario (the spec sets it)\n", f.Name)
-			os.Exit(2)
-		}
-	})
-
-	spec, err := scenario.LoadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(2)
-	}
+// runScenario executes a scenario spec end to end: Build, then the
+// content-addressed key, then the store-backed run. -events, -util,
+// -metrics and -decisions are output-shaping flags, not configuration,
+// so they are honored by switching the spec's recording knobs on (with
+// a re-Normalize so the forced spec canonicalizes — and cache-keys —
+// exactly like a file that enabled them).
+func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, events int, utilize bool, metricsDir string, decisions bool, storeDir string) {
 	if events > 0 {
 		spec.Engine.RecordEvents = true
 	}
@@ -409,8 +402,7 @@ func runScenario(path, dumpTrace string, asJSON bool, events int, utilize bool, 
 	printMetrics(header, res, events, utilize || spec.Engine.RecordUtilization)
 }
 
-// printMetrics renders the aggregate metric block shared by the
-// flag-built and scenario paths.
+// printMetrics renders the aggregate metric block.
 func printMetrics(header string, res *sim.Result, events int, utilize bool) {
 	jcts := res.JCTs()
 	waits := res.Waits()
@@ -451,22 +443,4 @@ func printMetrics(header string, res *sim.Result, events int, utilize bool) {
 		}
 		fmt.Println()
 	}
-}
-
-func policyByName(name string) (experiments.Policy, bool) {
-	switch name {
-	case "random-sticky":
-		return experiments.RandomSticky, true
-	case "random", "random-non-sticky":
-		return experiments.RandomNonSticky, true
-	case "gandiva", "packed-non-sticky":
-		return experiments.Gandiva, true
-	case "tiresias", "packed-sticky", "packed":
-		return experiments.Tiresias, true
-	case "pm-first", "pmfirst":
-		return experiments.PMFirst, true
-	case "pal":
-		return experiments.PALPolicy, true
-	}
-	return 0, false
 }

@@ -2,16 +2,15 @@
 // concurrently through the runner pool, with progress/ETA reporting and
 // JSON/CSV/Markdown export.
 //
-// Where palexp executes one experiment at a time, palsweep fans every
-// requested experiment's simulation grid out across a shared worker
-// pool: independent simulations from different experiments interleave
-// freely, the content-addressed result cache deduplicates overlapping
-// configurations (e.g. the Sia baseline feeding fig11, fig12 and
-// headline), and each experiment's table is still assembled from
-// results in deterministic submission order, so the output is
-// byte-identical to a sequential run — with one exception: fig18
-// reports wall-clock placement timings, which vary run to run by
-// nature.
+// palsweep fans every requested experiment's simulation grid out across
+// a shared worker pool: independent simulations from different
+// experiments interleave freely, the content-addressed result cache
+// deduplicates overlapping configurations (e.g. the Sia baseline
+// feeding fig11, fig12 and headline), and each experiment's table is
+// still assembled from results in deterministic submission order, so
+// the output is byte-identical to a sequential run — with one
+// exception: fig18 reports wall-clock placement timings, which vary run
+// to run by nature.
 //
 // Usage:
 //

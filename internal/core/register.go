@@ -28,4 +28,5 @@ func init() {
 		}
 		return p, nil
 	})
+	place.RegisterAlias("pmfirst", "pm-first")
 }

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/decision"
-	"repro/internal/metrics"
 	"repro/internal/place"
 	"repro/internal/rng"
 	"repro/internal/runner"
@@ -92,25 +90,6 @@ type RunSpec struct {
 
 	MeasureFirst, MeasureLast int
 	RecordUtil                bool
-	RecordEvents              bool
-	// RecordMetrics attaches a default-configured metrics.Collector
-	// (every series, per-round sampling). The payload rides on
-	// Result.Metrics — including through the result cache — and is
-	// retrievable with metrics.FromResult. Collection is
-	// fast-forward-safe, unlike the Observer path.
-	RecordMetrics bool
-	// RecordDecisions attaches a default-configured decision.Recorder
-	// (every facet, default ring size). The trace rides on
-	// Result.Decisions — including through the result cache — and is
-	// retrievable with decision.FromResult. Recording is
-	// fast-forward-safe, like RecordMetrics.
-	RecordDecisions bool
-	RoundSec        float64
-
-	// MigrationPenaltySec overrides the default checkpoint/restore cost
-	// charged when a running job's allocation changes; negative disables
-	// it. Zero selects DefaultMigrationPenaltySec.
-	MigrationPenaltySec float64
 
 	// Counters, when non-nil, receives the engine's introspection
 	// counters (sim.Config.Counters). It is an observation-only
@@ -194,14 +173,7 @@ func buildPlacer(spec RunSpec) sim.Placer {
 
 // Run executes one simulation.
 func Run(spec RunSpec) (*sim.Result, error) {
-	migration := spec.MigrationPenaltySec
-	switch {
-	case migration == 0:
-		migration = DefaultMigrationPenaltySec
-	case migration < 0:
-		migration = 0
-	}
-	cfg := sim.Config{
+	return sim.Run(sim.Config{
 		Topology:            spec.Topo,
 		Trace:               spec.Trace,
 		Sched:               spec.Sched,
@@ -212,36 +184,10 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		MeasureFirst:        spec.MeasureFirst,
 		MeasureLast:         spec.MeasureLast,
 		RecordUtilization:   spec.RecordUtil,
-		RecordEvents:        spec.RecordEvents,
-		RoundSec:            spec.RoundSec,
-		MigrationPenaltySec: migration,
+		MigrationPenaltySec: DefaultMigrationPenaltySec,
 		Counters:            spec.Counters,
 		DisableFastForward:  spec.DisableFastForward,
-	}
-	if spec.RecordMetrics {
-		schedName := ""
-		if spec.Sched != nil {
-			schedName = spec.Sched.Name()
-		}
-		cfg.Metrics = metrics.MustCollector(metrics.Config{
-			ClusterGPUs: spec.Topo.Size(),
-			Label:       spec.label(),
-			Policy:      spec.Policy.RegistryName(),
-			Sched:       schedName,
-		})
-	}
-	if spec.RecordDecisions {
-		schedName := ""
-		if spec.Sched != nil {
-			schedName = spec.Sched.Name()
-		}
-		cfg.Decisions = decision.MustRecorder(decision.Config{
-			Label:  spec.label(),
-			Policy: spec.Policy.RegistryName(),
-			Sched:  schedName,
-		})
-	}
-	return sim.Run(cfg)
+	})
 }
 
 // sharedPool is the orchestrator every experiment routes its

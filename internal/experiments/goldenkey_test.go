@@ -8,12 +8,12 @@ import (
 // (Sia workload 1, PAL under FIFO, 64-GPU Longhorn cluster at the
 // default penalties and seed). Every field of RunSpec feeds this hash —
 // trace content, profile content, topology, scheduler, policy, penalty,
-// seed, window, recording flags — so silent drift in any of their
+// seed, window, utilization recording — so silent drift in any of their
 // encodings (the stale-cache bug class) fails here loudly. If you
 // *deliberately* changed the encoding, a generator, or a seed constant:
 // bump the version tag in RunSpec.Key and update the constant below in
 // the same commit.
-const goldenRunSpecKey = "009fbdacd53d0a9ef7452f6b4cd1fbb4ebabf4f22a868b3c1f57cdcc03e11271"
+const goldenRunSpecKey = "2233753cd99081c2dd11af0bdc6d931411b147096220c2c72ec11993caa62202"
 
 func TestGoldenRunSpecKey(t *testing.T) {
 	spec := RunSpec{
@@ -32,14 +32,9 @@ func TestGoldenRunSpecKey(t *testing.T) {
 	}
 
 	// The golden value must also be sensitive: flipping the recording
-	// flags has to move the key.
-	spec.RecordMetrics = true
+	// flag has to move the key.
+	spec.RecordUtil = true
 	if spec.Key() == goldenRunSpecKey {
-		t.Error("RecordMetrics does not feed the cache key (stale-cache hazard)")
-	}
-	spec.RecordMetrics = false
-	spec.RecordDecisions = true
-	if spec.Key() == goldenRunSpecKey {
-		t.Error("RecordDecisions does not feed the cache key (stale-cache hazard)")
+		t.Error("RecordUtil does not feed the cache key (stale-cache hazard)")
 	}
 }

@@ -75,10 +75,11 @@ func hashTrace(h *runner.Hash, t *trace.Trace) {
 // the same Result.
 func (s RunSpec) Key() string {
 	h := runner.NewHash()
-	// v3: RecordDecisions joined the encoding (a trace-carrying result
-	// must never alias a bare one in the cache); v2 added RecordMetrics
-	// for the same reason.
-	h.String("runspec/v3")
+	// v4: RunSpec dropped the event/metrics/decision recording flags
+	// (palsim's flag runs now go through the scenario layer) and the
+	// round-length and migration-penalty overrides no caller set. v2
+	// and v3 had added the metrics and decision flags.
+	h.String("runspec/v4")
 
 	hashTrace(h, s.Trace)
 	h.Int(s.Topo.NumNodes)
@@ -114,10 +115,5 @@ func (s RunSpec) Key() string {
 	h.Int(s.MeasureFirst)
 	h.Int(s.MeasureLast)
 	h.Bool(s.RecordUtil)
-	h.Bool(s.RecordEvents)
-	h.Bool(s.RecordMetrics)
-	h.Bool(s.RecordDecisions)
-	h.Float64(s.RoundSec)
-	h.Float64(s.MigrationPenaltySec)
 	return h.Sum()
 }

@@ -82,7 +82,6 @@ func TestRunSpecKeyDiscriminates(t *testing.T) {
 		"profile": func(s *RunSpec) { s.Profile = LonghornProfile(128) },
 		"view":    func(s *RunSpec) { s.ProfiledView = TestbedProfile() },
 		"measure": func(s *RunSpec) { s.MeasureFirst = 10 },
-		"round":   func(s *RunSpec) { s.RoundSec = 60 },
 		"util":    func(s *RunSpec) { s.RecordUtil = true },
 		"modelL":  func(s *RunSpec) { s.ModelLacross = map[string]float64{"vgg19": 2.0} },
 	}

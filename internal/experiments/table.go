@@ -1,9 +1,8 @@
 // Package experiments contains one runner per table/figure of the paper's
 // evaluation (§V). Each runner assembles traces, profiles, schedulers and
 // placement policies, executes the simulations, and returns a Table whose
-// rows mirror the series the paper plots. The same runners back both the
-// cmd/palexp CLI and the root-level benchmark harness, and EXPERIMENTS.md
-// records paper-vs-measured values for each.
+// rows mirror the series the paper plots. The same runners back both
+// `palsweep -experiments` and the root-level benchmark harness.
 package experiments
 
 import (

@@ -76,16 +76,25 @@ func RegisterAlias(alias, canonical string) {
 // Build constructs the named placement policy (canonical name or
 // alias).
 func Build(name string, env BuildEnv) (sim.Placer, error) {
+	name = Canonical(name)
 	registryMu.RLock()
-	if canonical, ok := aliases[name]; ok {
-		name = canonical
-	}
 	build, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("place: unknown placement policy %q (have %v)", name, Names())
 	}
 	return build(env)
+}
+
+// Canonical resolves an alias to its canonical policy name; any other
+// name is returned unchanged.
+func Canonical(name string) string {
+	registryMu.RLock()
+	defer registryMu.RUnlock()
+	if canonical, ok := aliases[name]; ok {
+		return canonical
+	}
+	return name
 }
 
 // Names returns the canonical registered policy names in sorted order.

@@ -296,17 +296,6 @@ func init() {
 	})
 }
 
-// ByName returns the scheduler with the given name at default
-// parameters, or nil if unknown. Thin wrapper over Build kept for
-// call sites that have no parameters to pass.
-func ByName(name string) sim.Scheduler {
-	s, err := Build(name, nil)
-	if err != nil {
-		return nil
-	}
-	return s
-}
-
 // Compile-time checks: the three paper schedulers expose both engine
 // capability interfaces.
 var (

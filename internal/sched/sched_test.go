@@ -151,15 +151,17 @@ func TestOrderIsPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestBuild(t *testing.T) {
 	for _, name := range []string{"fifo", "las", "srtf"} {
-		s := ByName(name)
-		if s == nil || s.Name() != name {
-			t.Errorf("ByName(%q) = %v", name, s)
+		s, err := Build(name, nil)
+		if err != nil {
+			t.Errorf("Build(%q, nil): %v", name, err)
+		} else if s.Name() != name {
+			t.Errorf("Build(%q, nil) built %q", name, s.Name())
 		}
 	}
-	if ByName("nope") != nil {
-		t.Error("unknown name should be nil")
+	if s, err := Build("nope", nil); err == nil {
+		t.Errorf("unknown name built %v", s)
 	}
 }
 
