@@ -26,7 +26,11 @@
 // prevent silently-ignored knobs. -metrics attaches the
 // fast-forward-safe collector (internal/metrics) and dumps the run's
 // series and payload into the named directory, ready for
-// cmd/palreport.
+// cmd/palreport. Whenever the run carries a metrics payload (the spec's
+// metrics block, or -metrics), palsim also prints the mean GPUs in use
+// per tenth of the run, read from the payload's gpus_in_use series;
+// per-job timelines come from -decisions -metrics DIR and
+// `palexplain -in DIR -job N`.
 //
 // With -journal, the run appends an execution journal (internal/journal)
 // into the named directory — one task record naming whether the result
@@ -40,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/decision"
@@ -58,8 +63,6 @@ import (
 func main() {
 	var (
 		sf         simFlags
-		utilize    = flag.Bool("util", false, "print the GPUs-in-use series (deciles)")
-		events     = flag.Int("events", 0, "print the first N lifecycle events")
 		asJSON     = flag.Bool("json", false, "print aggregate metrics as JSON")
 		scenPath   = flag.String("scenario", "", "run a declarative scenario spec (JSON) instead of the flag-built configuration")
 		dumpTrace  = flag.String("dump-trace", "", "save the run's workload as JSON for replay via a file-sourced spec")
@@ -106,7 +109,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-	runScenario(spec, *dumpTrace, *asJSON, *events, *utilize, *metricsDir, *decisions, *storeDir)
+	runScenario(spec, *dumpTrace, *asJSON, *metricsDir, *decisions, *storeDir)
 	finishJournal()
 }
 
@@ -341,18 +344,12 @@ func dumpMetrics(dir, base string, res *sim.Result, key string) {
 }
 
 // runScenario executes a scenario spec end to end: Build, then the
-// content-addressed key, then the store-backed run. -events, -util,
-// -metrics and -decisions are output-shaping flags, not configuration,
-// so they are honored by switching the spec's recording knobs on (with
-// a re-Normalize so the forced spec canonicalizes — and cache-keys —
+// content-addressed key, then the store-backed run. -metrics and
+// -decisions are output-shaping flags, not configuration, so they are
+// honored by switching the spec's recording blocks on (with a
+// re-Normalize so the forced spec canonicalizes — and cache-keys —
 // exactly like a file that enabled them).
-func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, events int, utilize bool, metricsDir string, decisions bool, storeDir string) {
-	if events > 0 {
-		spec.Engine.RecordEvents = true
-	}
-	if utilize {
-		spec.Engine.RecordUtilization = true
-	}
+func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, metricsDir string, decisions bool, storeDir string) {
 	if metricsDir != "" {
 		spec.Metrics.Enabled = true
 	}
@@ -399,11 +396,12 @@ func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, events int,
 	header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
 		spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
 		spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
-	printMetrics(header, res, events, utilize || spec.Engine.RecordUtilization)
+	printMetrics(header, res)
 }
 
-// printMetrics renders the aggregate metric block.
-func printMetrics(header string, res *sim.Result, events int, utilize bool) {
+// printMetrics renders the aggregate metric block, plus the GPUs-in-use
+// deciles when the run carries a metrics payload.
+func printMetrics(header string, res *sim.Result) {
 	jcts := res.JCTs()
 	waits := res.Waits()
 	fmt.Println(header)
@@ -418,29 +416,12 @@ func printMetrics(header string, res *sim.Result, events int, utilize bool) {
 	fmt.Printf("  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
 	fmt.Printf("  utilization  %10.2f%%\n", 100*res.Utilization)
 	fmt.Printf("  rounds       %10d\n", res.Rounds)
-	if events > 0 {
-		fmt.Println("  events:")
-		for i, ev := range res.Events {
-			if i >= events {
-				fmt.Printf("    ... (%d more)\n", len(res.Events)-i)
-				break
-			}
-			fmt.Printf("    %s\n", ev)
+	if metrics.FromResult(res) != nil {
+		deciles, err := experiments.InUseDeciles(res)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "palsim: no in-use deciles: %v\n", err)
+		} else {
+			fmt.Printf("  in-use (deciles): %s\n", strings.Join(deciles, " "))
 		}
-	}
-	if utilize && len(res.UtilSeries) > 0 {
-		fmt.Printf("  in-use (deciles):")
-		n := len(res.UtilSeries)
-		for d := 0; d < 10; d++ {
-			sum, count := 0, 0
-			for i := d * n / 10; i < (d+1)*n/10; i++ {
-				sum += res.UtilSeries[i].InUse
-				count++
-			}
-			if count > 0 {
-				fmt.Printf(" %d", sum/count)
-			}
-		}
-		fmt.Println()
 	}
 }

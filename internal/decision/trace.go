@@ -1,7 +1,6 @@
 package decision
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -185,19 +184,19 @@ func (t *Trace) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a trace previously written with Save. Unknown fields are
-// rejected so a trace from a future encoding fails loudly instead of
+// Load reads a trace previously written with Save. Unknown fields and
+// anything but whitespace after the trace are rejected, so a trace from
+// a future encoding (or a corrupted file) fails loudly instead of
 // silently dropping data.
 func Load(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("decision: load trace: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var t Trace
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("decision: decode trace: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("decision: trailing data after trace")
 	}
 	return &t, nil
 }

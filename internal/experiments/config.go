@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/place"
 	"repro/internal/rng"
 	"repro/internal/runner"
@@ -89,7 +90,9 @@ type RunSpec struct {
 	Seed uint64
 
 	MeasureFirst, MeasureLast int
-	RecordUtil                bool
+	// RecordUtil attaches a metrics collector restricted to the
+	// gpus_in_use series (Fig. 15); InUseDeciles reads it back.
+	RecordUtil bool
 
 	// Counters, when non-nil, receives the engine's introspection
 	// counters (sim.Config.Counters). It is an observation-only
@@ -173,6 +176,10 @@ func buildPlacer(spec RunSpec) sim.Placer {
 
 // Run executes one simulation.
 func Run(spec RunSpec) (*sim.Result, error) {
+	var sink sim.MetricsSink
+	if spec.RecordUtil {
+		sink = metrics.MustCollector(metrics.Config{Series: []string{metrics.SeriesGPUsInUse}})
+	}
 	return sim.Run(sim.Config{
 		Topology:            spec.Topo,
 		Trace:               spec.Trace,
@@ -183,8 +190,8 @@ func Run(spec RunSpec) (*sim.Result, error) {
 		ModelLacross:        spec.ModelLacross,
 		MeasureFirst:        spec.MeasureFirst,
 		MeasureLast:         spec.MeasureLast,
-		RecordUtilization:   spec.RecordUtil,
 		MigrationPenaltySec: DefaultMigrationPenaltySec,
+		Metrics:             sink,
 		Counters:            spec.Counters,
 		DisableFastForward:  spec.DisableFastForward,
 	})

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -141,8 +142,12 @@ func Fig15(scale Scale) (*Table, error) {
 		for _, pol := range []Policy{Tiresias, PALPolicy} {
 			res := results[i]
 			i++
+			deciles, err := InUseDeciles(res)
+			if err != nil {
+				return nil, fmt.Errorf("fig15 load %g %s: %w", load, pol, err)
+			}
 			row := []string{fmt.Sprintf("%gj/h", load), pol.String()}
-			row = append(row, decileMeans(res.UtilSeries)...)
+			row = append(row, deciles...)
 			row = append(row, Hours(res.Makespan))
 			t.AddRow(row...)
 		}
@@ -151,29 +156,68 @@ func Fig15(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// decileMeans averages the in-use series over ten equal time slices.
-func decileMeans(series []sim.UtilSample) []string {
+// InUseDeciles averages a run's GPUs in use over ten equal slices of
+// its span, one formatted mean per slice ("-" for an empty slice). The
+// series is the gpus_in_use series of the run's metrics payload
+// (RunSpec.RecordUtil attaches the collector), read through
+// metrics.FromResult so live and store-loaded results agree. Sample
+// times are rebuilt from the payload's time base by repeated addition
+// of the round length, the engine clock's own arithmetic. Zero samples
+// are idle-gap rounds with nothing active; the figure averages over
+// rounds with work, so they are skipped. A run without the series, one
+// whose ring dropped samples, or a ragged archived series is an error
+// rather than a silently shorter series.
+func InUseDeciles(res *sim.Result) ([]string, error) {
+	p := metrics.FromResult(res)
+	if p == nil {
+		return nil, fmt.Errorf("experiments: no metrics payload to read GPUs in use from")
+	}
+	s, ok := p.SeriesByName(metrics.SeriesGPUsInUse)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("experiments: metrics payload has no %s series", metrics.SeriesGPUsInUse)
+	case s.Dropped > 0:
+		return nil, fmt.Errorf("experiments: %s series dropped %d samples", metrics.SeriesGPUsInUse, s.Dropped)
+	case len(s.Values) != len(s.Rounds):
+		return nil, fmt.Errorf("experiments: %s series has %d values for %d rounds", metrics.SeriesGPUsInUse, len(s.Values), len(s.Rounds))
+	}
+	var times, inUse []float64
+	now, round := p.TimeBase, int64(0)
+	for i, r := range s.Rounds {
+		for ; round < r; round++ {
+			now += p.RoundSec
+		}
+		if s.Values[i] != 0 {
+			times = append(times, now)
+			inUse = append(inUse, s.Values[i])
+		}
+	}
+	return decileMeans(times, inUse), nil
+}
+
+// decileMeans averages inUse over ten equal slices of the span its
+// sample times cover.
+func decileMeans(times, inUse []float64) []string {
 	out := make([]string, 10)
-	if len(series) == 0 {
+	if len(times) == 0 {
 		for i := range out {
 			out[i] = "-"
 		}
 		return out
 	}
-	lo := series[0].Time
-	hi := series[len(series)-1].Time
-	span := hi - lo
+	lo := times[0]
+	span := times[len(times)-1] - lo
 	if span <= 0 {
 		span = 1
 	}
 	sums := make([]float64, 10)
 	counts := make([]int, 10)
-	for _, s := range series {
-		d := int((s.Time - lo) / span * 10)
+	for i, t := range times {
+		d := int((t - lo) / span * 10)
 		if d > 9 {
 			d = 9
 		}
-		sums[d] += float64(s.InUse)
+		sums[d] += inUse[i]
 		counts[d]++
 	}
 	for i := range out {

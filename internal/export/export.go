@@ -132,20 +132,3 @@ func ResultJSON(w io.Writer, res *sim.Result) error {
 		Unfinished:  res.Unfinished,
 	})
 }
-
-// UtilizationCSV writes the GPUs-in-use series (Fig. 15's raw data).
-func UtilizationCSV(w io.Writer, series []sim.UtilSample) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_sec", "gpus_in_use"}); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if err := cw.Write([]string{
-			fmt.Sprintf("%.0f", s.Time), fmt.Sprintf("%d", s.InUse),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -76,14 +76,13 @@ func TestTableMarkdown(t *testing.T) {
 func runSample(t *testing.T) *sim.Result {
 	t.Helper()
 	res, err := experiments.Run(experiments.RunSpec{
-		Trace:      experiments.SiaTrace(1),
-		Topo:       experiments.SiaTopology(),
-		Sched:      experiments.FIFOSched,
-		Policy:     experiments.PALPolicy,
-		Profile:    experiments.LonghornProfile(64),
-		Lacross:    1.5,
-		Seed:       1,
-		RecordUtil: true,
+		Trace:   experiments.SiaTrace(1),
+		Topo:    experiments.SiaTopology(),
+		Sched:   experiments.FIFOSched,
+		Policy:  experiments.PALPolicy,
+		Profile: experiments.LonghornProfile(64),
+		Lacross: 1.5,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,20 +105,5 @@ func TestResultJSON(t *testing.T) {
 	}
 	if got["avg_jct_sec"].(float64) <= 0 {
 		t.Error("avg JCT not positive")
-	}
-}
-
-func TestUtilizationCSV(t *testing.T) {
-	res := runSample(t)
-	var buf bytes.Buffer
-	if err := UtilizationCSV(&buf, res.UtilSeries); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != len(res.UtilSeries)+1 {
-		t.Errorf("records = %d, want %d", len(records), len(res.UtilSeries)+1)
 	}
 }

@@ -43,8 +43,10 @@ import (
 // ResultFormatVersion names the result-codec revision. internal/store
 // namespaces its object tree by this string, so a bump orphans (and
 // eventually GCs) old artifacts instead of misreading them.
-// v2 added the embedded decision trace.
-const ResultFormatVersion = "v2"
+// v2 added the embedded decision trace; v3 dropped the util_series
+// and events fields (the GPUs-in-use series lives in the metrics
+// payload).
+const ResultFormatVersion = "v3"
 
 // resultFormat is the full format tag embedded in every archive.
 const resultFormat = "pal-result/" + ResultFormatVersion
@@ -73,20 +75,6 @@ type archivedJob struct {
 	PrevAlloc   []int   `json:"prev_alloc"`
 }
 
-// archivedUtil is one GPUs-in-use sample.
-type archivedUtil struct {
-	Time  float64 `json:"time"`
-	InUse int     `json:"in_use"`
-}
-
-// archivedEvent is one lifecycle-log entry.
-type archivedEvent struct {
-	Time  float64 `json:"time"`
-	JobID int     `json:"job_id"`
-	Kind  int     `json:"kind"`
-	GPUs  int     `json:"gpus"`
-}
-
 // resultArchive is the archive schema. Measured holds indices into Jobs
 // so the decoded result's Measured slice aliases the same *Job values,
 // exactly as the engine leaves it.
@@ -101,9 +89,7 @@ type resultArchive struct {
 	ProductiveUtilization float64 `json:"productive_utilization"`
 	Rounds                int     `json:"rounds"`
 
-	UtilSeries []archivedUtil  `json:"util_series"`
-	PlaceTimes []float64       `json:"place_times"`
-	Events     []archivedEvent `json:"events"`
+	PlaceTimes []float64 `json:"place_times"`
 
 	Metrics   *metrics.Payload `json:"metrics"`
 	Decisions *decision.Trace  `json:"decisions"`
@@ -209,18 +195,6 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 	} else if res.Measured != nil {
 		return fmt.Errorf("export: result has Measured jobs but no Jobs")
 	}
-	if res.UtilSeries != nil {
-		arch.UtilSeries = make([]archivedUtil, len(res.UtilSeries))
-		for i, s := range res.UtilSeries {
-			arch.UtilSeries[i] = archivedUtil{Time: s.Time, InUse: s.InUse}
-		}
-	}
-	if res.Events != nil {
-		arch.Events = make([]archivedEvent, len(res.Events))
-		for i, ev := range res.Events {
-			arch.Events[i] = archivedEvent{Time: ev.Time, JobID: ev.JobID, Kind: int(ev.Kind), GPUs: ev.GPUs}
-		}
-	}
 	return encodeArchive(w, &arch, "result")
 }
 
@@ -289,18 +263,6 @@ func UnmarshalResult(data []byte) (*sim.Result, error) {
 				return nil, fmt.Errorf("export: result archive: measured index %d out of range (have %d jobs)", idx, len(res.Jobs))
 			}
 			res.Measured[i] = res.Jobs[idx]
-		}
-	}
-	if arch.UtilSeries != nil {
-		res.UtilSeries = make([]sim.UtilSample, len(arch.UtilSeries))
-		for i, s := range arch.UtilSeries {
-			res.UtilSeries[i] = sim.UtilSample{Time: s.Time, InUse: s.InUse}
-		}
-	}
-	if arch.Events != nil {
-		res.Events = make([]sim.Event, len(arch.Events))
-		for i, ev := range arch.Events {
-			res.Events[i] = sim.Event{Time: ev.Time, JobID: ev.JobID, Kind: sim.EventKind(ev.Kind), GPUs: ev.GPUs}
 		}
 	}
 	if arch.Metrics != nil {

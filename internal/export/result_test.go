@@ -14,7 +14,7 @@ import (
 
 // sampleResult builds a hand-crafted result exercising every archived
 // surface: done/running/never-started jobs, preserved allocations,
-// measured aliasing, util series, events, truncation and a payload.
+// measured aliasing, place times and truncation.
 func sampleResult() *sim.Result {
 	jobs := []*sim.Job{
 		{
@@ -43,15 +43,9 @@ func sampleResult() *sim.Result {
 		Utilization:           0.3341,
 		ProductiveUtilization: 0.2123,
 		Rounds:                5,
-		UtilSeries:            []sim.UtilSample{{Time: 0, InUse: 2}, {Time: 300, InUse: 3}},
 		PlaceTimes:            []float64{1.25e-5, 3e-6},
-		Events: []sim.Event{
-			{Time: 0, JobID: 0, Kind: sim.EventAdmit},
-			{Time: 0, JobID: 0, Kind: sim.EventStart, GPUs: 2},
-			{Time: 660.5, JobID: 0, Kind: sim.EventFinish, GPUs: 2},
-		},
-		Truncated:  true,
-		Unfinished: 2,
+		Truncated:             true,
+		Unfinished:            2,
 	}
 	return res
 }
@@ -101,7 +95,7 @@ func TestResultCodecPreservesNilVersusEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Measured != nil || got.UtilSeries != nil || got.PlaceTimes != nil || got.Events != nil {
+	if got.Measured != nil || got.PlaceTimes != nil {
 		t.Errorf("nil slices became non-nil: %+v", got)
 	}
 	if got.Jobs[0].Alloc != nil || got.Jobs[0].PrevAlloc != nil {

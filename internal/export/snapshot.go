@@ -24,7 +24,8 @@ import (
 // tests.
 
 // SnapshotFormatVersion names the snapshot-codec revision.
-const SnapshotFormatVersion = "v1"
+// v2 dropped the util_series and events fields.
+const SnapshotFormatVersion = "v2"
 
 // snapshotFormat is the full format tag embedded in every archive.
 const snapshotFormat = "pal-snapshot/" + SnapshotFormatVersion

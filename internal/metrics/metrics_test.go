@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -170,6 +171,15 @@ func TestPayloadSaveLoadRoundTrip(t *testing.T) {
 	// Unknown fields must be rejected loudly.
 	if _, err := Load(bytes.NewReader([]byte(`{"name": "x", "bogus": 1}`))); err == nil {
 		t.Error("payload with unknown field accepted")
+	}
+	// So must anything after the document.
+	for _, tail := range []string{`{"garbage": 1}`, "trailing", "}"} {
+		if _, err := Load(strings.NewReader(buf.String() + tail)); err == nil {
+			t.Errorf("payload followed by %q accepted", tail)
+		}
+	}
+	if _, err := Load(strings.NewReader(buf.String() + "\n\n")); err != nil {
+		t.Errorf("payload followed by whitespace rejected: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -141,19 +140,19 @@ func (p *Payload) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a payload previously written with Save. Unknown fields are
-// rejected so a payload from a future encoding fails loudly instead of
+// Load reads a payload previously written with Save. Unknown fields and
+// anything but whitespace after the payload are rejected, so a payload
+// from a future encoding (or a corrupted file) fails loudly instead of
 // silently dropping data.
 func Load(r io.Reader) (*Payload, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: load payload: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var p Payload
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("metrics: decode payload: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("metrics: trailing data after payload")
 	}
 	return &p, nil
 }

@@ -272,8 +272,6 @@ func (b *Built) Config() (sim.Config, error) {
 		MaxRounds:           s.Engine.MaxRounds,
 		MeasureFirst:        s.Engine.MeasureFirst,
 		MeasureLast:         s.Engine.MeasureLast,
-		RecordUtilization:   s.Engine.RecordUtilization,
-		RecordEvents:        s.Engine.RecordEvents,
 		MigrationPenaltySec: migration,
 		Metrics:             sink,
 		Decisions:           decSink,

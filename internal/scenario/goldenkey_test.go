@@ -14,7 +14,7 @@ import (
 // spec, a generator, or the key encoding: bump the version tag in
 // Built.Key (per the cache-key invariant) and update the constant below
 // in the same commit.
-const goldenSpecKey = "ccea10af4bea3297c58096f9971edb1bc8a14d6f4e64481742053ceb40eef1f7"
+const goldenSpecKey = "32296f0334e1442fe007733bae55f489ce0c527c4410af0312b52b67b495555b"
 
 func TestGoldenScenarioKey(t *testing.T) {
 	spec, err := LoadFile("../../examples/scenario/spec.json")

@@ -42,10 +42,9 @@ func runWithMetrics(t *testing.T, src string, enable bool) *sim.Result {
 func TestMetricsDoNotPerturbSimulation(t *testing.T) {
 	cases := map[string]string{
 		"sia": `{"name": "sia", "workload": {"source": "sia-philly", "workload": 5},
-		         "policy": {"name": "tiresias"}, "engine": {"record_utilization": true, "record_events": true}}`,
+		         "policy": {"name": "tiresias"}}`,
 		"bursty": `{"name": "burst", "workload": {"source": "synthetic", "arrivals": "bursty", "num_jobs": 60, "jobs_per_hour": 25},
-		            "policy": {"name": "random-sticky"}, "sched": {"name": "las"},
-		            "engine": {"record_utilization": true, "record_events": true}}`,
+		            "policy": {"name": "random-sticky"}, "sched": {"name": "las"}}`,
 	}
 	for name, src := range cases {
 		name, src := name, src

@@ -175,8 +175,6 @@ type EngineSpec struct {
 	MigrationPenaltySec float64 `json:"migration_penalty_sec,omitempty"`
 	MeasureFirst        int     `json:"measure_first,omitempty"`
 	MeasureLast         int     `json:"measure_last,omitempty"`
-	RecordUtilization   bool    `json:"record_utilization,omitempty"`
-	RecordEvents        bool    `json:"record_events,omitempty"`
 }
 
 // MetricsSpec attaches the telemetry collector (internal/metrics) to the
@@ -257,8 +255,9 @@ func Parse(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
 	}
-	// A second document in the stream means the file is not one spec.
-	if dec.More() {
+	// Anything but whitespace after the spec means the file is not one
+	// spec.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("scenario: trailing data after spec")
 	}
 	s.normalize()

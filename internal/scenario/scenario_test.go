@@ -54,6 +54,8 @@ func TestParseRejects(t *testing.T) {
 		`{"workload": {"source": "synthetic"}, "metrics": {"enabled": true, "series": ["gpu_temperature"]}}`,
 		`{"workload": {"source": "synthetic"}, "metrics": {"enabled": true, "interval_rounds": -1}}`,
 		`{} trailing`,
+		`{"name": "t", "workload": {"source": "synthetic"}}}`,
+		`{"name": "t", "workload": {"source": "synthetic"}} {}`,
 	}
 	for _, src := range bad {
 		if _, err := Parse([]byte(src)); err == nil {
@@ -75,7 +77,7 @@ func specCorpus() []string {
 		`{"name": "day", "seed": 99, "cluster": {"nodes": 4, "nodes_per_rack": 2},
 		  "workload": {"source": "synthetic", "arrivals": "diurnal", "num_jobs": 30, "jobs_per_hour": 15, "peak_to_trough": 3},
 		  "policy": {"name": "pal"}, "locality": {"lacross": 1.7, "lrack": 1.2},
-		  "engine": {"round_sec": 60, "record_utilization": true, "record_events": true}}`,
+		  "engine": {"round_sec": 60}}`,
 		`{"name": "rnd", "profile": {"source": "frontera"}, "workload": {"source": "synthetic", "num_jobs": 25, "jobs_per_hour": 40},
 		  "policy": {"name": "random-sticky"}, "sched": {"name": "srtf"}, "admission": "admit-all"}`,
 		`{"name": "telemetry", "workload": {"source": "synthetic", "num_jobs": 40, "jobs_per_hour": 20},

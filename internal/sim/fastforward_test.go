@@ -4,11 +4,12 @@ package sim_test
 // scheduler × placer combination below, a run with fast-forwarding
 // enabled must be *byte-identical* to the naive round-by-round loop —
 // same per-job tables (JCT, waits, attained service, preemption and
-// migration counts), same aggregate metrics, same utilization series,
-// same event log, bit for bit. The only field excluded is PlaceTimes'
-// values, which are wall-clock measurements; their count must still
-// match, except under a placer that declares stable fixpoints
-// (sim.FixpointPlacer), whose fast run skips placement calls by design.
+// migration counts), same aggregate metrics, bit for bit (the metrics
+// and decision suites extend this to every sink's output). The only
+// field excluded is PlaceTimes' values, which are wall-clock
+// measurements; their count must still match, except under a placer
+// that declares stable fixpoints (sim.FixpointPlacer), whose fast run
+// skips placement calls by design.
 
 import (
 	"reflect"
@@ -130,8 +131,6 @@ func (c ffCase) config(t *testing.T, disableFF bool) sim.Config {
 		TrueProfile:         profile,
 		Lacross:             1.5,
 		MigrationPenaltySec: 10,
-		RecordUtilization:   true,
-		RecordEvents:        true,
 		DisableFastForward:  disableFF,
 	}
 	if c.tweak != nil {
@@ -172,8 +171,8 @@ func TestFastForwardByteIdentical(t *testing.T) {
 			naive.PlaceTimes, fast.PlaceTimes = nil, nil
 			if !reflect.DeepEqual(naive, fast) {
 				report := func(label string, r *sim.Result) {
-					t.Logf("%s: rounds=%d makespan=%v util=%v events=%d utilSeries=%d",
-						label, r.Rounds, r.Makespan, r.Utilization, len(r.Events), len(r.UtilSeries))
+					t.Logf("%s: rounds=%d makespan=%v util=%v",
+						label, r.Rounds, r.Makespan, r.Utilization)
 				}
 				report("naive", naive)
 				report("fast ", fast)

@@ -194,20 +194,11 @@ type Config struct {
 	// whole trace.
 	MeasureFirst, MeasureLast int
 
-	// RecordUtilization enables the per-round GPUs-in-use series
-	// (Fig. 15); it is off by default to keep long sweeps lean.
-	RecordUtilization bool
-
 	// MigrationPenaltySec is the checkpoint/restore cost a running job
 	// pays in a round where its allocation changed (§IV-A1 notes these
 	// overheads exist but are small relative to job runtime). A migrated
 	// job makes progress for RoundSec - MigrationPenaltySec of the round.
 	MigrationPenaltySec float64
-
-	// RecordEvents enables the engine's event log (admit / start /
-	// preempt / resume / migrate / finish per job), exposed as
-	// Result.Events.
-	RecordEvents bool
 
 	// Observer, when non-nil, receives each running job's realized
 	// slowdown every round. This is the hook for the online PM-score
@@ -343,12 +334,6 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// UtilSample is one point of the GPUs-in-use series.
-type UtilSample struct {
-	Time  float64 // round start time (seconds)
-	InUse int     // GPUs allocated during the round
-}
-
 // Result carries everything the experiment harness needs from one run.
 type Result struct {
 	Jobs []*Job // all jobs, trace order
@@ -368,15 +353,9 @@ type Result struct {
 	ProductiveUtilization float64
 	Rounds                int
 
-	// UtilSeries is populated when Config.RecordUtilization is set.
-	UtilSeries []UtilSample
-
 	// PlaceTimes holds the wall-clock duration of each round's placement
 	// call in seconds (only rounds that placed at least one job).
 	PlaceTimes []float64
-
-	// Events is the lifecycle log (populated when Config.RecordEvents).
-	Events []Event
 
 	// Metrics echoes Config.Metrics after the run, so a Result pulled
 	// from the runner's cache still carries the telemetry collected when
@@ -529,9 +508,7 @@ type engine struct {
 	fixpointGate bool
 	fixpoint     bool
 
-	utilSeries []UtilSample
 	placeTimes []float64
-	events     []Event
 
 	// Scratch buffers reused across rounds so the steady-state loop
 	// allocates nothing: metrics observations, the placement need list,
@@ -764,14 +741,6 @@ func (e *engine) run() (*Result, error) {
 			e.membershipChanged = true
 		}
 
-		if cfg.RecordUtilization {
-			inUse := 0
-			for _, j := range prefix {
-				inUse += j.Spec.Demand
-			}
-			e.utilSeries = append(e.utilSeries, UtilSample{Time: now, InUse: inUse})
-		}
-
 		now += cfg.RoundSec
 		rounds++
 		if e.ctr != nil {
@@ -945,8 +914,8 @@ func (e *engine) allActiveRunning() bool {
 //     this is what lets dense, saturated traces advance in bulk.
 //
 // Each skipped round applies exactly the arithmetic advance would have
-// (Remaining -= RoundSec/slowdown, Attained += RoundSec×demand, one
-// utilization sample), in the same per-round addition order, so results
+// (Remaining -= RoundSec/slowdown, Attained += RoundSec×demand), in the
+// same per-round addition order, so results
 // are byte-identical to naive iteration. Waiting jobs are untouched,
 // exactly as a naive round would leave them. The whole span reaches the
 // metrics sink as one observation (every per-round quantity is frozen
@@ -1010,10 +979,8 @@ func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 		e.sdsBuf = make([]float64, len(running))
 	}
 	sds := e.sdsBuf[:len(running)]
-	inUse := 0
 	for i, j := range running {
 		sds[i] = e.slowdown(j)
-		inUse += j.Spec.Demand
 	}
 
 	spanStart, spanFrom := now, rounds
@@ -1035,9 +1002,6 @@ func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 		for i, j := range running {
 			j.Remaining -= round / sds[i]
 			j.Attained += round * float64(j.Spec.Demand)
-		}
-		if cfg.RecordUtilization {
-			e.utilSeries = append(e.utilSeries, UtilSample{Time: now, InUse: inUse})
 		}
 		now += round
 		rounds++
@@ -1071,11 +1035,9 @@ func (e *engine) admitArrivals(now float64) {
 			j.Finish = j.Spec.Arrival
 			j.FirstRun = j.Spec.Arrival
 			e.rejected++
-			e.recordEvent(now, j.Spec.ID, EventReject, 0)
 			continue
 		}
 		e.active = append(e.active, j)
-		e.recordEvent(now, j.Spec.ID, EventAdmit, 0)
 	}
 }
 
@@ -1117,7 +1079,6 @@ func (e *engine) place(prefix []*Job, now float64) error {
 				e.ctr.Preemptions++
 				e.ctr.ReleaseCalls++
 			}
-			e.recordEvent(now, j.Spec.ID, EventPreempt, j.Spec.Demand)
 			if e.cfg.Decisions != nil {
 				e.decPreempt = append(e.decPreempt,
 					PreemptionDecision{Job: j.Spec.ID, GPUs: j.Spec.Demand})
@@ -1196,7 +1157,6 @@ func (e *engine) place(prefix []*Job, now float64) error {
 				e.ctr.Migrations++
 			}
 			j.migrated = true
-			e.recordEvent(now, j.Spec.ID, EventMigrate, j.Spec.Demand)
 		}
 		j.Alloc = alloc
 		started := false
@@ -1205,9 +1165,7 @@ func (e *engine) place(prefix []*Job, now float64) error {
 			j.Started = true
 			j.FirstRun = now
 			started = true
-			e.recordEvent(now, j.Spec.ID, EventStart, j.Spec.Demand)
 		case !wasRunning:
-			e.recordEvent(now, j.Spec.ID, EventResume, j.Spec.Demand)
 		}
 		if e.cfg.Decisions != nil {
 			l, maxV := e.slowdownParts(j)
@@ -1325,7 +1283,6 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 			if e.ctr != nil {
 				e.ctr.ReleaseCalls++
 			}
-			e.recordEvent(j.Finish, j.Spec.ID, EventFinish, j.Spec.Demand)
 		} else {
 			j.Remaining -= round / sd
 		}
@@ -1350,9 +1307,7 @@ func (e *engine) result(start, end float64, rounds int) (*Result, error) {
 	res := &Result{
 		Jobs:       e.jobs,
 		Rounds:     rounds,
-		UtilSeries: e.utilSeries,
 		PlaceTimes: e.placeTimes,
-		Events:     e.events,
 		Metrics:    e.cfg.Metrics,
 		Decisions:  e.cfg.Decisions,
 	}

@@ -370,25 +370,6 @@ func TestUtilizationAndMakespan(t *testing.T) {
 	}
 }
 
-func TestUtilSeriesRecorded(t *testing.T) {
-	cfg := baseConfig(t, []trace.JobSpec{
-		{ID: 0, Arrival: 0, Demand: 4, Work: 900},
-	})
-	cfg.RecordUtilization = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.UtilSeries) != 3 {
-		t.Fatalf("series length %d, want 3 rounds", len(res.UtilSeries))
-	}
-	for _, s := range res.UtilSeries {
-		if s.InUse != 4 {
-			t.Errorf("in use = %d, want 4", s.InUse)
-		}
-	}
-}
-
 func TestIdleGapSkipsToNextArrival(t *testing.T) {
 	// A huge gap between jobs must not blow MaxRounds.
 	cfg := baseConfig(t, []trace.JobSpec{
@@ -616,61 +597,38 @@ func TestObserverReceivesPerGPUScores(t *testing.T) {
 	}
 }
 
-func TestEventLog(t *testing.T) {
+// TestJobLifecycleState: admission, preemption and completion are
+// readable off the jobs themselves. A job admission control refuses is
+// closed out Done with a zero-length schedule; the long job starts on
+// arrival, is preempted by the short one, resumes and finishes last.
+func TestJobLifecycleState(t *testing.T) {
 	cfg := baseConfig(t, []trace.JobSpec{
 		{ID: 0, Arrival: 0, Demand: 8, Work: 3000},
 		{ID: 1, Arrival: 300, Demand: 8, Work: 300},
 		{ID: 2, Arrival: 400, Demand: 99, Work: 100}, // rejected
 	})
 	cfg.Sched = prioritySched{}
-	cfg.RecordEvents = true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := res.CountEvents()
-	if counts[EventAdmit] != 2 {
-		t.Errorf("admits = %d, want 2", counts[EventAdmit])
+	rej := res.Jobs[2]
+	if !rej.Done || rej.Started || rej.FirstRun != rej.Spec.Arrival || rej.Finish != rej.Spec.Arrival {
+		t.Errorf("rejected job = %+v, want Done, never started, FirstRun = Finish = arrival", *rej)
 	}
-	if counts[EventReject] != 1 {
-		t.Errorf("rejects = %d, want 1", counts[EventReject])
+	j0, j1 := res.Jobs[0], res.Jobs[1]
+	if !j0.Started || j0.FirstRun != j0.Spec.Arrival {
+		t.Errorf("job 0 started=%v first run %v, want started at its arrival", j0.Started, j0.FirstRun)
 	}
-	if counts[EventStart] != 2 {
-		t.Errorf("starts = %d, want 2", counts[EventStart])
+	if !j1.Started || j1.FirstRun != j1.Spec.Arrival {
+		t.Errorf("job 1 started=%v first run %v, want started at its arrival", j1.Started, j1.FirstRun)
 	}
-	if counts[EventFinish] != 2 {
-		t.Errorf("finishes = %d, want 2", counts[EventFinish])
+	if j0.Preemptions < 1 {
+		t.Errorf("job 0 preemptions = %d, want >= 1", j0.Preemptions)
 	}
-	if counts[EventPreempt] == 0 || counts[EventResume] == 0 {
-		t.Errorf("expected preempt+resume, got %v", counts)
-	}
-
-	// Job 0's log must be ordered and bracketed by start..finish.
-	evs := res.EventsFor(0)
-	if len(evs) < 3 {
-		t.Fatalf("job 0 events = %v", evs)
-	}
-	if evs[0].Kind != EventAdmit || evs[len(evs)-1].Kind != EventFinish {
-		t.Errorf("job 0 log = %v", evs)
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			t.Errorf("events out of order: %v then %v", evs[i-1], evs[i])
-		}
-	}
-	if evs[0].String() == "" || EventKind(99).String() == "" {
-		t.Error("event rendering broken")
-	}
-}
-
-func TestEventLogOffByDefault(t *testing.T) {
-	cfg := baseConfig(t, []trace.JobSpec{{ID: 0, Arrival: 0, Demand: 1, Work: 100}})
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Events) != 0 {
-		t.Errorf("events recorded without RecordEvents: %d", len(res.Events))
+	if !j0.Done || !j1.Done || j0.Finish <= j1.Finish {
+		t.Errorf("finishes: job 0 done=%v at %v, job 1 done=%v at %v; want both done, job 0 last",
+			j0.Done, j0.Finish, j1.Done, j1.Finish)
 	}
 }
 

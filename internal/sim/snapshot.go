@@ -97,16 +97,12 @@ type Snapshot struct {
 	SchedState  []byte `json:"sched_state"`
 	PlacerState []byte `json:"placer_state"`
 
-	// UtilSeries and Events are the result series accumulated before the
-	// horizon, preloaded on resume so the forked result carries the
-	// whole run's series. (PlaceTimes is deliberately absent: it is
-	// wall-clock observability data outside byte-identity, and a forked
-	// result's PlaceTimes cover only post-fork placements.)
-	UtilSeries []UtilSample `json:"util_series"`
-	Events     []Event      `json:"events"`
-
 	// MetricsState/DecisionsState are the attached sinks' marshaled
-	// mid-run state (nil when no sink was attached at capture).
+	// mid-run state (nil when no sink was attached at capture), so the
+	// forked result's telemetry covers the whole run. (PlaceTimes is
+	// deliberately absent: it is wall-clock observability data outside
+	// byte-identity, and a forked result's PlaceTimes cover only
+	// post-fork placements.)
 	MetricsState   []byte `json:"metrics_state"`
 	DecisionsState []byte `json:"decisions_state"`
 }
@@ -154,8 +150,6 @@ func (e *engine) snapshot() (*Snapshot, error) {
 		NextArrival: e.nextArrival,
 		SchedName:   e.cfg.Sched.Name(),
 		PlacerName:  e.cfg.Placer.Name(),
-		UtilSeries:  append([]UtilSample(nil), e.utilSeries...),
-		Events:      append([]Event(nil), e.events...),
 	}
 	s.Jobs = make([]JobState, e.nextArrival)
 	for i, j := range e.jobs[:e.nextArrival] {
@@ -298,8 +292,6 @@ func (e *engine) restore(s *Snapshot) error {
 		return fmt.Errorf("sim: snapshot clock %v is not finite", s.Now)
 	}
 	e.nextArrival = s.NextArrival
-	e.utilSeries = append(e.utilSeries, s.UtilSeries...)
-	e.events = append(e.events, s.Events...)
 	if s.SchedState != nil && e.cfg.Sched.Name() == s.SchedName {
 		ss, ok := e.cfg.Sched.(SnapshotState)
 		if !ok {

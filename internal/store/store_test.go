@@ -63,19 +63,16 @@ func key64(i int) string {
 // decision trace — and
 // re-encoding the loaded result must reproduce the stored bytes
 // bit-for-bit. Pinned on a Sia trace and a synthetic-bursty one (the
-// two arrival regimes with the most engine traffic), with utilization,
-// events and telemetry all enabled so every archived surface is
-// exercised.
+// two arrival regimes with the most engine traffic), with telemetry and
+// decision traces enabled so every archived surface is exercised.
 func TestStoreRoundTripByteIdentical(t *testing.T) {
 	cases := map[string]string{
 		"sia": `{"name": "sia-rt", "workload": {"source": "sia-philly", "workload": 5},
 			"policy": {"name": "pal"}, "sched": {"name": "las"},
-			"engine": {"record_utilization": true, "record_events": true},
 			"metrics": {"enabled": true}, "decisions": {"enabled": true}}`,
 		"bursty": `{"name": "bursty-rt", "cluster": {"nodes": 4},
 			"workload": {"source": "synthetic", "arrivals": "bursty", "num_jobs": 80, "jobs_per_hour": 40},
 			"policy": {"name": "random-sticky"}, "sched": {"name": "srtf"},
-			"engine": {"record_utilization": true, "record_events": true},
 			"metrics": {"enabled": true}, "decisions": {"enabled": true}}`,
 	}
 	for name, src := range cases {
