@@ -26,22 +26,25 @@
 // A -scenario run force-enables the spec's decisions block (with a
 // re-Normalize, so the run cache-keys exactly like a file that enabled
 // it). -in tokens may be trace files, directories, globs, or result-store
-// directories; stores are read with Peek, so explaining never perturbs
-// GC recency. Formats and -out behave exactly like palsweep's.
+// directories, read by the archive reader palreport shares
+// (internal/cli); stores are read with Peek, so explaining never
+// perturbs GC recency. Formats and -out go through the table writer
+// every CLI shares (export.WriteTable); under -out, a trace name that
+// repeats (two archives of one spec) gets a key suffix rather than
+// overwriting the earlier file.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/scenario"
-	"repro/internal/store"
 )
 
 func main() {
@@ -53,10 +56,8 @@ func main() {
 		outDir   = flag.String("out", "", "write one file per table into this directory instead of stdout")
 	)
 	flag.Parse()
-	switch *format {
-	case "text", "csv", "md", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q (want text, csv, md or json)", *format))
+	if err := export.CheckFormat(*format); err != nil {
+		fatal(err)
 	}
 	if (*in == "") == (*scenPath == "") {
 		fatal(fmt.Errorf("exactly one of -in (archived traces) or -scenario (live run) is required"))
@@ -66,23 +67,38 @@ func main() {
 	if *scenPath != "" {
 		traces = []*decision.Trace{runScenario(*scenPath)}
 	} else {
-		traces = loadTraces(*in)
+		traces = readTraces(*in)
 		if len(traces) == 0 {
 			fatal(fmt.Errorf("no decision traces found in %q (archive them with palsim/palsweep -metrics on a spec with decisions enabled, or palsweep -store)", *in))
 		}
 	}
 
+	if err := writeTables(traces, *job, *format, *outDir); err != nil {
+		fatal(err)
+	}
+}
+
+// writeTables renders one table per trace — its timeline, or with job
+// >= 0 that job's "why" timeline. Under outDir each table is one file,
+// and a table name that repeats (two archives of one spec) gets a key
+// suffix instead of overwriting the earlier file.
+func writeTables(traces []*decision.Trace, job int, format, outDir string) error {
+	var names export.UniqueNames
 	for _, tr := range traces {
 		var t *experiments.Table
-		if *job >= 0 {
-			t = jobTable(tr, *job)
+		if job >= 0 {
+			t = jobTable(tr, job)
 		} else {
 			t = timelineTable(tr)
 		}
-		if err := emit(t, *format, *outDir); err != nil {
-			fatal(err)
+		if outDir != "" {
+			t.Name = names.Name(t.Name, tr.Key)
+		}
+		if err := export.WriteTable(t, format, outDir); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // runScenario executes a spec live with decision recording on and
@@ -114,75 +130,23 @@ func runScenario(path string) *decision.Trace {
 	return &t
 }
 
-// loadTraces resolves -in tokens to traces: result-store directories
-// contribute every stored result's embedded trace (Peek — explaining
-// must not refresh GC recency), other tokens expand to *.decisions.json
-// files, directories or globs.
-func loadTraces(arg string) []*decision.Trace {
-	var traces []*decision.Trace
-	var misses []string
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if store.IsStoreRoot(tok) {
-			st, err := store.Open(tok)
-			if err != nil {
-				fatal(err)
-			}
-			keys, err := st.Keys()
-			if err != nil {
-				fatal(err)
-			}
-			skipped := 0
-			for _, key := range keys {
-				res, ok, err := st.Peek(key)
-				if err != nil {
-					fatal(err)
-				}
-				if !ok {
-					continue // raced with a concurrent GC
-				}
-				tr := decision.FromResult(res)
-				if tr == nil {
-					skipped++
-					continue
-				}
-				cp := *tr
-				if cp.Key == "" {
-					cp.Key = key
-				}
-				if cp.Name == "" {
-					cp.Name = key[:12]
-				}
-				traces = append(traces, &cp)
-			}
-			if skipped > 0 {
-				fmt.Fprintf(os.Stderr, "palexplain: store %s: skipped %d results without decision traces (re-run them with decisions enabled to explain)\n", tok, skipped)
-			}
-			continue
-		}
-		paths, err := export.ExpandFileArgs(tok, export.DecisionsExt)
-		if err != nil {
-			misses = append(misses, err.Error())
-			continue
-		}
-		for _, path := range paths {
-			t, err := decision.LoadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if t.Name == "" {
-				t.Name = strings.TrimSuffix(filepath.Base(path), export.DecisionsExt)
-			}
-			traces = append(traces, t)
+// readTraces resolves -in tokens to traces in one pass: trace files,
+// directories or globs, and result-store roots (every stored result's
+// embedded trace). A token matching no *.decisions.json is an error.
+func readTraces(arg string) []*decision.Trace {
+	arch, err := cli.ReadArchives(arg, cli.Want{Traces: true})
+	if err != nil {
+		fatal(err)
+	}
+	if len(arch.TraceMisses) > 0 {
+		fatal(fmt.Errorf("-in: %s", strings.Join(arch.TraceMisses, "; ")))
+	}
+	for _, sr := range arch.Stores {
+		if sr.NoTrace > 0 {
+			fmt.Fprintf(os.Stderr, "palexplain: store %s: skipped %d results without decision traces (re-run them with decisions enabled to explain)\n", sr.Dir, sr.NoTrace)
 		}
 	}
-	if len(misses) > 0 {
-		fatal(fmt.Errorf("-in: %s", strings.Join(misses, "; ")))
-	}
-	return traces
+	return arch.Traces
 }
 
 // timelineTable renders one trace as a round-level decision timeline:
@@ -341,41 +305,6 @@ func annotate(t *experiments.Table, tr *decision.Trace) {
 		}
 		t.Note("key %s", key)
 	}
-}
-
-// emit writes one table to stdout or to <outDir>/<name>.<ext> — the same
-// rendering contract as palsweep and palreport.
-func emit(t *experiments.Table, format, outDir string) error {
-	render := func(w *os.File) error {
-		switch format {
-		case "text":
-			_, err := fmt.Fprint(w, t.String())
-			return err
-		case "csv":
-			return export.TableCSV(w, t)
-		case "md":
-			return export.TableMarkdown(w, t)
-		case "json":
-			return export.TableJSON(w, t)
-		}
-		return fmt.Errorf("unknown format %q", format)
-	}
-	if outDir == "" {
-		return render(os.Stdout)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	ext := map[string]string{"text": "txt", "csv": "csv", "md": "md", "json": "json"}[format]
-	f, err := os.Create(filepath.Join(outDir, t.Name+"."+ext))
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

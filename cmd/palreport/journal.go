@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/export"
 	"repro/internal/journal"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -28,7 +29,7 @@ func runJournal(dir string, slowest int, format, outDir string) {
 		journalSlowestTable(procs, slowest),
 		journalWorkersTable(procs),
 	} {
-		if err := emit(t, format, outDir); err != nil {
+		if err := export.WriteTable(t, format, outDir); err != nil {
 			fatal(err)
 		}
 	}

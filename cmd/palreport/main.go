@@ -59,23 +59,25 @@
 // preemptions and migrations. Per-job timelines and round-level diffs
 // are cmd/palexplain's job.
 //
-// Formats and the -out directory behave exactly like palsweep's.
+// -in is read in one pass by the shared archive reader
+// (internal/cli), which decodes each stored object once. Formats and
+// the -out directory go through the table writer every CLI shares
+// (export.WriteTable).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/decision"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // cdfPercentiles are the fixed percentiles of the side-by-side CDF table.
@@ -96,10 +98,8 @@ func main() {
 	if *in == "" && *journalFlag == "" {
 		fatal(fmt.Errorf("-in is required (point it at a palsweep -metrics directory or a -store directory), unless -journal is given"))
 	}
-	switch *format {
-	case "text", "csv", "md", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q (want text, csv, md or json)", *format))
+	if err := export.CheckFormat(*format); err != nil {
+		fatal(err)
 	}
 	if *journalFlag != "" {
 		runJournal(*journalFlag, *slowest, *format, *outDir)
@@ -108,19 +108,20 @@ func main() {
 		}
 	}
 
-	payloads := loadPayloads(*in)
+	arch := readArchives(*in, *decisions)
+	payloads := arch.Payloads
 	if *gridFlag != "" {
 		cells, err := expandGridCells(*gridFlag)
 		if err != nil {
 			fatal(err)
 		}
-		have := storeKeys(*in)
+		have := arch.Keys
 		for _, p := range payloads {
 			if p.Key != "" {
 				have[p.Key] = true
 			}
 		}
-		if err := emit(gridCoverageTable(cells, have), *format, *outDir); err != nil {
+		if err := export.WriteTable(gridCoverageTable(cells, have), *format, *outDir); err != nil {
 			fatal(err)
 		}
 		if len(payloads) == 0 {
@@ -158,86 +159,47 @@ func main() {
 		comparisonTable(payloads, base),
 		cdfTable(payloads),
 	} {
-		if err := emit(t, *format, *outDir); err != nil {
+		if err := export.WriteTable(t, *format, *outDir); err != nil {
 			fatal(err)
 		}
 	}
 	if *decisions {
-		traces := loadTraces(*in)
-		if len(traces) == 0 {
+		if len(arch.Traces) == 0 {
 			fatal(fmt.Errorf("-decisions: no decision traces found in %q (enable the spec's decisions block and re-archive)", *in))
 		}
-		if err := emit(decisionsTable(traces), *format, *outDir); err != nil {
+		if err := export.WriteTable(decisionsTable(arch.Traces), *format, *outDir); err != nil {
 			fatal(err)
 		}
 	}
 }
 
-// loadTraces resolves the -in argument to decision traces, mirroring
-// loadPayloads: store directories contribute every stored result's
-// embedded trace (Peek, not Get — reporting must not refresh GC
-// recency), other tokens expand to *.decisions.json files.
-func loadTraces(arg string) []*decision.Trace {
-	var traces []*decision.Trace
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
+// readArchives resolves the -in argument to payloads (and, with
+// -decisions, traces) in one pass over its files and stores. Every
+// token matching no payload file is an error, named together; a token
+// without decision traces is not, since -decisions rides on the same -in
+// as the metrics tables and a mixed archive directory is the common
+// case. Token order is preserved — the first payload is the default
+// baseline, so a file named before a store must stay first.
+func readArchives(in string, decisions bool) *cli.Archives {
+	arch, err := cli.ReadArchives(in, cli.Want{Payloads: true, Traces: decisions})
+	if err != nil {
+		fatal(err)
+	}
+	if len(arch.PayloadMisses) > 0 {
+		fatal(fmt.Errorf("-in: %s", strings.Join(arch.PayloadMisses, "; ")))
+	}
+	for _, sr := range arch.Stores {
+		if sr.Stale {
+			// The root held only older-codec trees; say so instead of
+			// letting the generic "no payloads found" hide the version
+			// mismatch.
+			fmt.Fprintf(os.Stderr, "palreport: store %s holds no objects for the current codec (older-version trees present; re-run the sweeps, then `palstore gc` reclaims the old tree)\n", sr.Dir)
 		}
-		if store.IsStoreRoot(tok) {
-			st, err := store.Open(tok)
-			if err != nil {
-				fatal(err)
-			}
-			keys, err := st.Keys()
-			if err != nil {
-				fatal(err)
-			}
-			for _, key := range keys {
-				res, ok, err := st.Peek(key)
-				if err != nil {
-					fatal(err)
-				}
-				if !ok {
-					continue // raced with a concurrent GC
-				}
-				tr := decision.FromResult(res)
-				if tr == nil {
-					continue
-				}
-				cp := *tr
-				if cp.Key == "" {
-					cp.Key = key
-				}
-				if cp.Name == "" {
-					cp.Name = key[:12]
-				}
-				traces = append(traces, &cp)
-			}
-			continue
-		}
-		// Tolerate tokens that only matched metrics payloads: -decisions
-		// rides on the same -in as the metrics tables, and a mixed archive
-		// directory is the common case, so misses here are not errors.
-		paths, err := export.ExpandFileArgs(tok, export.DecisionsExt)
-		if err != nil {
-			continue
-		}
-		for _, path := range paths {
-			if !strings.HasSuffix(path, export.DecisionsExt) {
-				continue
-			}
-			t, err := decision.LoadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if t.Name == "" {
-				t.Name = strings.TrimSuffix(filepath.Base(path), export.DecisionsExt)
-			}
-			traces = append(traces, t)
+		if sr.NoPayload > 0 {
+			fmt.Fprintf(os.Stderr, "palreport: store %s: skipped %d results without telemetry (re-run them with metrics enabled to tabulate)\n", sr.Dir, sr.NoPayload)
 		}
 	}
-	return traces
+	return arch
 }
 
 // decisionsTable renders one summary row per archived decision trace:
@@ -276,102 +238,6 @@ func decisionsTable(traces []*decision.Trace) *experiments.Table {
 		}
 	}
 	return t
-}
-
-// loadPayloads resolves the -in argument to payloads. Each
-// comma-separated token may be a result-store directory (internal/store
-// layout — every stored result's embedded telemetry is loaded, in key
-// order), a payload file, a directory of *.metrics.json, or a glob.
-// Token order is preserved across all forms — the first payload is the
-// default baseline, so a file named before a store must stay first —
-// and every unmatched file-ish token is collected into one error.
-func loadPayloads(arg string) []*metrics.Payload {
-	var payloads []*metrics.Payload
-	var misses []string
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		// IsStoreRoot, not IsStore: a store populated under an older
-		// codec version is still a store — report it as empty-for-this-
-		// codec rather than "directory with no *.metrics.json".
-		if store.IsStoreRoot(tok) {
-			payloads = append(payloads, loadStorePayloads(tok)...)
-			continue
-		}
-		paths, err := export.ExpandFileArgs(tok, export.MetricsExt)
-		if err != nil {
-			misses = append(misses, err.Error())
-			continue
-		}
-		for _, path := range paths {
-			p, err := metrics.LoadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if p.Name == "" {
-				p.Name = strings.TrimSuffix(filepath.Base(path), export.MetricsExt)
-			}
-			payloads = append(payloads, p)
-		}
-	}
-	if len(misses) > 0 {
-		fatal(fmt.Errorf("-in: %s", strings.Join(misses, "; ")))
-	}
-	return payloads
-}
-
-// loadStorePayloads extracts the telemetry payloads embedded in a result
-// store's objects. Results archived without metrics are skipped with a
-// note — they carry nothing to tabulate.
-func loadStorePayloads(dir string) []*metrics.Payload {
-	hadCurrent := store.IsStore(dir)
-	st, err := store.Open(dir)
-	if err != nil {
-		fatal(err)
-	}
-	keys, err := st.Keys()
-	if err != nil {
-		fatal(err)
-	}
-	if len(keys) == 0 && !hadCurrent {
-		// The root held only older-codec trees; say so instead of letting
-		// the generic "no payloads found" hide the version mismatch.
-		fmt.Fprintf(os.Stderr, "palreport: store %s holds no objects for the current codec (older-version trees present; re-run the sweeps, then `palstore gc` reclaims the old tree)\n", dir)
-	}
-	var payloads []*metrics.Payload
-	skipped := 0
-	for _, key := range keys {
-		// Peek, not Get: reporting must not refresh GC recency.
-		res, ok, err := st.Peek(key)
-		if err != nil {
-			fatal(err)
-		}
-		if !ok {
-			continue // raced with a concurrent GC
-		}
-		p := metrics.FromResult(res)
-		if p == nil {
-			skipped++
-			continue
-		}
-		// Stamp identity on a copy (stored payloads are shared values):
-		// the store key doubles as the cache key, and a label-less payload
-		// falls back to a key prefix.
-		cp := *p
-		if cp.Key == "" {
-			cp.Key = key
-		}
-		if cp.Name == "" {
-			cp.Name = key[:12]
-		}
-		payloads = append(payloads, &cp)
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "palreport: store %s: skipped %d results without telemetry (re-run them with metrics enabled to tabulate)\n", dir, skipped)
-	}
-	return payloads
 }
 
 // gridCell is one expected cell of a -grid expansion: the cell's name
@@ -413,32 +279,6 @@ func expandGridCells(arg string) ([]gridCell, error) {
 		return nil, fmt.Errorf("-grid: no scenario specs in %q", arg)
 	}
 	return cells, nil
-}
-
-// storeKeys collects the result keys of every store directory named in
-// the -in argument. Results archived without telemetry carry no payload
-// to tabulate but still prove their cell ran, so coverage is judged
-// against store keys as well as loaded payloads.
-func storeKeys(arg string) map[string]bool {
-	keys := make(map[string]bool)
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" || !store.IsStoreRoot(tok) {
-			continue
-		}
-		st, err := store.Open(tok)
-		if err != nil {
-			fatal(err)
-		}
-		ks, err := st.Keys()
-		if err != nil {
-			fatal(err)
-		}
-		for _, k := range ks {
-			keys[k] = true
-		}
-	}
-	return keys
 }
 
 // gridCoverageTable renders one row per expected grid cell, in
@@ -555,41 +395,6 @@ func cdfTable(payloads []*metrics.Payload) *experiments.Table {
 		t.AddRowf(row...)
 	}
 	return t
-}
-
-// emit writes one table to stdout or to <outDir>/<name>.<ext> — the same
-// rendering contract as palsweep.
-func emit(t *experiments.Table, format, outDir string) error {
-	render := func(w *os.File) error {
-		switch format {
-		case "text":
-			_, err := fmt.Fprint(w, t.String())
-			return err
-		case "csv":
-			return export.TableCSV(w, t)
-		case "md":
-			return export.TableMarkdown(w, t)
-		case "json":
-			return export.TableJSON(w, t)
-		}
-		return fmt.Errorf("unknown format %q", format)
-	}
-	if outDir == "" {
-		return render(os.Stdout)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	ext := map[string]string{"text": "txt", "csv": "csv", "md": "md", "json": "json"}[format]
-	f, err := os.Create(filepath.Join(outDir, t.Name+"."+ext))
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

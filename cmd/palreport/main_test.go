@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -93,9 +94,13 @@ func TestGridCoveragePartialStore(t *testing.T) {
 		}
 	}
 
-	have := storeKeys(storeDir)
+	arch, err := cli.ReadArchives(storeDir, cli.Want{Payloads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := arch.Keys
 	if len(have) != len(ran) {
-		t.Fatalf("storeKeys found %d keys, want the %d shard-%d cells", len(have), len(ran), shard)
+		t.Fatalf("archive reader found %d store keys, want the %d shard-%d cells", len(have), len(ran), shard)
 	}
 
 	table := gridCoverageTable(cells, have)

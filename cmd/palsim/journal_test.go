@@ -5,10 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/journal"
-	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // journalTestSpec is a small single-run scenario: one simulation, one
@@ -21,25 +20,27 @@ const journalTestSpec = `{
   "policy": {"name": "pal"}
 }`
 
-// resetJournalState restores palsim's journal globals between runs, so
-// one test can exercise several invocations of the single-run pipeline.
-func resetJournalState() {
-	jw = nil
-	storeProbe = nil
-	tally = runner.Stats{}
-	cacheTally = runner.CacheStats{}
-	engineCtrs = &sim.Counters{}
+// openSession opens palsim's session over the store with a journal in
+// journalDir, as main does for -store and -journal.
+func openSession(t *testing.T, storeDir, journalDir string) *cli.Session {
+	t.Helper()
+	sess, err := cli.Open(cli.Options{Prog: "palsim", Workers: 1, StoreDir: storeDir, JournalDir: journalDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
 }
 
 // TestSingleRunJournalReconciles pins the palsim half of the journal
-// contract: a single-task journal written by palsim's throughStore
-// wiring must reconcile exactly with what palreport's TOTAL row
-// derives from it — one task span, worker count 1, one store Get per
-// task, and engine counters whose summary total equals both the task
-// event's counters and the run's Result.Rounds. A warm re-run through
-// the same store must journal a store-hit span with no counters (no
-// engine stepped), which the reader reports as counter-less rather
-// than fabricating zeros.
+// contract: a single-task journal written through palsim's shared
+// session (one-worker pool, result cache, probed store, journal) must
+// reconcile exactly with what palreport's TOTAL row derives from it —
+// one task span, worker count 1, one store Get per task, and engine
+// counters whose summary total equals both the task event's counters
+// and the run's Result.Rounds. A warm re-run through the same store
+// must journal a store-hit span with no counters (no engine stepped),
+// which the reader reports as counter-less rather than fabricating
+// zeros.
 func TestSingleRunJournalReconciles(t *testing.T) {
 	dir := t.TempDir()
 	specPath := filepath.Join(dir, "spec.json")
@@ -57,17 +58,14 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	storeDir := filepath.Join(dir, "store")
 
 	// Cold run: simulate, store, journal one executed span.
-	resetJournalState()
-	defer resetJournalState()
 	coldDir := filepath.Join(dir, "journal-cold")
-	jw, err = journal.Create(coldDir, journal.Header{Role: "palsim", Workers: 1})
+	sess := openSession(t, storeDir, coldDir)
+	res, ctrs, err := run(sess, built)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.Counters = engineCtrs
-	res := throughStore(storeDir, built.Key(), built.Spec.Name, built.Run)
-	ranCounters := *engineCtrs
-	finishJournal()
+	ranCounters := *ctrs
+	sess.Finish()
 
 	procs, err := journal.LoadDir(coldDir)
 	if err != nil {
@@ -78,7 +76,7 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	}
 	p := procs[0]
 	if p.Header.Workers != 1 {
-		t.Errorf("header workers = %d, want palsim's single synthetic slot", p.Header.Workers)
+		t.Errorf("header workers = %d, want palsim's single worker", p.Header.Workers)
 	}
 	c := p.Counts()
 	if c.Tasks != 1 || c.Executed != 1 || c.StoreHits != 0 || c.Errors != 0 {
@@ -115,15 +113,13 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 
 	// Warm run: the store satisfies the task, so the span is a store hit
 	// with no counters attached — no engine stepped in this process.
-	resetJournalState()
 	warmDir := filepath.Join(dir, "journal-warm")
-	jw, err = journal.Create(warmDir, journal.Header{Role: "palsim", Workers: 1})
+	sess = openSession(t, storeDir, warmDir)
+	warmRes, _, err := run(sess, built)
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.Counters = engineCtrs
-	warmRes := throughStore(storeDir, built.Key(), built.Spec.Name, built.Run)
-	finishJournal()
+	sess.Finish()
 	if warmRes.Rounds != res.Rounds {
 		t.Errorf("warm store hit returned %d rounds, cold run had %d", warmRes.Rounds, res.Rounds)
 	}

@@ -32,32 +32,34 @@
 // per-job timelines come from -decisions -metrics DIR and
 // `palexplain -in DIR -job N`.
 //
-// With -journal, the run appends an execution journal (internal/journal)
-// into the named directory — one task record naming whether the result
-// was simulated or loaded from the store, plus a summary with store
-// latency samples — mergeable with palsweep shard journals by
-// `palreport -journal`. -cpuprofile/-memprofile write Go pprof profiles
-// on clean exit.
+// The run goes through the same front end as palsweep's sweeps
+// (internal/cli): a one-worker runner pool, the content-addressed
+// result cache, the persistent store tier with -store, and the
+// execution journal with -journal — one task record naming whether the
+// result was simulated or loaded from the store, plus a summary with
+// store latency samples, mergeable with palsweep shard journals by
+// `palreport -journal`. It ends with palsweep's summary line, so a warm
+// start reads "0 simulated" from either CLI. -cpuprofile/-memprofile
+// write Go pprof profiles on clean exit.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/decision"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/export"
-	"repro/internal/journal"
 	"repro/internal/metrics"
 	"repro/internal/place"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 func main() {
@@ -76,18 +78,11 @@ func main() {
 	sf.register(flag.CommandLine)
 	flag.Parse()
 
-	var err error
-	stopProfiles, err = journal.StartProfiles(*cpuProfile, *memProfile)
+	sess, err := cli.Open(cli.Options{Prog: "palsim", Workers: 1, StoreDir: *storeDir,
+		JournalDir: *journalDir, CPUProfile: *cpuProfile, MemProfile: *memProfile})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
-	}
-	if *journalDir != "" {
-		jw, err = journal.Create(*journalDir, journal.Header{Role: "palsim", Workers: 1})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(2)
-		}
 	}
 
 	var spec *scenario.Spec
@@ -109,8 +104,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-	runScenario(spec, *dumpTrace, *asJSON, *metricsDir, *decisions, *storeDir)
-	finishJournal()
+	runScenario(sess, spec, *dumpTrace, *asJSON, *metricsDir, *decisions)
+	sess.Finish()
 }
 
 // simFlags holds palsim's simulation flags, the command-line spelling
@@ -190,166 +185,13 @@ func (f simFlags) spec() (*scenario.Spec, error) {
 	return s, nil
 }
 
-// Journal state for the optional -journal/-cpuprofile/-memprofile
-// flags. palsim runs one simulation, so the journal holds a single
-// synthetic worker slot whose tallies throughStore maintains; fatal
-// paths leave a summary-less journal, which the reader reports as
-// incomplete rather than guessing.
-var (
-	jw           *journal.Writer
-	storeProbe   *journal.BackendProbe
-	tally        runner.Stats
-	cacheTally   runner.CacheStats
-	stopProfiles = func() error { return nil }
-	// engineCtrs collects the run's engine introspection counters; both
-	// run paths attach it to their config, throughStore hands it to the
-	// journal for executed outcomes, and finishJournal prints its
-	// summary (a store hit leaves it empty: no engine stepped here).
-	engineCtrs = &sim.Counters{}
-)
-
-// finishJournal closes the journal with the run's summary and flushes
-// any profiles; called on every clean exit path.
-func finishJournal() {
-	if engineCtrs.TotalRounds() > 0 {
-		fmt.Fprintf(os.Stderr, "palsim: %s\n", engineCtrs.Summary())
-	}
-	if jw != nil {
-		ct := cacheTally
-		sum := journal.Summary{Runner: tally, Cache: &ct}
-		if storeProbe != nil {
-			sum.StoreGet, sum.StorePut = storeProbe.Stats()
-		}
-		if err := jw.Close(sum); err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: WARNING: journal degraded: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "palsim: journal %s\n", jw.Path())
-		}
-	}
-	if err := stopProfiles(); err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-	}
-}
-
-// throughStore runs the simulation through the persistent store when
-// -store is set: a stored result for the run's content-addressed key is
-// loaded instead of simulating, and a fresh result is persisted for
-// later invocations. Store failures degrade to simulating (with an
-// explicit WARNING), mirroring the runner cache's backend semantics. It
-// finishes with the same `simulated / cache hits (memory, store) /
-// stored` summary line palsweep prints, so warm starts are observable
-// from both CLIs (palsim has no in-memory tier, so "memory" is always 0
-// here). With -journal, the run lands in the journal as one task span
-// whose outcome names the tier that satisfied it.
-func throughStore(dir, key, label string, run func() (*sim.Result, error)) *sim.Result {
-	start := time.Now()
-	observe := func(outcome runner.TaskOutcome, runDur time.Duration, err error) {
-		tally.Submitted++
-		tally.Completed++
-		switch outcome {
-		case runner.OutcomeStoreHit:
-			tally.CacheHits++
-			cacheTally.StoreHits++
-		default:
-			tally.Executed++
-			cacheTally.Misses++
-		}
-		if jw != nil {
-			var ctrs *sim.Counters
-			if outcome == runner.OutcomeExecuted {
-				ctrs = engineCtrs
-			}
-			jw.ObserveTask(runner.TaskSpan{Key: key, Label: label, Outcome: outcome,
-				Err: err, Start: start, Duration: time.Since(start), Run: runDur,
-				Counters: ctrs})
-		}
-	}
-	var backend runner.Backend
-	if dir != "" {
-		st, err := store.Open(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(2)
-		}
-		backend = st
-		if jw != nil {
-			storeProbe = journal.ProbeBackend(st)
-			backend = storeProbe
-		}
-		res, ok, err := backend.Get(key)
-		switch {
-		case err != nil:
-			cacheTally.StoreErrors++
-			fmt.Fprintf(os.Stderr, "palsim: WARNING: store degraded, simulating: %v\n", err)
-		case ok:
-			fmt.Fprintf(os.Stderr, "palsim: loaded result from store (key %s)\n", key[:16])
-			fmt.Fprintln(os.Stderr, "palsim: 0 simulated, 1 cache hits (0 memory, 1 store)")
-			observe(runner.OutcomeStoreHit, 0, nil)
-			return res
-		}
-	}
-	t0 := time.Now()
-	res, err := run()
-	runDur := time.Since(t0)
-	if err != nil {
-		observe(runner.OutcomeError, runDur, err)
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(1)
-	}
-	if backend != nil {
-		summary := "1 simulated, 0 cache hits (0 memory, 0 store)"
-		if perr := backend.Put(key, res); perr != nil {
-			cacheTally.StoreErrors++
-			fmt.Fprintf(os.Stderr, "palsim: WARNING: store write failed, result not persisted: %v\n", perr)
-			summary += ", 1 store errors"
-		} else {
-			cacheTally.Stored++
-			fmt.Fprintf(os.Stderr, "palsim: stored result (key %s)\n", key[:16])
-			summary += ", 1 stored"
-		}
-		fmt.Fprintf(os.Stderr, "palsim: %s\n", summary)
-	}
-	observe(runner.OutcomeExecuted, runDur, nil)
-	return res
-}
-
-// dumpMetrics archives a run's telemetry payload (with the cache key
-// stamped on a copy — the original may be shared through the runner
-// cache) and per-series CSVs, plus the run's decision trace when one was
-// recorded (ready for cmd/palexplain).
-func dumpMetrics(dir, base string, res *sim.Result, key string) {
-	payload := metrics.FromResult(res)
-	if payload == nil {
-		fmt.Fprintln(os.Stderr, "palsim: run produced no metrics payload")
-		os.Exit(1)
-	}
-	p := *payload
-	p.Key = key
-	path, err := export.WriteMetricsDir(dir, base, &p)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "palsim: wrote metrics payload %s (+%d series CSVs)\n", path, len(p.Series))
-	if tr := decision.FromResult(res); tr != nil {
-		t := *tr
-		t.Key = key
-		tpath, err := export.WriteDecisionsFile(dir, base, &t)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "palsim: wrote decision trace %s (%d records)\n", tpath, len(t.Records))
-	}
-}
-
 // runScenario executes a scenario spec end to end: Build, then the
-// content-addressed key, then the store-backed run. -metrics and
-// -decisions are output-shaping flags, not configuration, so they are
-// honored by switching the spec's recording blocks on (with a
-// re-Normalize so the forced spec canonicalizes — and cache-keys —
-// exactly like a file that enabled them).
-func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, metricsDir string, decisions bool, storeDir string) {
+// content-addressed key, then one task through the session's pool and
+// cache tiers. -metrics and -decisions are output-shaping flags, not
+// configuration, so they are honored by switching the spec's recording
+// blocks on (with a re-Normalize so the forced spec canonicalizes — and
+// cache-keys — exactly like a file that enabled them).
+func runScenario(sess *cli.Session, spec *scenario.Spec, dumpTrace string, asJSON bool, metricsDir string, decisions bool) {
 	if metricsDir != "" {
 		spec.Metrics.Enabled = true
 	}
@@ -364,7 +206,6 @@ func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, metricsDir 
 		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 		os.Exit(2)
 	}
-	built.Counters = engineCtrs
 	if dumpTrace != "" {
 		f, err := os.Create(dumpTrace)
 		if err != nil {
@@ -382,21 +223,56 @@ func runScenario(spec *scenario.Spec, dumpTrace string, asJSON bool, metricsDir 
 		}
 		fmt.Fprintf(os.Stderr, "palsim: saved %d-job workload to %s\n", len(built.Trace.Jobs), dumpTrace)
 	}
-	res := throughStore(storeDir, built.Key(), "scenario "+spec.Name, built.Run)
+	start := time.Now()
+	res, ctrs, err := run(sess, built)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
+		os.Exit(1)
+	}
 	if metricsDir != "" {
-		dumpMetrics(metricsDir, spec.Name, res, built.Key())
+		a, err := export.ArchiveRun(metricsDir, spec.Name, built.Key(), res)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "palsim: wrote metrics payload %s (+%d series CSVs)\n", a.PayloadPath, len(a.Payload.Series))
+		if a.Trace != nil {
+			fmt.Fprintf(os.Stderr, "palsim: wrote decision trace %s (%d records)\n", a.TracePath, len(a.Trace.Records))
+		}
 	}
 	if asJSON {
 		if err := export.ResultJSON(os.Stdout, res); err != nil {
 			fmt.Fprintf(os.Stderr, "palsim: %v\n", err)
 			os.Exit(1)
 		}
-		return
+	} else {
+		header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
+			spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
+			spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
+		printMetrics(header, res)
 	}
-	header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
-		spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
-		spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
-	printMetrics(header, res)
+	sess.Summarize(1, "scenarios", time.Since(start), []*sim.Counters{ctrs})
+}
+
+// run executes the built scenario as the one task of a sweep over the
+// session's pool: the cache serves a stored result when -store holds
+// one, and otherwise the engine steps here, filling the returned
+// counters (left empty by a store hit).
+func run(sess *cli.Session, built *scenario.Built) (*sim.Result, *sim.Counters, error) {
+	ctrs := &sim.Counters{}
+	built.Counters = ctrs
+	sweep := runner.NewSweep(sess.Pool)
+	sweep.AddTask(runner.Task{
+		Key:      built.Key(),
+		Label:    "scenario " + built.Spec.Name,
+		Run:      built.Run,
+		Counters: func() *sim.Counters { return ctrs },
+	})
+	results, err := sweep.Run(context.Background())
+	if err != nil {
+		return nil, nil, err
+	}
+	return results[0], ctrs, nil
 }
 
 // printMetrics renders the aggregate metric block, plus the GPUs-in-use

@@ -249,10 +249,8 @@ func cmdExport(args []string) {
 	fs, dir := openFlags("export")
 	format := fs.String("format", "md", "output format: text, csv, md, json")
 	st := mustOpen(fs, dir, args)
-	switch *format {
-	case "text", "csv", "md", "json":
-	default:
-		fatal(fmt.Errorf("unknown format %q (want text, csv, md or json)", *format))
+	if err := export.CheckFormat(*format); err != nil {
+		fatal(err)
 	}
 	keys, err := st.Keys()
 	if err != nil {
@@ -285,21 +283,8 @@ func cmdExport(args []string) {
 			stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99),
 			stats.Mean(res.Waits()), 100*res.Utilization, res.Rounds, truncated)
 	}
-	switch *format {
-	case "text":
-		fmt.Print(table.String())
-	case "csv":
-		if err := export.TableCSV(os.Stdout, table); err != nil {
-			fatal(err)
-		}
-	case "md":
-		if err := export.TableMarkdown(os.Stdout, table); err != nil {
-			fatal(err)
-		}
-	case "json":
-		if err := export.TableJSON(os.Stdout, table); err != nil {
-			fatal(err)
-		}
+	if err := export.WriteTable(table, *format, ""); err != nil {
+		fatal(err)
 	}
 }
 

@@ -90,7 +90,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,16 +97,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/decision"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/export"
-	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // groups name convenient experiment subsets.
@@ -200,12 +196,8 @@ func main() {
 			fatal(fmt.Errorf("unknown scale %q (want full or quick)", *scale))
 		}
 	}
-	switch *format {
-	case "text", "csv", "md", "json":
-	default:
-		// Reject before running anything: a bad format discovered after a
-		// full-scale sweep would throw minutes of simulation away.
-		fatal(fmt.Errorf("unknown format %q (want text, csv, md or json)", *format))
+	if err := export.CheckFormat(*format); err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -219,68 +211,15 @@ func main() {
 	}()
 	sc.Ctx = ctx
 
-	stopProfiles, err := journal.StartProfiles(*cpuProfile, *memProfile)
+	sess, err := cli.Open(cli.Options{
+		Prog: "palsweep", Workers: *workers, CacheCap: *cacheCap,
+		StoreDir: *storeDir, JournalDir: *journalDir, Shard: *shardFlag,
+		CPUProfile: *cpuProfile, MemProfile: *memProfile, Quiet: *quiet,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	cache := runner.NewResultCache(*cacheCap)
-	var storeProbe *journal.BackendProbe
-	var snapBackend runner.SnapshotBackend
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fatal(err)
-		}
-		snapBackend = st
-		var backend runner.Backend = st
-		if *journalDir != "" {
-			// The probe wraps the store so the journal's summary carries
-			// per-op latency/size histograms; the cache (and its circuit
-			// breaker) sees the probe as just another backend.
-			storeProbe = journal.ProbeBackend(st)
-			backend = storeProbe
-		}
-		cache.SetBackend(backend)
-	}
-	pool := runner.NewPool(*workers, cache)
-	experiments.SetPool(pool)
-
-	var jw *journal.Writer
-	if *journalDir != "" {
-		jw, err = journal.Create(*journalDir, journal.Header{
-			Role: "palsweep", Shard: *shardFlag, Workers: pool.Workers(),
-		})
-		if err != nil {
-			fatal(err)
-		}
-		pool.SetProbe(jw)
-	}
-	// finish runs on every clean exit path (fatal paths leave a
-	// summary-less journal, which the reader reports as incomplete): the
-	// store-degradation warning, the journal summary record, and the
-	// profile flush.
-	finish := func() {
-		storeWarning(cache)
-		if jw != nil {
-			cs := cache.Stats()
-			sum := journal.Summary{
-				Runner:        pool.Stats(),
-				Cache:         &cs,
-				StoreDetached: cache.BackendDetached(),
-			}
-			if storeProbe != nil {
-				sum.StoreGet, sum.StorePut = storeProbe.Stats()
-			}
-			if err := jw.Close(sum); err != nil {
-				fmt.Fprintf(os.Stderr, "palsweep: WARNING: journal degraded: %v\n", err)
-			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "palsweep: journal %s\n", jw.Path())
-			}
-		}
-		if err := stopProfiles(); err != nil {
-			fmt.Fprintf(os.Stderr, "palsweep: %v\n", err)
-		}
-	}
+	experiments.SetPool(sess.Pool)
 
 	start := time.Now()
 	if *scenFlag != "" {
@@ -293,10 +232,10 @@ func main() {
 			// The snapshot cache shares fork-bearing cells' warmup
 			// prefixes; with -store, captures persist beside results so
 			// shard processes (and later sweeps) fork from disk.
-			snapCache = runner.NewSnapshotCache(snapBackend)
+			snapCache = sess.SnapshotCache()
 		}
-		runScenarioSweep(ctx, pool, snapCache, paths, *format, *outDir, *metricsDir, *decisions, *quiet, shard, start)
-		finish()
+		runScenarioSweep(ctx, sess, snapCache, paths, *format, *outDir, *metricsDir, *decisions, *quiet, shard, start)
+		sess.Finish()
 		return
 	}
 	progressDone := make(chan struct{})
@@ -305,7 +244,7 @@ func main() {
 	if !*quiet {
 		go func() {
 			defer close(progressExited)
-			progressLoop(pool, names, &completedExps, start, progressDone)
+			progressLoop(sess.Pool, names, &completedExps, start, progressDone)
 		}()
 	}
 
@@ -351,7 +290,7 @@ func main() {
 			failures++
 			continue
 		}
-		if err := emit(o.table, *format, *outDir); err != nil {
+		if err := export.WriteTable(o.table, *format, *outDir); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		if *format == "text" && *outDir == "" {
@@ -359,69 +298,12 @@ func main() {
 		}
 	}
 	if !*quiet {
-		fmt.Fprintln(os.Stderr, sweepSummary(len(names)-failures, "experiments", pool, time.Since(start)))
+		sess.Summarize(len(names)-failures, "experiments", time.Since(start), nil)
 	}
-	finish()
+	sess.Finish()
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// storeWarning surfaces persistent-store degradation explicitly at the
-// end of a sweep: backend failures the cache degraded around, and
-// whether the circuit breaker detached the store entirely (results
-// computed after that point were not persisted). Printed even under
-// -quiet — silently losing persistence is worse than a noisy line.
-func storeWarning(cache *runner.ResultCache) {
-	if cache == nil {
-		return
-	}
-	cs := cache.Stats()
-	detached := cache.BackendDetached()
-	if cs.StoreErrors == 0 && !detached {
-		return
-	}
-	msg := fmt.Sprintf("palsweep: WARNING: persistent store degraded: %d backend errors", cs.StoreErrors)
-	if detached {
-		msg += "; store detached after repeated failures, later results were not persisted"
-	}
-	fmt.Fprintln(os.Stderr, msg)
-}
-
-// sweepSummary is a sweep's closing stderr line. The elapsed time has
-// millisecond resolution: a warm sweep served from the store takes tens
-// of milliseconds, which a one-decimal format rounded to "0.0s".
-func sweepSummary(n int, noun string, pool *runner.Pool, took time.Duration) string {
-	return fmt.Sprintf("palsweep: %d %s, %s, %d workers, %.3fs total",
-		n, noun, cacheSummary(pool), pool.Workers(), took.Seconds())
-}
-
-// cacheSummary renders the sweep's cache effectiveness: simulations
-// actually executed versus results served from each cache tier, and how
-// many were persisted to the store. A warm-started sweep over an
-// unchanged grid reads "0 simulated" — the signal CI's store smoke test
-// checks for. Snapshot forks — cells resumed from a shared warmup
-// capture instead of simulated from scratch — are broken out
-// separately, so "simulated" always counts full from-scratch runs.
-func cacheSummary(pool *runner.Pool) string {
-	st := pool.Stats()
-	s := fmt.Sprintf("%d simulated", st.Executed-st.SnapshotForks)
-	if st.SnapshotForks > 0 {
-		s += fmt.Sprintf(", %d snapshot forks", st.SnapshotForks)
-	}
-	cache := pool.Cache()
-	if cache == nil {
-		return s
-	}
-	cs := cache.Stats()
-	s += fmt.Sprintf(", %d cache hits (%d memory, %d store)", cs.Hits+cs.StoreHits, cs.Hits, cs.StoreHits)
-	if cs.Stored > 0 {
-		s += fmt.Sprintf(", %d stored", cs.Stored)
-	}
-	if cs.StoreErrors > 0 {
-		s += fmt.Sprintf(", %d store errors", cs.StoreErrors)
-	}
-	return s
 }
 
 // expandScenarioArgs expands the -scenario flag's comma-separated tokens
@@ -540,37 +422,16 @@ func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir strin
 		Header: []string{"scenario", "workload", "jobs", "gpus", "policy", "sched",
 			"avg_jct_s", "p50_jct_s", "p99_jct_s", "mean_wait_s", "makespan_h", "util_pct", "rounds", "truncated"},
 	}
-	seenBase := make(map[string]bool)
+	var names export.UniqueNames
 	archived := 0
 	for i, c := range cells {
 		b := c.built
 		res := results[i]
 		if metricsDir != "" {
-			payload := metrics.FromResult(res)
-			if payload == nil {
-				return nil, 0, fmt.Errorf("scenario %s: no metrics payload on result", b.Spec.Name)
-			}
-			// Stamp the key on a copy: the payload may be shared through
-			// the result cache. Scenario names may repeat across specs, so
-			// collide into key-suffixed file names instead of overwriting.
-			p := *payload
-			p.Key = b.Key()
-			base := b.Spec.Name
-			if seenBase[base] {
-				base = fmt.Sprintf("%s-%s", base, p.Key[:8])
-			}
-			seenBase[b.Spec.Name] = true
-			if _, err := export.WriteMetricsDir(metricsDir, base, &p); err != nil {
-				return nil, 0, err
-			}
-			if tr := decision.FromResult(res); tr != nil {
-				// Specs with a decisions block get their trace archived
-				// next to the payload, ready for palexplain.
-				t := *tr
-				t.Key = b.Key()
-				if _, err := export.WriteDecisionsFile(metricsDir, base, &t); err != nil {
-					return nil, 0, err
-				}
+			// Scenario names may repeat across specs, so collide into
+			// key-suffixed file names instead of overwriting.
+			if _, err := export.ArchiveRun(metricsDir, names.Name(b.Spec.Name, b.Key()), b.Key(), res); err != nil {
+				return nil, 0, fmt.Errorf("scenario %s: %w", b.Spec.Name, err)
 			}
 			archived++
 		}
@@ -642,7 +503,7 @@ func forkRun(snapCache *runner.SnapshotCache, b *scenario.Built) (run func() (*s
 // for palreport. With a shard selector, only this shard's slice of the
 // expanded cells runs. snapCache, when non-nil, routes fork-bearing
 // cells through the shared snapshot cache (-snapshots).
-func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.SnapshotCache, paths []string, format, outDir, metricsDir string, decisions, quiet bool, shard shardSpec, start time.Time) {
+func runScenarioSweep(ctx context.Context, sess *cli.Session, snapCache *runner.SnapshotCache, paths []string, format, outDir, metricsDir string, decisions, quiet bool, shard shardSpec, start time.Time) {
 	cells, err := loadScenarioCells(paths, metricsDir != "", decisions)
 	if err != nil {
 		fatal(err)
@@ -652,7 +513,7 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 	}
 	total := len(cells)
 	cells = filterShard(cells, shard)
-	sweep := runner.NewSweep(pool)
+	sweep := runner.NewSweep(sess.Pool)
 	engineCtrs := make([]*sim.Counters, len(cells))
 	for i, c := range cells {
 		run := c.built // capture per iteration for the task closure
@@ -686,7 +547,7 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 	if err != nil {
 		fatal(err)
 	}
-	if err := emit(table, format, outDir); err != nil {
+	if err := export.WriteTable(table, format, outDir); err != nil {
 		fatal(err)
 	}
 	if !quiet {
@@ -694,17 +555,7 @@ func runScenarioSweep(ctx context.Context, pool *runner.Pool, snapCache *runner.
 			fmt.Fprintf(os.Stderr, "palsweep: shard %d/%d covers %d of %d cells\n",
 				shard.index, shard.count, len(cells), total)
 		}
-		fmt.Fprintln(os.Stderr, sweepSummary(len(cells), "scenarios", pool, time.Since(start)))
-		// Engine summary: cells served from a cache tier contribute zeros
-		// (no engine stepped here), so the line describes this process's
-		// actual simulation work.
-		engineTotal := &sim.Counters{}
-		for _, c := range engineCtrs {
-			engineTotal.Add(c)
-		}
-		if engineTotal.TotalRounds() > 0 {
-			fmt.Fprintf(os.Stderr, "palsweep: %s\n", engineTotal.Summary())
-		}
+		sess.Summarize(len(cells), "scenarios", time.Since(start), engineCtrs)
 		if archived > 0 {
 			fmt.Fprintf(os.Stderr, "palsweep: archived %d metric payloads to %s (aggregate with palreport -in %s)\n",
 				archived, metricsDir, metricsDir)
@@ -769,44 +620,6 @@ func progressLoop(pool *runner.Pool, names []string, completed *sync.Map, start 
 			finished, len(names), st.Completed, st.Submitted-st.Completed, st.CacheHits,
 			elapsed.Truncate(time.Second), eta)
 	}
-}
-
-// emit writes one table to stdout or to <outDir>/<name>.<ext>.
-func emit(t *experiments.Table, format, outDir string) error {
-	render := func(w *os.File) error {
-		switch format {
-		case "text":
-			_, err := fmt.Fprint(w, t.String())
-			return err
-		case "csv":
-			return export.TableCSV(w, t)
-		case "md":
-			return export.TableMarkdown(w, t)
-		case "json":
-			return export.TableJSON(w, t)
-		default:
-			return fmt.Errorf("unknown format %q", format)
-		}
-	}
-	if outDir == "" {
-		return render(os.Stdout)
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	ext := map[string]string{"text": "txt", "csv": "csv", "md": "md", "json": "json"}[format]
-	if ext == "" {
-		return fmt.Errorf("unknown format %q", format)
-	}
-	f, err := os.Create(filepath.Join(outDir, t.Name+"."+ext))
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

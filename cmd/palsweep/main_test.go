@@ -6,9 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/runner"
 )
 
 func TestExpandScenarioArgs(t *testing.T) {
@@ -61,20 +58,5 @@ func TestExpandScenarioArgs(t *testing.T) {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not name the unmatched argument %q", err, frag)
 		}
-	}
-}
-
-// TestSweepSummaryMilliseconds pins the closing line's resolution: a
-// 42 ms warm sweep reads "0.042s total", not "0.0s total", and the line
-// keeps the ", N simulated," field that scripts grep for.
-func TestSweepSummaryMilliseconds(t *testing.T) {
-	pool := runner.NewPool(2, runner.NewResultCache(0))
-	got := sweepSummary(3, "scenarios", pool, 42*time.Millisecond)
-	want := "palsweep: 3 scenarios, 0 simulated, 0 cache hits (0 memory, 0 store), 2 workers, 0.042s total"
-	if got != want {
-		t.Errorf("sweepSummary = %q, want %q", got, want)
-	}
-	if !strings.Contains(got, ", 0 simulated,") {
-		t.Errorf("summary %q lost the \", 0 simulated,\" field", got)
 	}
 }

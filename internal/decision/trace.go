@@ -142,18 +142,6 @@ type Trace struct {
 	Rounds int64 `json:"rounds"`
 }
 
-// RecordsFor returns the records in which the job appears — in the
-// order, placed, or preempted.
-func (t *Trace) RecordsFor(jobID int) []Record {
-	var out []Record
-	for _, rec := range t.Records {
-		if rec.Mentions(jobID) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // Mentions reports whether the record involves the job.
 func (r *Record) Mentions(jobID int) bool {
 	for _, e := range r.Order {

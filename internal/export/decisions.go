@@ -2,6 +2,7 @@ package export
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -14,21 +15,15 @@ const DecisionsExt = ".decisions.json"
 
 // WriteDecisionsFile archives one run's decision trace into dir as
 // <base>.decisions.json (the format decision.Load reads back). It
-// creates dir as needed and returns the trace path. This is the writer
-// behind the decision half of `palsim -metrics` / `palsweep -metrics`
-// archiving.
+// creates dir as needed and returns the trace path. A base that is not
+// a single path element is an error before anything is written.
 func WriteDecisionsFile(dir, base string, t *decision.Trace) (string, error) {
+	if err := checkBase(base); err != nil {
+		return "", err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("export: %w", err)
 	}
 	path := filepath.Join(dir, base+DecisionsExt)
-	f, err := os.Create(path)
-	if err != nil {
-		return "", fmt.Errorf("export: %w", err)
-	}
-	if err := t.Save(f); err != nil {
-		f.Close()
-		return "", fmt.Errorf("export: %s: %w", path, err)
-	}
-	return path, f.Close()
+	return path, writeFile(path, func(w io.Writer) error { return t.Save(w) })
 }

@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/experiments"
@@ -93,6 +95,55 @@ func escapeCells(cells []string) []string {
 		out[i] = strings.ReplaceAll(c, "|", "\\|")
 	}
 	return out
+}
+
+// tableFormat is one output format a table renders to: the file
+// extension WriteTable uses under -out, and the renderer.
+type tableFormat struct {
+	ext    string
+	render func(io.Writer, *experiments.Table) error
+}
+
+// tableFormats are the formats every CLI's -format flag accepts.
+var tableFormats = map[string]tableFormat{
+	"text": {"txt", func(w io.Writer, t *experiments.Table) error {
+		_, err := io.WriteString(w, t.String())
+		return err
+	}},
+	"csv":  {"csv", TableCSV},
+	"md":   {"md", TableMarkdown},
+	"json": {"json", TableJSON},
+}
+
+// CheckFormat rejects a -format value WriteTable cannot render. CLIs
+// call it before running anything: a bad format discovered after a
+// full-scale sweep would throw minutes of simulation away.
+func CheckFormat(format string) error {
+	if _, ok := tableFormats[format]; !ok {
+		return fmt.Errorf("unknown format %q (want text, csv, md or json)", format)
+	}
+	return nil
+}
+
+// WriteTable writes one table in format to stdout or, with outDir set,
+// to <outDir>/<t.Name>.<ext> (txt, csv, md or json). A table name that
+// is not a single path element is an error before anything is written,
+// so no name can place a file outside outDir.
+func WriteTable(t *experiments.Table, format, outDir string) error {
+	f, ok := tableFormats[format]
+	if !ok {
+		return CheckFormat(format)
+	}
+	if outDir == "" {
+		return f.render(os.Stdout, t)
+	}
+	if err := checkBase(t.Name); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(outDir, t.Name+"."+f.ext), func(w io.Writer) error { return f.render(w, t) })
 }
 
 // resultJSON is the archival shape of one simulation result. Truncation

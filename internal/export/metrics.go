@@ -56,31 +56,23 @@ const MetricsExt = ".metrics.json"
 // WriteMetricsDir archives one run's telemetry into dir: the full
 // payload as <base>.metrics.json plus one <base>.<series>.csv per
 // recorded series. It creates dir as needed and returns the payload
-// path. This is the writer behind `palsim -metrics` and
-// `palsweep -metrics`.
+// path. A base that is not a single path element is an error before
+// anything is written.
 func WriteMetricsDir(dir, base string, p *metrics.Payload) (string, error) {
+	if err := checkBase(base); err != nil {
+		return "", err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("export: %w", err)
 	}
-	write := func(path string, render func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("export: %w", err)
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return fmt.Errorf("export: %s: %w", path, err)
-		}
-		return f.Close()
-	}
 	payloadPath := filepath.Join(dir, base+MetricsExt)
-	if err := write(payloadPath, func(w io.Writer) error { return PayloadJSON(w, p) }); err != nil {
+	if err := writeFile(payloadPath, func(w io.Writer) error { return PayloadJSON(w, p) }); err != nil {
 		return "", err
 	}
 	for _, s := range p.Series {
 		name := s.Name
 		path := filepath.Join(dir, base+"."+name+".csv")
-		if err := write(path, func(w io.Writer) error { return SeriesCSV(w, p, name) }); err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return SeriesCSV(w, p, name) }); err != nil {
 			return "", err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 
 	"repro/internal/cluster"
 	// Imported for its init side effect: core registers "pm-first" and
@@ -316,34 +315,16 @@ func (b *Built) Run() (*sim.Result, error) {
 	return sim.Run(cfg)
 }
 
-// Admission registry: tiny (two builtin policies), but a registry for
-// symmetry with sched/place so extensions can name new admission
-// policies from specs.
-var (
-	admissionMu       sync.RWMutex
-	admissionRegistry = map[string]func() sim.Admission{
-		"admit-all":  func() sim.Admission { return sim.AdmitAll{} },
-		"admit-fits": func() sim.Admission { return sim.AdmitFits{} },
-	}
-)
-
-// RegisterAdmission adds an admission-policy builder under the given
-// name, panicking on duplicates.
-func RegisterAdmission(name string, build func() sim.Admission) {
-	admissionMu.Lock()
-	defer admissionMu.Unlock()
-	if _, dup := admissionRegistry[name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate admission policy %q", name))
-	}
-	admissionRegistry[name] = build
+// admissionPolicies are the admission policies a spec can name.
+var admissionPolicies = map[string]func() sim.Admission{
+	"admit-all":  func() sim.Admission { return sim.AdmitAll{} },
+	"admit-fits": func() sim.Admission { return sim.AdmitFits{} },
 }
 
-// AdmissionNames returns the registered admission-policy names, sorted.
+// AdmissionNames returns the admission-policy names, sorted.
 func AdmissionNames() []string {
-	admissionMu.RLock()
-	defer admissionMu.RUnlock()
-	names := make([]string, 0, len(admissionRegistry))
-	for n := range admissionRegistry {
+	names := make([]string, 0, len(admissionPolicies))
+	for n := range admissionPolicies {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -351,9 +332,7 @@ func AdmissionNames() []string {
 }
 
 func buildAdmission(name string) (sim.Admission, error) {
-	admissionMu.RLock()
-	build, ok := admissionRegistry[name]
-	admissionMu.RUnlock()
+	build, ok := admissionPolicies[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown admission policy %q (have %v)", name, AdmissionNames())
 	}

@@ -267,15 +267,6 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Read parses a spec from a reader.
-func Read(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read: %w", err)
-	}
-	return Parse(data)
-}
-
 // LoadFile parses the spec in the named file.
 func LoadFile(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
