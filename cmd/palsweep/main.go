@@ -215,6 +215,10 @@ func main() {
 		Prog: "palsweep", Workers: *workers, CacheCap: *cacheCap,
 		StoreDir: *storeDir, JournalDir: *journalDir, Shard: *shardFlag,
 		CPUProfile: *cpuProfile, MemProfile: *memProfile, Quiet: *quiet,
+		// A scenario sweep that archives no payloads reads nothing of a
+		// stored result but its core (scenarioTable); the figure sweeps
+		// read the metrics payload (Fig. 15's GPUs-in-use series).
+		CoreReads: *scenFlag != "" && *metricsDir == "",
 	})
 	if err != nil {
 		fatal(err)

@@ -37,6 +37,11 @@ type Options struct {
 	CPUProfile, MemProfile string
 	// Quiet suppresses Finish's journal-path line.
 	Quiet bool
+	// CoreReads serves store hits through the core decoder
+	// (store.CoreReads): results come back without metrics payloads or
+	// decision traces. Only a caller that never reads either may set
+	// it; no flag exposes it.
+	CoreReads bool
 }
 
 // Session is one CLI process's execution stack. Pool runs tasks through
@@ -67,11 +72,14 @@ func Open(o Options) (*Session, error) {
 			return nil, err
 		}
 		var backend runner.Backend = s.store
+		if o.CoreReads {
+			backend = store.CoreReads{Store: s.store}
+		}
 		if o.JournalDir != "" {
 			// The probe wraps the store so the journal's summary carries
 			// per-op latency/size histograms; the cache (and its circuit
 			// breaker) sees the probe as just another backend.
-			s.probe = journal.ProbeBackend(s.store)
+			s.probe = journal.ProbeBackend(backend)
 			backend = s.probe
 		}
 		s.cache.SetBackend(backend)

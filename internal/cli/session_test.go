@@ -1,9 +1,14 @@
 package cli
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
+	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // TestSweepSummaryMilliseconds pins the closing line's resolution: a
@@ -21,5 +26,53 @@ func TestSweepSummaryMilliseconds(t *testing.T) {
 	}
 	if !strings.Contains(got, ", 0 simulated,") {
 		t.Errorf("summary %q lost the \", 0 simulated,\" field", got)
+	}
+}
+
+// TestCoreReadsSession: a CoreReads session serves store hits without
+// payloads, journaled or not, while a default session over the same
+// store reads them in full.
+func TestCoreReadsSession(t *testing.T) {
+	spec, err := scenario.Parse([]byte(`{"name": "core-session", "cluster": {"nodes": 2},
+		"workload": {"source": "synthetic", "num_jobs": 12, "jobs_per_hour": 30},
+		"policy": {"name": "packed-sticky"},
+		"metrics": {"enabled": true}, "decisions": {"enabled": true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(o Options) *sim.Result {
+		t.Helper()
+		o.Prog, o.StoreDir, o.Workers, o.Quiet = "test", dir, 1, true
+		sess, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := runner.NewSweep(sess.Pool)
+		sweep.Add(b.Key(), "cell", b.Run)
+		results, err := sweep.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Finish()
+		return results[0]
+	}
+	if cold := run(Options{CoreReads: true}); cold.Metrics == nil || cold.Decisions == nil {
+		t.Fatal("a fresh simulation lost its payloads")
+	}
+	for name, o := range map[string]Options{
+		"core":           {CoreReads: true},
+		"core-journaled": {CoreReads: true, JournalDir: t.TempDir()},
+	} {
+		if res := run(o); res.Metrics != nil || res.Decisions != nil || len(res.Jobs) == 0 {
+			t.Errorf("%s: store hit carries payloads or lost its jobs", name)
+		}
+	}
+	if full := run(Options{}); full.Metrics == nil || full.Decisions == nil {
+		t.Error("full read lost the payloads")
 	}
 }

@@ -3,16 +3,15 @@ package export
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 )
 
-// Shared body of the result and snapshot codecs. Archives are compact
-// JSON: whitespace is not part of either format, so an archive written
-// indented (as earlier encoders did) decodes to the same value as its
-// compact twin, and `python3 -m json.tool` pretty-prints one for
-// reading.
+// Shared body of the result and snapshot codecs. Archives lead with one
+// compact JSON value carrying a format tag; whitespace inside it is not
+// part of either format, so `python3 -m json.tool` pretty-prints a
+// snapshot archive (or a result archive's first line) for reading, and
+// an indented value decodes unchanged.
 
 // encodeArchive writes v as one line of compact JSON. encoding/json
 // emits struct fields in declaration order and floats in their
@@ -24,34 +23,34 @@ func encodeArchive(w io.Writer, v any, what string) error {
 	return nil
 }
 
-// decodeArchive decodes the single archive in data into v in one strict
-// pass: unknown fields are rejected, and so is anything but whitespace
-// after the archive's closing brace. *format (the tag field inside v)
-// must then equal want. An archive written by a different codec
-// revision reports "codec version mismatch" even when it also carries
-// fields this decoder does not know: only on that error path is data
-// parsed a second time, for its tag alone.
-func decodeArchive(data []byte, v any, format *string, want, what string) error {
+// decodeArchive decodes the first JSON value in data into v in one
+// strict pass (unknown fields are rejected) and returns the offset just
+// past it; what follows is the caller's to frame. *format (the tag
+// field inside v) must then equal want. An archive written by a
+// different codec revision reports "codec version mismatch" even when
+// it also carries fields this decoder does not know: only on that error
+// path is the first value parsed a second time, for its tag alone.
+func decodeArchive(data []byte, v any, format *string, want, what string) (int64, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
-	if err == nil {
-		if _, tokErr := dec.Token(); tokErr != io.EOF {
-			err = errors.New("trailing data after the archive")
-		}
-	}
 	got := *format
 	if err != nil {
 		var probe struct {
 			Format string `json:"format"`
 		}
-		if json.Unmarshal(data, &probe) != nil || probe.Format == want {
-			return fmt.Errorf("export: decode %s archive: %w", what, err)
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&probe) != nil || probe.Format == want {
+			return 0, fmt.Errorf("export: decode %s archive: %w", what, err)
 		}
 		got = probe.Format
 	}
 	if got != want {
-		return fmt.Errorf("export: %s archive format %q, want %q (codec version mismatch)", what, got, want)
+		return 0, fmt.Errorf("export: %s archive format %q, want %q (codec version mismatch)", what, got, want)
 	}
-	return nil
+	return dec.InputOffset(), nil
+}
+
+// onlyWhitespace reports whether b holds nothing but JSON whitespace.
+func onlyWhitespace(b []byte) bool {
+	return len(bytes.TrimLeft(b, " \t\r\n")) == 0
 }

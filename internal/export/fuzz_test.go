@@ -10,16 +10,28 @@ import (
 // Decoder fuzz targets. An archive comes from disk, so its decoder may
 // only return an error, never panic; and whatever it accepts must be a
 // value the encoder writes back, decoding again to the same value and
-// re-encoding to the same bytes. Run one with
+// re-encoding to the same bytes. FuzzDecodeResult also runs the core
+// decoder differentially: it must accept whatever the full decoder
+// accepts, returning the same result without payloads. Run one with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/export
 
 func FuzzDecodeResult(f *testing.F) {
 	f.Add(encoded(f, func(w io.Writer) error { return EncodeResult(w, sampleResult()) }))
+	f.Add(encoded(f, func(w io.Writer) error { return EncodeResult(w, archivableResult()) }))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if res, err := UnmarshalResult(data); err == nil {
-			checkFixedPoint(t, res, EncodeResult, UnmarshalResult)
+		core, coreErr := UnmarshalResultCore(data)
+		res, err := UnmarshalResult(data)
+		if err != nil {
+			return
 		}
+		if coreErr != nil {
+			t.Fatalf("core decode rejected an archive the full decode accepts: %v", coreErr)
+		}
+		if !reflect.DeepEqual(core, withoutPayloads(res)) {
+			t.Fatal("core decode differs from the full decode without payloads")
+		}
+		checkFixedPoint(t, res, EncodeResult, UnmarshalResult)
 	})
 }
 

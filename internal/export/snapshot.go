@@ -63,8 +63,12 @@ func DecodeSnapshot(r io.Reader) (*sim.Snapshot, error) {
 // retained.
 func UnmarshalSnapshot(data []byte) (*sim.Snapshot, error) {
 	var arch snapshotArchive
-	if err := decodeArchive(data, &arch, &arch.Format, snapshotFormat, "snapshot"); err != nil {
+	end, err := decodeArchive(data, &arch, &arch.Format, snapshotFormat, "snapshot")
+	if err != nil {
 		return nil, err
+	}
+	if !onlyWhitespace(data[end:]) {
+		return nil, fmt.Errorf("export: decode snapshot archive: trailing data after the archive")
 	}
 	if arch.Snapshot == nil {
 		return nil, fmt.Errorf("export: snapshot archive has no snapshot body")

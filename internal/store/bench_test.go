@@ -7,7 +7,8 @@ import (
 
 // BenchmarkStoreWarmStart quantifies what the persistent tier buys: the
 // wall-clock of simulating a scenario cold (run + encode + atomic write)
-// versus serving it warm from the store (read + decode). CI archives the
+// versus serving it warm from the store (read + decode), in full (Get)
+// and as the payload-free scenario sweep reads it (GetCore). CI archives the
 // reported metrics as BENCH_store.json alongside the engine and
 // telemetry bench trajectories. Run with
 //
@@ -45,8 +46,19 @@ func BenchmarkStoreWarmStart(b *testing.B) {
 			b.Fatal("warm read returned a different result shape")
 		}
 
+		t0 = time.Now()
+		core, ok, err := st.GetCore(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		warmCore := time.Since(t0)
+		if !ok || len(core.Jobs) != len(res.Jobs) {
+			b.Fatal("core read returned a different result shape")
+		}
+
 		b.ReportMetric(cold.Seconds()*1000, "cold-ms")
 		b.ReportMetric(warm.Seconds()*1000, "warm-ms")
+		b.ReportMetric(warmCore.Seconds()*1000, "warm-core-ms")
 		b.ReportMetric(cold.Seconds()/warm.Seconds(), "warm-speedup")
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -92,10 +91,15 @@ func (s *Store) loadIndex() (map[string]*indexEntry, error) {
 	return s.loadIndexLocked()
 }
 
+// maxIndexLine bounds one index line. A record is a few hundred bytes;
+// a longer line is skipped like a torn one.
+const maxIndexLine = 1 << 20
+
 // loadIndexLocked reads and folds the index; the caller holds the lock.
 // Unparsable lines are skipped rather than fatal: the only way one
 // arises is a torn append (crash mid-write), and the object files remain
-// the ground truth.
+// the ground truth. So are over-long lines and records whose content
+// hash is neither empty nor 64 lowercase hex digits.
 func (s *Store) loadIndexLocked() (map[string]*indexEntry, error) {
 	data, err := os.ReadFile(s.index)
 	if err != nil {
@@ -105,15 +109,20 @@ func (s *Store) loadIndexLocked() (map[string]*indexEntry, error) {
 		return nil, fmt.Errorf("store: index: %w", err)
 	}
 	entries := make(map[string]*indexEntry)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(line) > maxIndexLine {
+			continue
+		}
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var rec indexRecord
-		if err := json.Unmarshal(line, &rec); err != nil || !validKey(rec.Key) {
+		// A content hash has a key's shape: 64 lowercase hex digits.
+		if err := json.Unmarshal(line, &rec); err != nil || !validKey(rec.Key) ||
+			(rec.SHA256 != "" && !validKey(rec.SHA256)) {
 			continue // torn or foreign line; objects are the ground truth
 		}
 		e := entries[rec.Key]
@@ -138,9 +147,6 @@ func (s *Store) loadIndexLocked() (map[string]*indexEntry, error) {
 				e.LastAccess = t
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("store: index: %w", err)
 	}
 	return entries, nil
 }

@@ -14,6 +14,14 @@
 //	<root>/<codec-version>/index.jsonl                  append-only metadata
 //	<root>/<codec-version>/lock                         advisory-lock target
 //
+// An object is one file in the result codec's framed layout
+// (export.EncodeResult): a compact core line — jobs, summary fields and
+// a length + SHA-256 frame per payload — followed by the metrics and
+// decisions sections. Get and Peek decode all of it; GetCore (and the
+// CoreReads backend view a payload-free scenario sweep uses) decodes
+// the core and only hashes the sections, which are most of the bytes.
+// Keeping one file per object keeps one fsync per Put.
+//
 // The codec version (export.ResultFormatVersion) is a path component, so
 // bumping the result codec orphans old artifacts instead of misreading
 // them — and deliberately does NOT touch the simulation cache keys or
@@ -278,17 +286,34 @@ func (s *Store) putBytes(key string, data []byte) error {
 // object is (nil, false, nil); a present-but-unreadable one is an error
 // (run `palstore verify`). Implements runner.Backend.
 func (s *Store) Get(key string) (*sim.Result, bool, error) {
-	return s.load(key, true)
+	return s.load(key, true, export.UnmarshalResult)
+}
+
+// GetCore is Get through the core decoder: the result comes back
+// without its metrics payload and decision trace, which are hashed but
+// not parsed. A damaged object is an error exactly as for Get.
+func (s *Store) GetCore(key string) (*sim.Result, bool, error) {
+	return s.load(key, true, export.UnmarshalResultCore)
 }
 
 // Peek is Get without the last-access refresh: the read path for
 // inspection and reporting (palstore info/export, palreport), which
 // must not rewrite GC recency just by looking.
 func (s *Store) Peek(key string) (*sim.Result, bool, error) {
-	return s.load(key, false)
+	return s.load(key, false, export.UnmarshalResult)
 }
 
-func (s *Store) load(key string, touch bool) (*sim.Result, bool, error) {
+// CoreReads is the runner.Backend view of a store for callers that
+// never read a result's telemetry (a scenario sweep that archives no
+// payloads): Get is GetCore, everything else — Put, ObjectSize — is the
+// store's own. A damaged object is still an error, which the result
+// cache answers by re-simulating; the Put of that result heals it.
+type CoreReads struct{ *Store }
+
+// Get implements runner.Backend through GetCore.
+func (c CoreReads) Get(key string) (*sim.Result, bool, error) { return c.GetCore(key) }
+
+func (s *Store) load(key string, touch bool, decode func([]byte) (*sim.Result, error)) (*sim.Result, bool, error) {
 	if !validKey(key) {
 		return nil, false, fmt.Errorf("store: invalid key %q (want 64 hex digits)", key)
 	}
@@ -299,7 +324,7 @@ func (s *Store) load(key string, touch bool) (*sim.Result, bool, error) {
 		}
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	res, err := export.UnmarshalResult(data)
+	res, err := decode(data)
 	if err != nil {
 		return nil, false, fmt.Errorf("store: object %s: %w", key, err)
 	}

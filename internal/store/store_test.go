@@ -138,6 +138,14 @@ func TestStoreRoundTripByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(tl, td) {
 				t.Fatal("decision traces diverged across the round trip")
 			}
+			// The core read is the full read without the payloads.
+			core, ok, err := st2.GetCore(key)
+			if err != nil || !ok {
+				t.Fatalf("core read: ok=%v err=%v", ok, err)
+			}
+			if core.Metrics != nil || core.Decisions != nil || !reflect.DeepEqual(core, &loadedCopy) {
+				t.Fatal("core read is not the full read without payloads")
+			}
 
 			// Byte identity: the loaded result re-encodes to exactly the
 			// stored bytes — the codec is a fixed point, so a re-Put (or a
