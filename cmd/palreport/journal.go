@@ -125,7 +125,7 @@ func journalEngineTable(procs []*journal.Process) *experiments.Table {
 		Title: "engine stepping-regime engagement (from journal counters)",
 		Header: []string{"process", "rounds", "materialized_pct", "idle_gap_pct",
 			"sparse_pct", "dense_pct", "plc_skip_pct", "order_reval",
-			"order_rebuilds", "preempt", "migrate", "resumes", "resumed_rounds"},
+			"order_merges", "preempt", "migrate", "resumes", "resumed_rounds"},
 	}
 	tot := &sim.Counters{}
 	counted := 0
@@ -147,7 +147,7 @@ func journalEngineTable(procs []*journal.Process) *experiments.Table {
 		}
 		t.AddRowf(name, total, pct(c.MaterializedRounds), pct(c.IdleGapRounds),
 			pct(c.SparseRounds), pct(c.DenseRounds), skip, c.OrderRevalidated,
-			c.OrderRebuilds, c.Preemptions, c.Migrations, c.SnapshotsResumed,
+			c.OrderMerges, c.Preemptions, c.Migrations, c.SnapshotsResumed,
 			c.ResumedRounds)
 	}
 	for _, p := range procs {

@@ -34,7 +34,7 @@ func TestJournalEngineTableReconciles(t *testing.T) {
 	shardCtrs := [][]*sim.Counters{
 		{
 			{MaterializedRounds: 100, SparseRounds: 50, DenseRounds: 10, IdleGapRounds: 5,
-				PlacementsRun: 60, PlacementsSkipped: 40, OrderRevalidated: 7, OrderRebuilds: 3},
+				PlacementsRun: 60, PlacementsSkipped: 40, OrderRevalidated: 7, OrderMerges: 3},
 			{MaterializedRounds: 30, SparseRounds: 20, Preemptions: 2, Migrations: 4},
 		},
 		{

@@ -24,9 +24,11 @@ import (
 type Options struct {
 	// Prog prefixes every stderr line and names the journal role.
 	Prog string
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
+	// Workers bounds concurrent simulations (0 = GOMAXPROCS; Open
+	// rejects a negative count).
 	Workers int
-	// CacheCap bounds the in-memory result cache (0 = default).
+	// CacheCap bounds the in-memory result cache (0 = default; Open
+	// rejects a negative capacity).
 	CacheCap int
 	// StoreDir, when set, backs the cache with the persistent store.
 	StoreDir string
@@ -62,6 +64,14 @@ type Session struct {
 // the pool. On error nothing needs closing beyond what the caller's exit
 // tears down.
 func Open(o Options) (*Session, error) {
+	// Zero means "default" for both sizes; a negative one is a typo that
+	// would otherwise run silently at the default.
+	if o.Workers < 0 {
+		return nil, fmt.Errorf("-workers %d: want a positive count, or 0 for GOMAXPROCS", o.Workers)
+	}
+	if o.CacheCap < 0 {
+		return nil, fmt.Errorf("-cache %d: want a positive capacity, or 0 for the default", o.CacheCap)
+	}
 	stop, err := journal.StartProfiles(o.CPUProfile, o.MemProfile)
 	if err != nil {
 		return nil, err

@@ -29,6 +29,29 @@ func TestSweepSummaryMilliseconds(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsNegativeSizes: a negative -workers or -cache is a
+// usage error naming the flag, not a silent run at the default size; 0
+// keeps meaning "default".
+func TestOpenRejectsNegativeSizes(t *testing.T) {
+	for _, o := range []Options{{Workers: -3}, {CacheCap: -5}} {
+		o.Prog = "palsweep"
+		flagName := "-workers"
+		if o.CacheCap < 0 {
+			flagName = "-cache"
+		}
+		if _, err := Open(o); err == nil || !strings.Contains(err.Error(), flagName) {
+			t.Errorf("Open(%+v): error %v, want one naming %s", o, err, flagName)
+		}
+	}
+	sess, err := Open(Options{Prog: "palsweep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Pool.Workers() < 1 {
+		t.Errorf("workers 0 gave a %d-worker pool, want the GOMAXPROCS default", sess.Pool.Workers())
+	}
+}
+
 // TestCoreReadsSession: a CoreReads session serves store hits without
 // payloads, journaled or not, while a default session over the same
 // store reads them in full.

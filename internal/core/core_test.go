@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -484,4 +486,34 @@ func TestPALMinimizesLVProductProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestOrderByClassIsStableSort: the counting pass groups a prefix
+// exactly as a stable sort by class would, over prefix lengths and
+// class ranges that take both the counting and the sorting branch.
+func TestOrderByClassIsStableSort(t *testing.T) {
+	r := rng.New(17)
+	var h hysteresis
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(30)
+		need := make([]*sim.Job, n)
+		base, width := r.Intn(5)-2, 1+r.Intn(6)
+		for i := range need {
+			need[i] = mkJob(i, 1, vprof.Class(base+r.Intn(width)))
+		}
+		want := slices.Clone(need)
+		slices.SortStableFunc(want, func(a, b *sim.Job) int { return cmp.Compare(a.Spec.Class, b.Spec.Class) })
+		h.orderByClass(need)
+		if !slices.Equal(h.ordered, want) {
+			t.Fatalf("trial %d: class order %v, want %v", trial, jobIDs(h.ordered), jobIDs(want))
+		}
+	}
+}
+
+func jobIDs(jobs []*sim.Job) []int {
+	ids := make([]int, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.Spec.ID
+	}
+	return ids
 }

@@ -43,6 +43,7 @@ type placeOpts struct {
 // That is what lets the engine skip such rounds (sim.FixpointPlacer).
 type hysteresis struct {
 	ordered  []*sim.Job
+	next     []int             // orderByClass's per-class cursors
 	kept     [][]cluster.GPUID // kept[i] is ordered[i]'s held previous allocation
 	reserved []cluster.GPUID
 	out      map[int][]cluster.GPUID
@@ -64,11 +65,10 @@ func (h *hysteresis) place(
 	// first, so within a class the scheduling order is kept. The caller
 	// already truncated the queue at cluster size, so every job here is
 	// scheduled this round — reordering cannot starve anyone.
-	h.ordered = append(h.ordered[:0], need...)
-	if !opts.noClassPriority {
-		slices.SortStableFunc(h.ordered, func(a, b *sim.Job) int {
-			return cmp.Compare(a.Spec.Class, b.Spec.Class)
-		})
+	if opts.noClassPriority {
+		h.ordered = append(h.ordered[:0], need...)
+	} else {
+		h.orderByClass(need)
 	}
 
 	// Pass 1: tentatively hold every job's previous allocation.
@@ -113,6 +113,51 @@ func (h *hysteresis) place(
 	clear(h.ordered)
 	clear(h.kept)
 	return h.out
+}
+
+// orderByClass fills h.ordered with need stably grouped by class,
+// lowest class first: a counting pass, with one bucket per class value
+// between the lowest and highest present. A range wider than the job
+// count (a small prefix, or class values from an unvalidated trace)
+// takes the equivalent stable sort instead, which is then no dearer and
+// keeps the buckets bounded by the prefix length.
+func (h *hysteresis) orderByClass(need []*sim.Job) {
+	if len(need) == 0 {
+		h.ordered = h.ordered[:0]
+		return
+	}
+	lo, hi := need[0].Spec.Class, need[0].Spec.Class
+	for _, j := range need[1:] {
+		lo, hi = min(lo, j.Spec.Class), max(hi, j.Spec.Class)
+	}
+	span := int(hi-lo) + 1
+	if span == 1 || span > len(need) {
+		h.ordered = append(h.ordered[:0], need...)
+		if span > 1 {
+			slices.SortStableFunc(h.ordered, func(a, b *sim.Job) int {
+				return cmp.Compare(a.Spec.Class, b.Spec.Class)
+			})
+		}
+		return
+	}
+	// next[k] is where the next job of class lo+k goes.
+	next := slices.Grow(h.next[:0], span)[:span]
+	clear(next)
+	for _, j := range need {
+		if k := int(j.Spec.Class - lo); k+1 < span {
+			next[k+1]++
+		}
+	}
+	for k := 1; k < span; k++ {
+		next[k] += next[k-1]
+	}
+	h.ordered = slices.Grow(h.ordered[:0], len(need))[:len(need)]
+	for _, j := range need {
+		k := int(j.Spec.Class - lo)
+		h.ordered[next[k]] = j
+		next[k]++
+	}
+	h.next = next
 }
 
 // reusablePrev returns the job's previous allocation if it is intact and

@@ -20,6 +20,7 @@
 package place
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/cluster"
@@ -31,12 +32,18 @@ import (
 // prefers the tightest single node that fits (best fit); jobs larger than
 // any node's free capacity take the fullest-free nodes first, minimizing
 // the number of nodes spanned.
+//
+// A round packs its jobs against a placer-local index built once from
+// the cluster's per-node free counts: one node bitset per free count, so
+// best fit is a walk over the handful of counts instead of a scan over
+// every node, and ascending bit order is ascending node order, the tied
+// list the RNG draws from. The round's own reservations update that
+// index and a per-GPU mark; the cluster itself is never written.
 type Packed struct {
-	sticky   bool
-	rng      *rng.RNG
-	scratch  packScratch
-	reserved []cluster.GPUID         // a round's in-flight reservations
-	out      map[int][]cluster.GPUID // returned map, reused across rounds
+	sticky  bool
+	rng     *rng.RNG
+	scratch packScratch
+	out     map[int][]cluster.GPUID // returned map, reused across rounds
 }
 
 // NewPacked returns a Packed placer with the given stickiness.
@@ -61,17 +68,10 @@ func (p *Packed) Sticky() bool { return p.sticky }
 func (p *Packed) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
 	p.out = resetOut(p.out)
 	v := c.View()
-	reserved := p.reserved[:0]
+	p.scratch.index(v)
 	for _, j := range need {
-		alloc := p.scratch.packJob(v, j.Spec.Demand, p.rng)
-		c.Allocate(j.Spec.ID, alloc)
-		reserved = append(reserved, alloc...)
-		p.out[j.Spec.ID] = alloc
+		p.out[j.Spec.ID] = p.scratch.packJob(v, j.Spec.Demand, p.rng)
 	}
-	p.reserved = reserved
-	// The engine performs the real allocation from the returned map;
-	// release our in-flight reservations so it sees the GPUs as free.
-	c.Release(reserved)
 	return p.out
 }
 
@@ -86,19 +86,32 @@ func resetOut(out map[int][]cluster.GPUID) map[int][]cluster.GPUID {
 	return out
 }
 
-// nodeFree pairs a node with its free-GPU count for the packing walks.
+// nodeFree pairs a node with its free-GPU count for the spill walk.
 type nodeFree struct {
 	node cluster.NodeID
 	free int
 }
 
-// packScratch holds the reusable buffers the packing walk scans into, so
-// a placer's steady-state rounds allocate only the returned allocation
-// slices (which the engine retains — those must stay fresh).
+// packScratch is the packing walk's state for one round: each node's
+// free count net of the round's reservations, the nodes grouped by that
+// count, a mark on every reserved GPU, and reusable walk buffers. A
+// placer keeps one across rounds, so its steady-state rounds allocate
+// only the returned allocation slices (which the engine retains — those
+// must stay fresh).
 type packScratch struct {
+	per   int   // GPUs per node
+	words int   // uint64 words per node bitset
+	free  []int // free[n] is node n's unreserved free GPUs
+	// byFree holds one node bitset per free count f in 0..per, at words
+	// [f*words, (f+1)*words); count[f] is its population.
+	byFree []uint64
+	count  []int
+	// taken[g] == gen marks GPU g reserved this round; index bumps gen,
+	// so the marks need no clearing.
+	taken []uint32
+	gen   uint32
 	nodes []nodeFree
-	tied  []cluster.NodeID
-	free  []cluster.GPUID
+	gpus  []cluster.GPUID
 }
 
 // PackJob computes a packed allocation of demand GPUs from the cluster's
@@ -108,86 +121,126 @@ type packScratch struct {
 // to use; pass nil for fully deterministic (lowest-ID) behavior.
 func PackJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
 	var s packScratch
+	s.index(c)
 	return s.packJob(c, demand, r)
 }
 
-// packJob is PackJob over reusable scratch buffers.
-func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
-	if demand <= c.GPUsPerNode() {
-		// Best fit: the smallest sufficient free count; collect all nodes
-		// tied at that count and let the RNG pick one.
-		bestFree := -1
-		tied := s.tied[:0]
-		for n := 0; n < c.NumNodes(); n++ {
-			f := c.FreeOnNode(cluster.NodeID(n))
-			if f == 0 || f < demand {
-				continue
-			}
-			switch {
-			case bestFree == -1 || f < bestFree:
-				bestFree = f
-				tied = tied[:0]
-				tied = append(tied, cluster.NodeID(n))
-			case f == bestFree:
-				tied = append(tied, cluster.NodeID(n))
-			}
+// index starts a round: it loads every node's free count from the
+// cluster's occupancy index and forgets the previous round's
+// reservations.
+func (s *packScratch) index(c cluster.View) {
+	per, nodes := c.GPUsPerNode(), c.NumNodes()
+	if s.per != per || len(s.free) != nodes {
+		s.per, s.words = per, (nodes+63)/64
+		s.free = make([]int, nodes)
+		s.byFree = make([]uint64, (per+1)*s.words)
+		s.count = make([]int, per+1)
+		s.taken = make([]uint32, c.Size())
+		s.gen = 0
+	}
+	if s.gen++; s.gen == 0 {
+		// The generation wrapped: clear the marks so none aliases it.
+		clear(s.taken)
+		s.gen = 1
+	}
+	clear(s.byFree)
+	clear(s.count)
+	for n := range s.free {
+		f := c.FreeOnNode(cluster.NodeID(n))
+		s.free[n] = f
+		s.byFree[f*s.words+n/64] |= 1 << (n % 64)
+		s.count[f]++
+	}
+}
+
+// nth returns the k-th node, in ascending ID order, among those with f
+// free GPUs (k < count[f]).
+func (s *packScratch) nth(f, k int) cluster.NodeID {
+	for w, word := range s.byFree[f*s.words : (f+1)*s.words] {
+		if c := bits.OnesCount64(word); k >= c {
+			k -= c
+			continue
 		}
-		s.tied = tied
-		if len(tied) > 0 {
-			pick := tied[0]
-			if r != nil && len(tied) > 1 {
-				pick = tied[r.Intn(len(tied))]
+		for ; k > 0; k-- {
+			word &= word - 1
+		}
+		return cluster.NodeID(w*64 + bits.TrailingZeros64(word))
+	}
+	panic("place: node index out of step with its counts")
+}
+
+// packJob reserves a packed allocation of demand GPUs against the
+// round's index.
+func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
+	// Best fit: the smallest sufficient free count; the RNG picks one of
+	// the nodes tied at it.
+	for f := max(demand, 1); f <= s.per; f++ {
+		if tied := s.count[f]; tied > 0 {
+			k := 0
+			if r != nil && tied > 1 {
+				k = r.Intn(tied)
 			}
-			return s.appendFromNode(make([]cluster.GPUID, 0, demand), c, pick, demand, r)
+			return s.take(make([]cluster.GPUID, 0, demand), c, s.nth(f, k), demand, r)
 		}
 	}
 
 	nodes := s.nodes[:0]
-	for n := 0; n < c.NumNodes(); n++ {
-		if f := c.FreeOnNode(cluster.NodeID(n)); f > 0 {
+	for n, f := range s.free {
+		if f > 0 {
 			nodes = append(nodes, nodeFree{node: cluster.NodeID(n), free: f})
 		}
 	}
 	s.nodes = nodes
 
 	// Spill across nodes: fullest-free nodes first to minimize the span;
-	// ties between equally-full nodes are randomized (the shuffle before
-	// the stable sort).
+	// ties between equally-full nodes are randomized. The walk visits the
+	// shuffled nodes one free count at a time, from full down, which is
+	// the order a stable sort by descending free count would give.
 	if r != nil {
 		r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
 	}
-	slices.SortStableFunc(nodes, func(a, b nodeFree) int { return b.free - a.free })
 	alloc := make([]cluster.GPUID, 0, demand)
-	for _, nf := range nodes {
-		if len(alloc) == demand {
-			break
+	for f := s.per; f > 0 && len(alloc) < demand; f-- {
+		for _, nf := range nodes {
+			if nf.free != f {
+				continue
+			}
+			alloc = s.take(alloc, c, nf.node, min(demand-len(alloc), f), r)
+			if len(alloc) == demand {
+				break
+			}
 		}
-		take := demand - len(alloc)
-		if take > nf.free {
-			take = nf.free
-		}
-		alloc = s.appendFromNode(alloc, c, nf.node, take, r)
 	}
 	return alloc
 }
 
-// appendFromNode appends up to n free GPUs on the node to dst: a random
-// subset when r is non-nil, else the lowest IDs.
-func (s *packScratch) appendFromNode(dst []cluster.GPUID, c cluster.View, node cluster.NodeID, n int, r *rng.RNG) []cluster.GPUID {
-	free := s.free[:0]
-	base := cluster.GPUID(int(node) * c.GPUsPerNode())
-	for g := base; g < base+cluster.GPUID(c.GPUsPerNode()); g++ {
-		if c.IsFree(g) {
+// take reserves up to n of the node's unreserved free GPUs and appends
+// them to dst: a random subset when r is non-nil, else the lowest IDs.
+func (s *packScratch) take(dst []cluster.GPUID, c cluster.View, node cluster.NodeID, n int, r *rng.RNG) []cluster.GPUID {
+	free := s.gpus[:0]
+	base := cluster.GPUID(int(node) * s.per)
+	for g := base; g < base+cluster.GPUID(s.per); g++ {
+		if c.IsFree(g) && s.taken[g] != s.gen {
 			free = append(free, g)
 		}
 	}
-	s.free = free
+	s.gpus = free
 	if r != nil {
 		r.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
 	}
-	if n > len(free) {
-		n = len(free)
+	n = min(n, len(free))
+	for _, g := range free[:n] {
+		s.taken[g] = s.gen
 	}
+	// Move the node to its new free count's bitset.
+	from := s.free[node]
+	to := from - n
+	word, bit := int(node)/64, uint64(1)<<(int(node)%64)
+	s.byFree[from*s.words+word] &^= bit
+	s.byFree[to*s.words+word] |= bit
+	s.count[from]--
+	s.count[to]++
+	s.free[node] = to
 	return append(dst, free[:n]...)
 }
 

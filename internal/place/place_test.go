@@ -1,6 +1,9 @@
 package place
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -124,6 +127,61 @@ func TestPackedRandomizedTieBreak(t *testing.T) {
 	}
 	if len(nodes) < 2 {
 		t.Errorf("randomized tie-break always picked the same node")
+	}
+}
+
+// TestPackedRoundMatchesJobByJob: a Packed round, which reserves
+// against its own index without touching the cluster, hands out exactly
+// what packing job by job against a cluster that really allocates each
+// pick would, RNG draws included, across fragmented clusters and demand
+// mixes that take both the best-fit and the spill paths.
+func TestPackedRoundMatchesJobByJob(t *testing.T) {
+	r := rng.New(11)
+	for trial := 0; trial < 50; trial++ {
+		c := fragmented64x4(r)
+		var jobs []*sim.Job
+		for id, left := 0, c.NumFree(); ; id++ {
+			d := 1 + r.Intn(10)
+			if d > left {
+				break
+			}
+			left -= d
+			jobs = append(jobs, mkJob(id, d))
+		}
+		seed := r.Uint64()
+		got := NewPacked(false, seed).PlaceRound(c, jobs, 0)
+
+		ref := rng.New(seed)
+		var held []cluster.GPUID
+		for _, j := range jobs {
+			want := PackJob(c.View(), j.Spec.Demand, ref)
+			if !slices.Equal(got[j.Spec.ID], want) {
+				t.Fatalf("trial %d job %d (demand %d): round gave %v, job by job %v",
+					trial, j.Spec.ID, j.Spec.Demand, got[j.Spec.ID], want)
+			}
+			c.Allocate(j.Spec.ID, want)
+			held = append(held, want...)
+		}
+		c.Release(held)
+	}
+}
+
+// TestPackedReservationMarksWrap: after the round generation wraps, the
+// marks a much earlier round left must not read as reservations.
+func TestPackedReservationMarksWrap(t *testing.T) {
+	c := fragmented64x4(rng.New(5))
+	jobs := []*sim.Job{mkJob(0, 4), mkJob(1, 8), mkJob(2, 1), mkJob(3, 2), mkJob(4, 3)}
+	plain, wrapped := NewPacked(false, 3), NewPacked(false, 3)
+	for round := 0; round < 4; round++ {
+		if round == 1 {
+			// Round 0 left its marks at generation 1, which the wrap
+			// hands out again.
+			wrapped.scratch.gen = math.MaxUint32
+		}
+		want := maps.Clone(plain.PlaceRound(c, jobs, 0))
+		if got := wrapped.PlaceRound(c, jobs, 0); !maps.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("round %d: %v after the wrap, want %v", round, got, want)
+		}
 	}
 }
 

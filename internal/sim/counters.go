@@ -40,13 +40,18 @@ type Counters struct {
 	SparseSpans  int64 `json:"sparse_spans,omitempty"`
 	DenseSpans   int64 `json:"dense_spans,omitempty"`
 
-	// Incremental-ordering outcomes (TotalOrderScheduler fast path):
-	// rebuilds re-sorted from scratch after a membership change,
-	// revalidations verified the cached order in O(n), re-sorts
-	// repaired it in place after priorities crossed. OrderFullCalls
-	// counts reference-path Scheduler.Order invocations (naive loop or
-	// a scheduler without the capability interface).
-	OrderRebuilds    int64 `json:"order_rebuilds,omitempty"`
+	// Incremental-ordering outcomes (TotalOrderScheduler fast path).
+	// Every fast-path ordering is either a merge or a revalidation:
+	// merges folded a membership change into the cached order (finished
+	// jobs dropped, arrivals appended), revalidations found the
+	// membership unchanged. Both then repair the order in place, which
+	// costs one O(n) pass when no priorities crossed; re-sorts count the
+	// repairs that found the order too scrambled and fell back to a full
+	// sort. OrderFullCalls counts reference-path Scheduler.Order
+	// invocations (naive loop or a scheduler without the capability
+	// interface). The JSON names predate the merge path and stay, so
+	// older journals still load.
+	OrderMerges      int64 `json:"order_rebuilds,omitempty"`
 	OrderRevalidated int64 `json:"order_revalidated,omitempty"`
 	OrderResorts     int64 `json:"order_resorts,omitempty"`
 	OrderFullCalls   int64 `json:"order_full_calls,omitempty"`
@@ -103,7 +108,7 @@ func (c *Counters) Add(o *Counters) {
 	c.IdleGapSpans += o.IdleGapSpans
 	c.SparseSpans += o.SparseSpans
 	c.DenseSpans += o.DenseSpans
-	c.OrderRebuilds += o.OrderRebuilds
+	c.OrderMerges += o.OrderMerges
 	c.OrderRevalidated += o.OrderRevalidated
 	c.OrderResorts += o.OrderResorts
 	c.OrderFullCalls += o.OrderFullCalls

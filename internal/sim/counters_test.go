@@ -56,7 +56,7 @@ func TestCountersDoNotPerturbSimulation(t *testing.T) {
 				if disableFF {
 					// The naive reference loop never bulk-advances, never
 					// maintains an incremental order, never skips placement.
-					if ctr.BulkRounds() != 0 || ctr.OrderRebuilds != 0 ||
+					if ctr.BulkRounds() != 0 || ctr.OrderMerges != 0 ||
 						ctr.OrderRevalidated != 0 || ctr.PlacementsSkipped != 0 {
 						t.Errorf("naive run engaged fast paths: %+v", *ctr)
 					}
@@ -110,7 +110,7 @@ func TestCountersDoNotPerturbSimulation(t *testing.T) {
 		{"idle-gap rounds", fastSuite.IdleGapRounds},
 		{"sparse fast-forward rounds", fastSuite.SparseRounds},
 		{"dense bulk-advance rounds", fastSuite.DenseRounds},
-		{"order rebuilds", fastSuite.OrderRebuilds},
+		{"order merges", fastSuite.OrderMerges},
 		{"order revalidations", fastSuite.OrderRevalidated},
 		{"placement skips", fastSuite.PlacementsSkipped},
 		{"placement runs", fastSuite.PlacementsRun},

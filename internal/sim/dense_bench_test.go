@@ -79,7 +79,7 @@ func denseSiaConfig(disableFF bool) sim.Config {
 // denseBurstyConfig is the bursty synthetic workload under SRTF +
 // Packed-Sticky (remaining-work priorities evolve every round, but only
 // in the partition-safe direction — the incremental ordering phase
-// re-sorts in place when runners cross).
+// repairs the order in place when runners cross).
 func denseBurstyConfig(disableFF bool) sim.Config {
 	in := denseInputs()
 	return sim.Config{

@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -463,10 +464,11 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	fp, ok := cfg.Placer.(FixpointPlacer)
 	return &engine{
-		cfg:     cfg,
-		cluster: c,
-		jobs:    jobs,
-		ctr:     cfg.Counters,
+		cfg:       cfg,
+		cluster:   c,
+		jobs:      jobs,
+		ctr:       cfg.Counters,
+		allocSeen: make([]uint32, c.Size()),
 		// The fixpoint regime needs every skipped placement to be
 		// unobservable: the naive reference loop, an Observer (one
 		// callback per job per round) and a decision sink (non-sticky
@@ -494,7 +496,8 @@ type engine struct {
 
 	// Incremental-ordering state: ordered caches the previous round's
 	// scheduling order; membershipChanged marks that the active set
-	// gained or lost jobs since it was built, forcing a full re-sort.
+	// gained or lost jobs since it was built, so the next ordering
+	// merges the change in (mergeOrder) before repairing.
 	ordered           []*Job
 	membershipChanged bool
 
@@ -520,6 +523,11 @@ type engine struct {
 	waitBuf []*Job
 	ceilBuf []float64
 	sdsBuf  []float64
+
+	// Allocation-validation stamps (see checkGPUs): allocSeen[g] is the
+	// generation of the last check that saw GPU g.
+	allocSeen []uint32
+	allocGen  uint32
 
 	// Decision-trace scratch: the per-round placement/preemption
 	// decisions collected by place() for the decision sink, and a
@@ -786,49 +794,31 @@ func (e *engine) run() (*Result, error) {
 // calls Scheduler.Order every round. The incremental path — taken when
 // fast-forwarding is enabled and the scheduler exposes its strict total
 // order (TotalOrderScheduler) — maintains one reused buffer across
-// rounds: on a membership change it is rebuilt from the active set and
-// sorted from scratch; otherwise the cached order is re-validated in
-// O(n) and re-sorted in place only when priorities actually crossed.
-// Because the order is total (Less never reports two distinct jobs
-// equal), the unstable generic sort is deterministic and the maintained
-// sequence is exactly what a fresh Order call would return — the
-// byte-identity suites compare it against the reference path.
+// rounds: after a membership change it merges the cached order with the
+// active set (mergeOrder), and every round it repairs the buffer in
+// place (repairOrder), which costs one O(n) pass when no priorities
+// crossed. Because the order is total (Less never reports two distinct
+// jobs equal), every correct sort of the same jobs yields the same
+// sequence, so the maintained order is exactly what a fresh Order call
+// would return — the byte-identity suites compare it against the
+// reference path.
 func (e *engine) orderActive(now float64) ([]*Job, error) {
 	cfg := e.cfg
 	if !cfg.DisableFastForward {
 		if ts, ok := cfg.Sched.(TotalOrderScheduler); ok {
-			cmp := func(a, b *Job) int {
-				if ts.Less(a, b, now) {
-					return -1
-				}
-				if ts.Less(b, a, now) {
-					return 1
-				}
-				return 0
-			}
 			if e.membershipChanged || e.ordered == nil {
-				e.ordered = append(e.ordered[:0], e.active...)
+				e.mergeOrder()
 				e.membershipChanged = false
-				slices.SortFunc(e.ordered, cmp)
 				if e.ctr != nil {
-					e.ctr.OrderRebuilds++
+					e.ctr.OrderMerges++
 				}
-				return e.ordered, nil
-			}
-			ord := e.ordered
-			if e.ctr != nil {
+			} else if e.ctr != nil {
 				e.ctr.OrderRevalidated++
 			}
-			for i := 1; i < len(ord); i++ {
-				if ts.Less(ord[i], ord[i-1], now) {
-					slices.SortFunc(ord, cmp)
-					if e.ctr != nil {
-						e.ctr.OrderResorts++
-					}
-					break
-				}
+			if !repairOrder(e.ordered, ts, now) && e.ctr != nil {
+				e.ctr.OrderResorts++
 			}
-			return ord, nil
+			return e.ordered, nil
 		}
 	}
 	ordered := cfg.Sched.Order(e.active, now)
@@ -842,6 +832,65 @@ func (e *engine) orderActive(now float64) ([]*Job, error) {
 	e.ordered = ordered
 	e.membershipChanged = false
 	return ordered, nil
+}
+
+// mergeOrder brings the cached order's membership up to date with the
+// active set: it drops the jobs that finished since the order was last
+// built and appends the jobs admitted since. Jobs leave the active set
+// only by finishing, advance's compaction keeps the survivors in place,
+// and admitArrivals appends, so the admitted jobs are exactly the tail
+// of e.active past the survivors. The result is unsorted only where
+// priorities moved or new jobs landed; repairOrder finishes the job.
+func (e *engine) mergeOrder() {
+	kept := e.ordered[:0]
+	for _, j := range e.ordered {
+		if !j.Done {
+			kept = append(kept, j)
+		}
+	}
+	e.ordered = append(kept, e.active[len(kept):]...)
+}
+
+// repairOrder sorts ord by the scheduler's strict total order in place.
+// It is a binary insertion sort over a mostly sorted buffer: one Less
+// call per adjacent pair, plus a binary search and a block shift for
+// each job that moved ahead. Past about n·log2(n) shifted slots the
+// buffer is far from sorted, and it falls back to a full sort, reporting
+// false.
+func repairOrder(ord []*Job, ts TotalOrderScheduler, now float64) bool {
+	budget := len(ord) * bits.Len(uint(len(ord)))
+	for i := 1; i < len(ord); i++ {
+		x := ord[i]
+		if !ts.Less(x, ord[i-1], now) {
+			continue
+		}
+		// ord[:i] is sorted and x precedes ord[i-1]: find the first job
+		// x precedes.
+		lo, hi := 0, i-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if ts.Less(x, ord[m], now) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		if budget -= i - lo; budget < 0 {
+			// The generic sort tests only cmp(a, b) < 0, and a strict
+			// total order needs no three-way answer, so one Less call
+			// per comparison suffices.
+			slices.SortFunc(ord, func(a, b *Job) int {
+				if ts.Less(a, b, now) {
+					return -1
+				}
+				return 1
+			})
+			return false
+		}
+		copy(ord[lo+1:i+1], ord[lo:i])
+		ord[lo] = x
+	}
+	return true
 }
 
 // placementRepeats reports whether the allocations in force provably
@@ -1125,21 +1174,8 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		}
 		// Validate before committing so a buggy placer surfaces as an
 		// error, not a panic deep in the cluster bookkeeping.
-		for i, g := range alloc {
-			if g < 0 || int(g) >= e.cluster.Size() {
-				return fmt.Errorf("sim: placer %s gave job %d out-of-range GPU %d",
-					e.cfg.Placer.Name(), j.Spec.ID, g)
-			}
-			for _, h := range alloc[:i] {
-				if h == g {
-					return fmt.Errorf("sim: placer %s gave job %d GPU %d twice",
-						e.cfg.Placer.Name(), j.Spec.ID, g)
-				}
-			}
-			if !e.cluster.IsFree(g) {
-				return fmt.Errorf("sim: placer %s gave job %d busy GPU %d (owner %d)",
-					e.cfg.Placer.Name(), j.Spec.ID, g, e.cluster.Owner(g))
-			}
+		if err := e.checkGPUs(j, alloc); err != nil {
+			return err
 		}
 		e.cluster.Allocate(j.Spec.ID, alloc)
 		if e.ctr != nil {
@@ -1181,6 +1217,36 @@ func (e *engine) place(prefix []*Job, now float64) error {
 				Resumed:  !started && !wasRunning,
 				Migrated: migrated,
 			})
+		}
+	}
+	return nil
+}
+
+// checkGPUs validates the GPUs a placer allocated to j: each in range,
+// none repeated and none busy. The repeat check is one pass over a
+// per-GPU generation stamp instead of a pairwise scan: GPU g already
+// appeared iff allocSeen[g] holds this call's generation. When the
+// generation wraps, the stamps are cleared so no stale mark can alias
+// the new one.
+func (e *engine) checkGPUs(j *Job, alloc []cluster.GPUID) error {
+	e.allocGen++
+	if e.allocGen == 0 {
+		clear(e.allocSeen)
+		e.allocGen = 1
+	}
+	for _, g := range alloc {
+		if g < 0 || int(g) >= len(e.allocSeen) {
+			return fmt.Errorf("sim: placer %s gave job %d out-of-range GPU %d",
+				e.cfg.Placer.Name(), j.Spec.ID, g)
+		}
+		if e.allocSeen[g] == e.allocGen {
+			return fmt.Errorf("sim: placer %s gave job %d GPU %d twice",
+				e.cfg.Placer.Name(), j.Spec.ID, g)
+		}
+		e.allocSeen[g] = e.allocGen
+		if !e.cluster.IsFree(g) {
+			return fmt.Errorf("sim: placer %s gave job %d busy GPU %d (owner %d)",
+				e.cfg.Placer.Name(), j.Spec.ID, g, e.cluster.Owner(g))
 		}
 	}
 	return nil

@@ -22,13 +22,13 @@ package sim
 // `now` and job state only through the values Order itself consults, and
 // Order(jobs, now) returns exactly the jobs sorted by Less.
 //
-// The engine uses Less to keep the previous round's ordering alive
-// across rounds in which the active set's membership did not change: it
-// verifies sortedness in O(n) and re-sorts in place only when priorities
-// actually crossed. Because the order is total, the maintained sequence
-// is identical to what a fresh Order call would return, so the
-// optimization cannot perturb results (the byte-identity suites pin
-// this).
+// The engine uses Less to keep its ordering alive across rounds: it
+// merges arrivals and completions into the cached order and repairs it
+// in place, which costs one O(n) pass when no priorities crossed.
+// Because the order is total, every correct sort of a job set yields the
+// same sequence, so the maintained one is identical to what a fresh
+// Order call would return and the optimization cannot perturb results
+// (the byte-identity suites pin this).
 type TotalOrderScheduler interface {
 	Scheduler
 	Less(a, b *Job, now float64) bool
