@@ -31,6 +31,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kmeans"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vprof"
@@ -82,12 +83,12 @@ func benchExperiment(b *testing.B, name string) {
 
 // runSpecList executes the spec list on a fresh pool and returns the
 // wall-clock duration.
-func runSpecList(b *testing.B, specs []experiments.RunSpec, workers int) time.Duration {
+func runSpecList(b *testing.B, specs []*scenario.Spec, workers int) time.Duration {
 	b.Helper()
 	prev := experiments.SetPool(runner.NewPool(workers, runner.NewResultCache(0)))
 	defer experiments.SetPool(prev)
 	start := time.Now()
-	results, err := experiments.RunAll(context.Background(), "bench", specs)
+	results, err := experiments.RunCells(context.Background(), "bench", specs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,16 +104,12 @@ func runSpecList(b *testing.B, specs []experiments.RunSpec, workers int) time.Du
 // whichever pass ran first and skew the sequential-vs-parallel ratio.
 // The quick scale keeps -benchtime=1x runs snappy; REPRO_SCALE=full
 // uses the paper-sized workload list.
-func benchSpecs(b *testing.B) []experiments.RunSpec {
+func benchSpecs(b *testing.B) []*scenario.Spec {
 	b.Helper()
 	specs := experiments.SiaBaselineSpecs(benchScale())
-	for _, spec := range specs {
-		if spec.Policy == experiments.PALPolicy {
-			if _, err := experiments.Run(spec); err != nil {
-				b.Fatal(err)
-			}
-			break
-		}
+	// Running the first cell once builds the profile and its binning.
+	if _, err := experiments.RunCells(context.Background(), "bench warm-up", specs[:1]); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
 	return specs
@@ -238,20 +235,19 @@ func BenchmarkSilhouetteSelectK(b *testing.B) {
 
 func BenchmarkSiaSimulationPAL(b *testing.B) {
 	// End-to-end cost of one 160-job / 64-GPU simulation under PAL.
-	profile := experiments.LonghornProfile(64)
-	tr := experiments.SiaTrace(1)
+	spec := &scenario.Spec{
+		Name:     "sia-1 pal",
+		Workload: scenario.WorkloadSpec{Source: "sia-philly", Workload: 1},
+		Policy:   scenario.PolicySpec{Name: "pal"},
+	}
+	spec.Normalize()
+	built, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Run(experiments.RunSpec{
-			Trace:   tr,
-			Topo:    experiments.SiaTopology(),
-			Sched:   experiments.FIFOSched,
-			Policy:  experiments.PALPolicy,
-			Profile: profile,
-			Lacross: 1.5,
-			Seed:    1,
-		})
-		if err != nil {
+		if _, err := built.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

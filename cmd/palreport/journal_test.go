@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cli"
+	"repro/internal/experiments"
 	"repro/internal/journal"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -189,5 +193,77 @@ func TestJournalEngineTablePreCounterJournal(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("counter-less table should note why every cell is \"-\"; notes: %v", table.Notes)
+	}
+}
+
+// TestJournalFigureSweep journals a quick figure sweep the way palsweep
+// runs one — several experiments at once on one session pool — and
+// pins two facts its tables once got wrong: every executed figure cell
+// carries engine counters, so journal_engine has numbers (it printed
+// "no engine counters recorded"), and no worker slot is busier than
+// the process's wall clock, so no util_pct exceeds 100 (concurrent
+// sweeps used to report the same per-sweep worker indexes).
+func TestJournalFigureSweep(t *testing.T) {
+	dir := t.TempDir()
+	sess, err := cli.Open(cli.Options{Prog: "palsweep", Workers: 2, JournalDir: dir, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := experiments.SetPool(sess.Pool)
+	defer experiments.SetPool(prev)
+	names := []string{"fig14", "fig19", "table04", "fig09", "ablation_rack"}
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = experiments.RunByName(name, experiments.QuickScale())
+		}()
+	}
+	wg.Wait()
+	sess.Finish()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+	}
+	procs, err := journal.LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(procs) != 1 {
+		t.Fatalf("loaded %d journals, want 1", len(procs))
+	}
+	executed, counted := 0, 0
+	for _, ev := range procs[0].Tasks {
+		if ev.Outcome == string(runner.OutcomeExecuted) {
+			executed++
+			if ev.Counters != nil {
+				counted++
+			}
+		}
+	}
+	if executed == 0 || counted != executed {
+		t.Errorf("%d of %d executed figure cells carried engine counters", counted, executed)
+	}
+	engine := journalEngineTable(procs)
+	for _, row := range engine.Rows {
+		if row[1] == "-" {
+			t.Errorf("journal_engine row %q has no rounds: %v (notes %v)", row[0], row, engine.Notes)
+		}
+	}
+	workers := journalWorkersTable(procs)
+	if len(workers.Rows) != 2 {
+		t.Fatalf("journal_workers has %d rows, want one per worker slot (2)", len(workers.Rows))
+	}
+	for _, row := range workers.Rows {
+		util, err := strconv.ParseFloat(row[4], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if util > 100 {
+			t.Errorf("worker %s util_pct %s exceeds 100", row[1], row[4])
+		}
 	}
 }

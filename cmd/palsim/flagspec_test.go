@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/export"
+	"repro/internal/place"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vprof"
@@ -44,8 +46,8 @@ func encodeNoTimes(t *testing.T, res *sim.Result) []byte {
 // TestFlagSpecMatchesFigureInputs pins that a flag run and the paper
 // figures assemble the same simulation: the flag-built spec consumes
 // the figures' trace and profile, and for the seed-independent placers
-// its run encodes byte-identically to experiments.Run of the matching
-// RunSpec.
+// its run encodes byte-identically to a run assembled by hand from
+// those inputs (FIFO, L=1.5, the default migration penalty).
 func TestFlagSpecMatchesFigureInputs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -86,20 +88,26 @@ func TestFlagSpecMatchesFigureInputs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := experiments.Run(experiments.RunSpec{
-					Trace:   tc.trace,
-					Topo:    built.Topo,
-					Sched:   experiments.FIFOSched,
-					Policy:  pol,
-					Profile: prof,
-					Lacross: 1.5,
-					Seed:    experiments.ExperimentSeed,
+				placer, err := place.Build(pol.RegistryName(), place.BuildEnv{
+					Scores: vprof.BinProfile(prof), Lacross: 1.5, Seed: experiments.ExperimentSeed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sim.Run(sim.Config{
+					Topology:            built.Topo,
+					Trace:               tc.trace,
+					Sched:               sched.FIFO{},
+					Placer:              placer,
+					TrueProfile:         prof,
+					Lacross:             1.5,
+					MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(encodeNoTimes(t, got), encodeNoTimes(t, want)) {
-					t.Errorf("%s: flag run and experiments.Run encode differently", pol.RegistryName())
+					t.Errorf("%s: flag run and the hand-assembled run encode differently", pol.RegistryName())
 				}
 			}
 		})

@@ -15,8 +15,8 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -40,21 +40,32 @@ func main() {
 		experiments.SynergyLacross, *numJobs)
 	fmt.Printf("%-8s  %-10s  %-12s  %-16s\n", "load", "policy", "avg JCT (h)", "multi-GPU JCT (h)")
 	for _, load := range loads {
-		params := trace.DefaultSynergyParams(load)
-		params.NumJobs = *numJobs
-		tr := trace.Synergy(params)
 		for _, pol := range policies {
-			res, err := experiments.Run(experiments.RunSpec{
-				Trace:        tr,
-				Topo:         experiments.SynergyTopology(),
-				Sched:        experiments.FIFOSched,
-				Policy:       pol,
-				Profile:      experiments.LonghornProfile(experiments.SynergyTopology().Size()),
-				Lacross:      experiments.SynergyLacross,
-				Seed:         0xE6,
-				MeasureFirst: *numJobs / 4,
-				MeasureLast:  *numJobs * 3 / 4,
-			})
+			// The trace is the generator's default Synergy trace at this
+			// load; the measure window is the middle half of the jobs.
+			spec := &scenario.Spec{
+				Name:    fmt.Sprintf("synergy-%g %s", load, pol),
+				Seed:    0xE6,
+				Cluster: scenario.ClusterSpec{Nodes: experiments.SynergyClusterNodes},
+				Workload: scenario.WorkloadSpec{
+					Source: "synergy", JobsPerHour: load, NumJobs: *numJobs,
+				},
+				Policy:   scenario.PolicySpec{Name: pol.RegistryName()},
+				Locality: scenario.LocalitySpec{Lacross: experiments.SynergyLacross},
+				Engine: scenario.EngineSpec{
+					MeasureFirst: *numJobs / 4,
+					MeasureLast:  *numJobs * 3 / 4,
+				},
+			}
+			spec.Normalize()
+			if err := spec.Validate(); err != nil {
+				log.Fatal(err)
+			}
+			built, err := spec.Build()
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := built.Run()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runner"
+	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -17,21 +19,32 @@ import (
 // online re-profiling extension, and the three-level rack locality
 // extension.
 
-// runSiaAblation fans one simulation per Sia trace out through the
-// shared pool and returns the per-trace results in trace order. The
+// ablationTask wraps one hand-built ablation run as a pool task. The
 // tasks are uncached (empty keys): ablation placers are hand-built
 // closures whose configuration has no canonical hash, and caching a
 // mis-keyed run is exactly the hazard the content-addressed cache
-// exists to prevent. configure builds the per-run sim.Config; it is
-// called once per trace inside the worker, so every run gets fresh
-// placer state.
+// exists to prevent. configure builds the sim.Config inside the worker,
+// so every run gets fresh placer state; the task carries its own engine
+// counters like every figure cell.
+func ablationTask(label string, configure func() sim.Config) runner.Task {
+	ctrs := &sim.Counters{}
+	return runner.Task{
+		Label: label,
+		Run: func() (*sim.Result, error) {
+			cfg := configure()
+			cfg.Counters = ctrs
+			return sim.Run(cfg)
+		},
+		Counters: func() *sim.Counters { return ctrs },
+	}
+}
+
+// runSiaAblation fans one simulation per Sia trace out through the
+// shared pool and returns the per-trace results in trace order.
 func runSiaAblation(scale Scale, label string, configure func(idx int) sim.Config) ([]*sim.Result, error) {
 	sweep := runner.NewSweep(Pool())
 	for _, idx := range scale.SiaTraces {
-		idx := idx
-		sweep.Add("", fmt.Sprintf("%s w%d", label, idx), func() (*sim.Result, error) {
-			return sim.Run(configure(idx))
-		})
+		sweep.AddTask(ablationTask(fmt.Sprintf("%s w%d", label, idx), func() sim.Config { return configure(idx) }))
 	}
 	return sweep.Run(scale.ctx())
 }
@@ -44,12 +57,12 @@ func runSiaWithPlacer(scale Scale, build func() sim.Placer) (float64, error) {
 		return sim.Config{
 			Topology:            SiaTopology(),
 			Trace:               SiaTrace(idx),
-			Sched:               FIFOSched,
+			Sched:               sched.FIFO{},
 			Placer:              build(),
 			TrueProfile:         profile,
 			Lacross:             1.5,
 			ModelLacross:        trace.LacrossByModel(),
-			MigrationPenaltySec: DefaultMigrationPenaltySec,
+			MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
 		}
 	})
 	if err != nil {
@@ -89,7 +102,7 @@ func AblationK(scale Scale) (*Table, error) {
 	}
 	variants = append(variants,
 		variant{"silhouette-selected", func() sim.Placer {
-			return core.NewPMFirst(binned(profile))
+			return core.NewPMFirst(scenario.Bins(profile))
 		}},
 		variant{"exact scores", func() sim.Placer {
 			return core.NewPMFirst(profile)
@@ -116,13 +129,13 @@ func AblationPriority(scale Scale) (*Table, error) {
 		Header: []string{"variant", "avg JCT (h)"},
 	}
 	withJCT, err := runSiaWithPlacer(scale, func() sim.Placer {
-		return core.NewPMFirst(binned(profile))
+		return core.NewPMFirst(scenario.Bins(profile))
 	})
 	if err != nil {
 		return nil, err
 	}
 	withoutJCT, err := runSiaWithPlacer(scale, func() sim.Placer {
-		p := core.NewPMFirst(binned(profile))
+		p := core.NewPMFirst(scenario.Bins(profile))
 		p.NoClassPriority = true
 		return p
 	})
@@ -147,17 +160,17 @@ func AblationHysteresis(scale Scale) (*Table, error) {
 	}
 	run := func(disable bool) (float64, float64, error) {
 		results, err := runSiaAblation(scale, "ablation_hysteresis", func(idx int) sim.Config {
-			p := core.NewPAL(binned(profile), 1.5, trace.LacrossByModel())
+			p := core.NewPAL(scenario.Bins(profile), 1.5, trace.LacrossByModel())
 			p.NoHysteresis = disable
 			return sim.Config{
 				Topology:            SiaTopology(),
 				Trace:               SiaTrace(idx),
-				Sched:               LASSched,
+				Sched:               sched.LAS{},
 				Placer:              p,
 				TrueProfile:         profile,
 				Lacross:             1.5,
 				ModelLacross:        trace.LacrossByModel(),
-				MigrationPenaltySec: DefaultMigrationPenaltySec,
+				MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
 			}
 		})
 		if err != nil {
@@ -193,43 +206,48 @@ func AblationHysteresis(scale Scale) (*Table, error) {
 // node-0 scores from execution feedback, shrinking the cluster-to-sim gap
 // the paper attributes to static profiles.
 func AblationOnline(scale Scale) (*Table, error) {
-	view, truth := testbedTruth()
+	// The cluster, trace, stale profile and its truth are the testbed
+	// cluster-mode cell's.
+	cell, err := buildCell(testbedSpec(PALPolicy, true))
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		Name:   "ablation_online",
 		Title:  "Online PM-score re-profiling vs static stale profile (testbed cluster mode)",
 		Header: []string{"variant", "avg JCT (h)"},
 	}
-	base := binned(view)
+	base := scenario.Bins(cell.Profile)
 
 	// Both variants go through the pool (uncached: the online scorer is
 	// mutable per-run state) so cancellation reaches them; each task
 	// builds its own placer/observer inside the worker.
 	baseConfig := func() sim.Config {
 		return sim.Config{
-			Topology:            SiaTopology(),
-			Trace:               SiaTrace(1),
-			Sched:               LASSched,
-			TrueProfile:         truth,
+			Topology:            cell.Topo,
+			Trace:               cell.Trace,
+			Sched:               sched.LAS{},
+			TrueProfile:         cell.TrueProfile,
 			Lacross:             1.5,
 			ModelLacross:        trace.LacrossByModel(),
-			MigrationPenaltySec: DefaultMigrationPenaltySec,
+			MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
 		}
 	}
 	sweep := runner.NewSweep(Pool())
 	// Static stale profile (the paper's configuration).
-	sweep.Add("", "ablation_online static", func() (*sim.Result, error) {
+	sweep.AddTask(ablationTask("ablation_online static", func() sim.Config {
 		cfg := baseConfig()
 		cfg.Placer = core.NewPAL(base, 1.5, trace.LacrossByModel())
-		return sim.Run(cfg)
-	})
+		return cfg
+	}))
 	// Online: the scorer observes realized slowdowns and corrects.
-	sweep.Add("", "ablation_online online", func() (*sim.Result, error) {
+	sweep.AddTask(ablationTask("ablation_online online", func() sim.Config {
 		online := core.NewOnlineScorer(base)
 		cfg := baseConfig()
 		cfg.Placer = core.NewPAL(online, 1.5, trace.LacrossByModel())
 		cfg.Observer = online
-		return sim.Run(cfg)
-	})
+		return cfg
+	}))
 	results, err := sweep.Run(scale.ctx())
 	if err != nil {
 		return nil, err
@@ -261,19 +279,19 @@ func AblationRack(scale Scale) (*Table, error) {
 	}
 	run := func(rack bool) (float64, error) {
 		results, err := runSiaAblation(scale, "ablation_rack", func(idx int) sim.Config {
-			p := core.NewPAL(binned(profile), lacross, nil)
+			p := core.NewPAL(scenario.Bins(profile), lacross, nil)
 			if rack {
 				p.EnableRackLevel(lrack)
 			}
 			return sim.Config{
 				Topology:            topo,
 				Trace:               SiaTrace(idx),
-				Sched:               FIFOSched,
+				Sched:               sched.FIFO{},
 				Placer:              p,
 				TrueProfile:         profile,
 				Lacross:             lacross,
 				Lrack:               lrack,
-				MigrationPenaltySec: DefaultMigrationPenaltySec,
+				MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
 			}
 		})
 		if err != nil {

@@ -6,11 +6,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
-	"repro/internal/place"
-	"repro/internal/rng"
 	"repro/internal/runner"
-	"repro/internal/sched"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/vprof"
@@ -54,69 +51,6 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// binMemo memoizes the K-Means binning per profile: silhouette K
-// selection is O(n²) per class and every policy run over the same profile
-// would otherwise repeat it. The single-flight Memo (unlike the old
-// sync.Map) also guarantees concurrent runs over one profile bin it
-// exactly once.
-var binMemo runner.Memo[*vprof.Profile, *vprof.Binned]
-
-// binned returns the (cached) binned view of a profile. The returned
-// Binned is shared and read-only.
-func binned(p *vprof.Profile) *vprof.Binned {
-	return binMemo.Get(p, func() *vprof.Binned { return vprof.BinProfile(p) })
-}
-
-// RunSpec assembles one simulation of the evaluation.
-type RunSpec struct {
-	Trace  *trace.Trace
-	Topo   cluster.Topology
-	Sched  sim.Scheduler
-	Policy Policy
-
-	// Profile is the variability the jobs actually experience.
-	Profile *vprof.Profile
-	// ProfiledView is what PM-First/PAL consult; nil means Profile
-	// (fresh, accurate profiling). The testbed experiment passes a stale
-	// view here.
-	ProfiledView *vprof.Profile
-
-	// Lacross is the constant inter-node penalty; ModelLacross overrides
-	// it per model when non-nil.
-	Lacross      float64
-	ModelLacross map[string]float64
-
-	// Seed feeds the Random placers.
-	Seed uint64
-
-	MeasureFirst, MeasureLast int
-	// RecordUtil attaches a metrics collector restricted to the
-	// gpus_in_use series (Fig. 15); InUseDeciles reads it back.
-	RecordUtil bool
-
-	// Counters, when non-nil, receives the engine's introspection
-	// counters (sim.Config.Counters). It is an observation-only
-	// out-param, deliberately excluded from Key(): counter values are
-	// regime-dependent wall-clock-class data that never influence the
-	// Result, so a counter-bearing spec must share its cache entry with
-	// a bare one.
-	Counters *sim.Counters
-
-	// DisableFastForward runs the engine's naive reference loop
-	// (sim.Config.DisableFastForward): every phase, every round. Like
-	// Counters it is excluded from Key(): every stepping regime produces
-	// the same Result, so only the wall-clock PlaceTimes — how many
-	// rounds call the placer — can tell the two apart. Fig. 18 sets it so
-	// its per-epoch timings cover every round that placed a job.
-	DisableFastForward bool
-}
-
-// DefaultMigrationPenaltySec is the checkpoint/restore cost charged per
-// migration (§IV-A1: small relative to job runtimes — 10 s against
-// multi-hour jobs, ~3% of a round worst case — but enough that gratuitous non-sticky reshuffling is
-// not free).
-const DefaultMigrationPenaltySec = 10
-
 // RegistryName returns the policy's name in the placement registry
 // (internal/place), the vocabulary scenario specs and CLI flags use.
 func (p Policy) RegistryName() string {
@@ -137,64 +71,44 @@ func (p Policy) RegistryName() string {
 	panic(fmt.Sprintf("experiments: unknown policy %d", int(p)))
 }
 
-// policySeed derives the per-policy RNG seed. The XOR constants predate
-// the registry and are load-bearing: they keep every recorded
-// experiment value and every content-addressed cache key stable.
-func policySeed(p Policy, seed uint64) uint64 {
-	switch p {
-	case RandomSticky:
-		return seed ^ 0xDEC0
-	case RandomNonSticky:
-		return seed ^ 0xDEC1
-	case Gandiva:
-		return seed ^ 0xDEC2
-	case Tiresias:
-		return seed ^ 0xDEC3
-	}
-	return seed
+// seedXOR is what a figure cell XORs into its seed to seed its placer.
+// The constants predate the placement registry and are load-bearing:
+// they keep every recorded figure value stable. PAL and PM-First draw
+// no random numbers and take the seed as is.
+var seedXOR = [numPolicies]uint64{
+	RandomSticky:    0xDEC0,
+	RandomNonSticky: 0xDEC1,
+	Gandiva:         0xDEC2,
+	Tiresias:        0xDEC3,
 }
 
-// buildPlacer constructs the placement policy of the spec through the
-// shared placement registry, so the experiments layer exercises exactly
-// the construction path scenario specs use.
-func buildPlacer(spec RunSpec) sim.Placer {
-	view := spec.ProfiledView
-	if view == nil {
-		view = spec.Profile
+// cellSpec returns one simulating figure cell as a scenario spec: pol
+// under the named scheduler on a nodes x 4-GPU cluster with the
+// default Longhorn profile, at constant inter-node penalty lacross,
+// with the placer seeded seed ^ seedXOR[pol]. Callers add whatever else
+// the figure varies (per-model penalties, a measure window, the
+// GPUs-in-use series, a stale profile). The name holds the cell's
+// coordinates and nothing of the figure asking, and the root seed is
+// the default, so one configuration asked for by two figures keys
+// identically and simulates once.
+func cellSpec(nodes int, w scenario.WorkloadSpec, pol Policy, schedName string, lacross float64, seed uint64) *scenario.Spec {
+	return &scenario.Spec{
+		Name:     fmt.Sprintf("%s/%s L%g", pol, schedName, lacross),
+		Cluster:  scenario.ClusterSpec{Nodes: nodes},
+		Workload: w,
+		Policy:   scenario.PolicySpec{Name: pol.RegistryName(), Seed: seed ^ seedXOR[pol]},
+		Sched:    scenario.SchedSpec{Name: schedName},
+		Locality: scenario.LocalitySpec{Lacross: lacross},
 	}
-	placer, err := place.Build(spec.Policy.RegistryName(), place.BuildEnv{
-		Scores:       binned(view),
-		Lacross:      spec.Lacross,
-		ModelLacross: spec.ModelLacross,
-		Seed:         policySeed(spec.Policy, spec.Seed),
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return placer
 }
 
-// Run executes one simulation.
-func Run(spec RunSpec) (*sim.Result, error) {
-	var sink sim.MetricsSink
-	if spec.RecordUtil {
-		sink = metrics.MustCollector(metrics.Config{Series: []string{metrics.SeriesGPUsInUse}})
+// buildCell normalizes, validates and builds one figure cell.
+func buildCell(spec *scenario.Spec) (*scenario.Built, error) {
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	return sim.Run(sim.Config{
-		Topology:            spec.Topo,
-		Trace:               spec.Trace,
-		Sched:               spec.Sched,
-		Placer:              buildPlacer(spec),
-		TrueProfile:         spec.Profile,
-		Lacross:             spec.Lacross,
-		ModelLacross:        spec.ModelLacross,
-		MeasureFirst:        spec.MeasureFirst,
-		MeasureLast:         spec.MeasureLast,
-		MigrationPenaltySec: DefaultMigrationPenaltySec,
-		Metrics:             sink,
-		Counters:            spec.Counters,
-		DisableFastForward:  spec.DisableFastForward,
-	})
+	return spec.Build()
 }
 
 // sharedPool is the orchestrator every experiment routes its
@@ -223,61 +137,64 @@ func SetPool(p *runner.Pool) *runner.Pool {
 	return sharedPool.Swap(p)
 }
 
-// label renders the cell coordinates a human needs to locate a failing
-// run: workload, policy, scheduler, penalty.
-func (s RunSpec) label() string {
-	traceName, schedName := "?", "?"
-	if s.Trace != nil {
-		traceName = s.Trace.Name
-	}
-	if s.Sched != nil {
-		schedName = s.Sched.Name()
-	}
-	return fmt.Sprintf("%s %s/%s L%g", traceName, s.Policy, schedName, s.Lacross)
-}
-
-// runSpecs builds and runs one sweep over the specs, optionally keyed
-// for the content-addressed cache. A truncated run (MaxRounds hit) is
-// promoted to an error here: figure/table runners aggregate blindly,
-// and partial metrics must never flow into a published table — the
-// scenario layer, which has a "truncated" column, is the surface that
-// reports truncation as data.
-func runSpecs(ctx context.Context, label string, specs []RunSpec, cached bool) ([]*sim.Result, error) {
+// runCells builds every figure cell and runs it through the shared
+// pool, keyed by scenario.Built.Key, returning the results in spec
+// order. label prefixes task names in errors and progress output; each
+// task is further named by its trace and its cell coordinates (policy,
+// scheduler, penalty). Every cell carries its own engine counters,
+// which the pool hands its probe for the cells it executes.
+//
+// naive cells step every round (sim.Config.DisableFastForward) and run
+// uncached: the stepping regimes differ only in the wall-clock
+// PlaceTimes, which is all fig18 reads, so its results are not a pure
+// function of a key.
+//
+// A truncated run (MaxRounds hit) is promoted to an error: figure and
+// table runners aggregate blindly, and partial metrics must never flow
+// into a published table. The scenario sweep, which has a "truncated"
+// column, is the surface that reports truncation as data.
+func runCells(ctx context.Context, label string, specs []*scenario.Spec, naive bool) ([]*sim.Result, error) {
 	sweep := runner.NewSweep(Pool())
 	for _, spec := range specs {
-		spec := spec
-		key := ""
-		if cached {
-			key = spec.Key()
+		b, err := buildCell(spec)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		cell := spec.label()
-		sweep.Add(key, fmt.Sprintf("%s: %s", label, cell),
-			func() (*sim.Result, error) {
-				res, err := Run(spec)
+		ctrs := &sim.Counters{}
+		b.Counters = ctrs
+		cell := fmt.Sprintf("%s %s", b.Trace.Name, spec.Name)
+		key := ""
+		if !naive {
+			key = b.Key()
+		}
+		sweep.AddTask(runner.Task{
+			Key:   key,
+			Label: fmt.Sprintf("%s: %s", label, cell),
+			Run: func() (*sim.Result, error) {
+				cfg, err := b.Config()
+				if err != nil {
+					return nil, err
+				}
+				cfg.DisableFastForward = naive
+				res, err := sim.Run(cfg)
 				if err == nil && res.Truncated {
 					return nil, fmt.Errorf("%s: truncated at MaxRounds with %d unfinished jobs",
 						cell, res.Unfinished)
 				}
 				return res, err
-			})
+			},
+			Counters: func() *sim.Counters { return ctrs },
+		})
 	}
 	return sweep.Run(ctx)
 }
 
-// RunAll executes the specs through the shared pool and returns their
-// results in submission order — the parallel, cached equivalent of
-// calling Run in a loop. label prefixes task names in errors and
-// progress output; each task is further identified by its cell
-// coordinates (trace, policy, scheduler, penalty).
-func RunAll(ctx context.Context, label string, specs []RunSpec) ([]*sim.Result, error) {
-	return runSpecs(ctx, label, specs, true)
-}
-
-// RunAllUncached is RunAll without result caching, for runs whose
-// results are not pure functions of their configuration (fig18's
-// wall-clock placement timings).
-func RunAllUncached(ctx context.Context, label string, specs []RunSpec) ([]*sim.Result, error) {
-	return runSpecs(ctx, label, specs, false)
+// RunCells runs figure-cell specs through the shared pool and returns
+// their results in spec order: the parallel, cached equivalent of
+// building and running each spec in a loop. It normalizes the specs in
+// place.
+func RunCells(ctx context.Context, label string, specs []*scenario.Spec) ([]*sim.Result, error) {
+	return runCells(ctx, label, specs, false)
 }
 
 // Scale controls experiment sizes so unit tests can exercise the full
@@ -355,9 +272,9 @@ const (
 	// SynergyLacross is the constant penalty of the Synergy experiments
 	// (the paper's initial Frontera estimate, §IV-D).
 	SynergyLacross = 1.7
-	// ProfileSeed seeds profile generation; ExperimentSeed seeds
-	// everything else.
-	ProfileSeed    = 0x9A1
+	// ProfileSeed seeds profile generation (a scenario spec's default);
+	// ExperimentSeed seeds everything else.
+	ProfileSeed    = scenario.DefaultProfileSeed
 	ExperimentSeed = 0xE4B
 )
 
@@ -371,31 +288,26 @@ func SynergyTopology() cluster.Topology {
 	return cluster.Topology{NumNodes: SynergyClusterNodes, GPUsPerNode: GPUsPerNode}
 }
 
-// profileMemo memoizes the sampled per-cluster-size profiles (the key
-// space is bounded: one entry per generator × cluster size).
-var profileMemo runner.Memo[string, *vprof.Profile]
-
 // LonghornProfile returns a Longhorn-style profile for an n-GPU simulated
 // cluster, produced the way §IV-C describes: generate the full cluster's
-// profile, then sample n GPUs without repetition.
+// profile, then sample n GPUs without repetition. It is the profile a
+// figure cell on an n-GPU cluster runs on (scenario.GeneratedProfile's
+// memo).
 func LonghornProfile(n int) *vprof.Profile {
-	key := fmt.Sprintf("longhorn-%d", n)
-	return profileMemo.Get(key, func() *vprof.Profile {
-		full := vprof.GenerateLonghorn(416, ProfileSeed) // 8 cabinets × 13 nodes × 4 GPUs
-		perm := rng.New(ProfileSeed).Split(uint64(n)).Perm(full.NumGPUs())
-		p, err := full.Subsample(key, perm, n)
-		if err != nil {
-			panic(err)
-		}
-		return p
-	})
+	p, err := scenario.GeneratedProfile("longhorn", n, ProfileSeed)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return p
 }
 
 // TestbedProfile returns the 64-GPU Frontera testbed profile (Fig. 8).
 func TestbedProfile() *vprof.Profile {
-	return profileMemo.Get("testbed-64", func() *vprof.Profile {
-		return vprof.GenerateTestbed(ProfileSeed + 7)
-	})
+	p, err := scenario.GeneratedProfile("testbed", 64, scenario.DefaultTestbedSeed)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return p
 }
 
 // SiaTrace returns Sia-Philly workload idx at default parameters.
@@ -410,10 +322,3 @@ func SynergyTrace(load float64, numJobs int) *trace.Trace {
 	params.NumJobs = numJobs
 	return trace.Synergy(params)
 }
-
-// FIFOSched, LASSched and SRTFSched are the shared scheduler instances.
-var (
-	FIFOSched = sched.FIFO{}
-	LASSched  = sched.LAS{}
-	SRTFSched = sched.SRTF{}
-)

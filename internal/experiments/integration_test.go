@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vprof"
 )
 
@@ -22,32 +24,27 @@ func allCombos(t *testing.T) map[string]*sim.Result {
 	out := make(map[string]*sim.Result)
 	for _, pol := range AllPolicies() {
 		for _, schedName := range []string{"fifo", "las", "srtf"} {
-			var s sim.Scheduler
-			switch schedName {
-			case "fifo":
-				s = FIFOSched
-			case "las":
-				s = LASSched
-			case "srtf":
-				s = SRTFSched
-			}
-			res, err := Run(RunSpec{
-				Trace:        SiaTrace(2),
-				Topo:         SiaTopology(),
-				Sched:        s,
-				Policy:       pol,
-				Profile:      LonghornProfile(64),
-				Lacross:      1.5,
-				ModelLacross: trace.LacrossByModel(),
-				Seed:         77,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", pol, schedName, err)
-			}
-			out[pol.String()+"/"+schedName] = res
+			spec := cellSpec(SiaClusterNodes, siaWorkload(2), pol, schedName, 1.5, 77)
+			spec.Locality.PerModel = true
+			out[pol.String()+"/"+schedName] = runCell(t, spec)
 		}
 	}
 	return out
+}
+
+// runCell builds and runs one figure-cell spec directly, outside the
+// pool.
+func runCell(t *testing.T, spec *scenario.Spec) *sim.Result {
+	t.Helper()
+	b, err := buildCell(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	return res
 }
 
 func TestIntegrationAllCombosComplete(t *testing.T) {
@@ -126,20 +123,9 @@ func TestIntegrationWorkConservation(t *testing.T) {
 // TestIntegrationDeterminism: the whole stack is bit-deterministic.
 func TestIntegrationDeterminism(t *testing.T) {
 	run := func() []float64 {
-		res, err := Run(RunSpec{
-			Trace:        SiaTrace(4),
-			Topo:         SiaTopology(),
-			Sched:        LASSched,
-			Policy:       PALPolicy,
-			Profile:      LonghornProfile(64),
-			Lacross:      1.5,
-			ModelLacross: trace.LacrossByModel(),
-			Seed:         123,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.JCTs()
+		spec := cellSpec(SiaClusterNodes, siaWorkload(4), PALPolicy, "las", 1.5, 123)
+		spec.Locality.PerModel = true
+		return runCell(t, spec).JCTs()
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -153,19 +139,7 @@ func TestIntegrationDeterminism(t *testing.T) {
 // deterministic policies' results do not depend on the seed.
 func TestIntegrationSeedSensitivity(t *testing.T) {
 	run := func(pol Policy, seed uint64) float64 {
-		res, err := Run(RunSpec{
-			Trace:   SiaTrace(1),
-			Topo:    SiaTopology(),
-			Sched:   FIFOSched,
-			Policy:  pol,
-			Profile: LonghornProfile(64),
-			Lacross: 1.5,
-			Seed:    seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Mean(res.JCTs())
+		return stats.Mean(runCell(t, cellSpec(SiaClusterNodes, siaWorkload(1), pol, "fifo", 1.5, seed)).JCTs())
 	}
 	if run(RandomNonSticky, 1) == run(RandomNonSticky, 2) {
 		t.Error("random placement identical across seeds (suspicious)")
@@ -186,19 +160,9 @@ func TestIntegrationSeedSensitivity(t *testing.T) {
 func TestIntegrationVariabilityMonotonicity(t *testing.T) {
 	flat := flatLonghorn(t)
 	run := func(pol Policy) float64 {
-		res, err := Run(RunSpec{
-			Trace:   SiaTrace(1),
-			Topo:    SiaTopology(),
-			Sched:   FIFOSched,
-			Policy:  pol,
-			Profile: flat,
-			Lacross: 2.0,
-			Seed:    5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Mean(res.JCTs())
+		spec := cellSpec(SiaClusterNodes, siaWorkload(1), pol, "fifo", 2.0, 5)
+		spec.Profile = scenario.ProfileSpec{Source: "file", Path: flat}
+		return stats.Mean(runCell(t, spec).JCTs())
 	}
 	tiresias := run(Tiresias)
 	pal := run(PALPolicy)
@@ -215,8 +179,9 @@ func TestIntegrationVariabilityMonotonicity(t *testing.T) {
 	}
 }
 
-// flatLonghorn builds a variability-free profile of Longhorn's shape.
-func flatLonghorn(t *testing.T) *vprof.Profile {
+// flatLonghorn saves a variability-free profile of Longhorn's shape and
+// returns its path.
+func flatLonghorn(t *testing.T) string {
 	t.Helper()
 	perClass := make([][]float64, 3)
 	for c := range perClass {
@@ -230,7 +195,16 @@ func flatLonghorn(t *testing.T) *vprof.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	path := filepath.Join(t.TempDir(), "flat.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := p.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestIntegrationHigherLoadHigherJCT: Synergy JCTs grow with offered
@@ -259,19 +233,7 @@ func TestIntegrationHigherLoadHigherJCT(t *testing.T) {
 // gets slower as the penalty rises.
 func TestIntegrationLocalityPenaltyMonotonic(t *testing.T) {
 	run := func(pol Policy, pen float64) float64 {
-		res, err := Run(RunSpec{
-			Trace:   SiaTrace(1),
-			Topo:    SiaTopology(),
-			Sched:   FIFOSched,
-			Policy:  pol,
-			Profile: LonghornProfile(64),
-			Lacross: pen,
-			Seed:    9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Mean(res.JCTs())
+		return stats.Mean(runCell(t, cellSpec(SiaClusterNodes, siaWorkload(1), pol, "fifo", pen, 9)).JCTs())
 	}
 	for _, pol := range []Policy{Tiresias, PALPolicy} {
 		if run(pol, 3.0) < run(pol, 1.0) {

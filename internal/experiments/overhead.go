@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/cluster"
+	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Fig18 reproduces Figure 18: the distribution of PAL's per-epoch
@@ -29,8 +28,7 @@ func Fig18(scale Scale) (*Table, error) {
 	// contract. fig18 is the one experiment whose table varies run to
 	// run (and with concurrent neighbors); its claim is a shape ("far
 	// below the 300 s epoch"), not an absolute.
-	specs := fig18Specs(scale, sizes)
-	results, err := RunAllUncached(scale.ctx(), "fig18", specs)
+	results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, sizes), true)
 	if err != nil {
 		return nil, fmt.Errorf("fig18: %w", err)
 	}
@@ -51,31 +49,17 @@ func Fig18(scale Scale) (*Table, error) {
 }
 
 // fig18Specs builds one PAL/FIFO Synergy run per cluster size. The runs
-// step naively (RunSpec.DisableFastForward): on the fast path PAL skips
+// step naively (runCells' naive mode): on the fast path PAL skips
 // placement at fixpoints, which would silently turn the table's "per
 // epoch" into "per placement call".
-func fig18Specs(scale Scale, sizes []int) []RunSpec {
-	specs := make([]RunSpec, 0, len(sizes))
+func fig18Specs(scale Scale, sizes []int) []*scenario.Spec {
+	specs := make([]*scenario.Spec, 0, len(sizes))
 	for _, size := range sizes {
-		topo := cluster.Topology{NumNodes: size / GPUsPerNode, GPUsPerNode: GPUsPerNode}
 		// Scale the offered load with the cluster so each size runs at a
 		// comparable utilization.
 		load := 10.0 * float64(size) / 256.0
-		params := trace.DefaultSynergyParams(load)
-		params.NumJobs = scale.SynergyNumJobs / 4
-		if params.NumJobs < 100 {
-			params.NumJobs = 100
-		}
-		specs = append(specs, RunSpec{
-			Trace:              trace.Synergy(params),
-			Topo:               topo,
-			Sched:              FIFOSched,
-			Policy:             PALPolicy,
-			Profile:            LonghornProfile(size),
-			Lacross:            SynergyLacross,
-			Seed:               ExperimentSeed ^ uint64(size),
-			DisableFastForward: true,
-		})
+		w := scenario.WorkloadSpec{Source: "synergy", JobsPerHour: load, NumJobs: max(scale.SynergyNumJobs/4, 100)}
+		specs = append(specs, cellSpec(size/GPUsPerNode, w, PALPolicy, "fifo", SynergyLacross, ExperimentSeed^uint64(size)))
 	}
 	return specs
 }

@@ -3,47 +3,55 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/sim"
 )
+
+// spanProbe records the pool's task spans (one worker, so no locking).
+type spanProbe []runner.TaskSpan
+
+func (p *spanProbe) ObserveTask(sp runner.TaskSpan) { *p = append(*p, sp) }
 
 // TestFig18TimesEveryEpoch: Fig. 18 reports PAL's placement time per
 // epoch, so its runs must call the placer on every round that places a
 // job. On the fast path PAL skips placement at fixpoints; the fig18
-// specs step naively instead, and that choice stays out of the cache
-// key.
+// cells step naively instead, and since only the wall-clock PlaceTimes
+// tell the regimes apart, they run uncached.
 func TestFig18TimesEveryEpoch(t *testing.T) {
-	specs := fig18Specs(Scale{SynergyNumJobs: 400}, []int{64})
-	spec := specs[0]
-	if !spec.DisableFastForward {
-		t.Fatal("fig18 spec steps on the fast path")
+	scale := Scale{SynergyNumJobs: 400}
+	probe := &spanProbe{}
+	var naive *sim.Result
+	withPool(t, 1, func() {
+		Pool().SetProbe(probe)
+		results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, []int{64}), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive = results[0]
+	})
+	if len(*probe) != 1 {
+		t.Fatalf("probe saw %d spans, want 1", len(*probe))
 	}
-	naiveCtr := &sim.Counters{}
-	spec.Counters = naiveCtr
-	naive, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	sp := (*probe)[0]
+	if sp.Key != "" {
+		t.Errorf("fig18 cell ran keyed (%s); wall-clock results must not be cached", sp.Key)
 	}
-	if naiveCtr.PlacementsSkipped != 0 || naiveCtr.BulkRounds() != 0 {
-		t.Errorf("fig18 run skipped rounds: %+v", *naiveCtr)
+	ctr := sp.Counters
+	if ctr == nil {
+		t.Fatal("fig18 cell carried no engine counters")
 	}
-	if int64(len(naive.PlaceTimes)) != naiveCtr.PlaceCalls {
-		t.Errorf("PlaceTimes has %d samples for %d placement calls", len(naive.PlaceTimes), naiveCtr.PlaceCalls)
+	if ctr.PlacementsSkipped != 0 || ctr.BulkRounds() != 0 {
+		t.Errorf("fig18 run skipped rounds: %+v", *ctr)
+	}
+	if int64(len(naive.PlaceTimes)) != ctr.PlaceCalls {
+		t.Errorf("PlaceTimes has %d samples for %d placement calls", len(naive.PlaceTimes), ctr.PlaceCalls)
 	}
 
-	// The fast path on the same spec places less often — the reason the
-	// switch exists — and shares the cache key.
-	fastSpec := spec
-	fastSpec.DisableFastForward = false
-	fastSpec.Counters = &sim.Counters{}
-	fast, err := Run(fastSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The fast path on the same cell places less often — the reason
+	// the naive mode exists.
+	fast := runCell(t, fig18Specs(scale, []int{64})[0])
 	if len(fast.PlaceTimes) >= len(naive.PlaceTimes) {
 		t.Errorf("fast path placed %d times, naive %d; PAL fixpoint skipping did not engage",
 			len(fast.PlaceTimes), len(naive.PlaceTimes))
-	}
-	if fastSpec.Key() != spec.Key() {
-		t.Error("DisableFastForward changed the RunSpec key")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/scenario"
 )
 
 // withPool runs fn with a freshly-configured shared pool and restores
@@ -53,45 +54,49 @@ func TestRunnerDeterminismSerialVsParallel(t *testing.T) {
 	}
 }
 
-// TestRunSpecKeyDiscriminates: the content-addressed key must separate
-// configurations that the old name-string caches conflated — different
-// penalties, seeds, scales and profiles — and must be stable for equal
-// content even across regenerated traces.
-func TestRunSpecKeyDiscriminates(t *testing.T) {
-	base := func() RunSpec {
-		return RunSpec{
-			Trace:   SiaTrace(1),
-			Topo:    SiaTopology(),
-			Sched:   FIFOSched,
-			Policy:  PALPolicy,
-			Profile: LonghornProfile(64),
-			Lacross: 1.5,
-			Seed:    ExperimentSeed,
+// TestFigureCellKeys: a figure cell's key is its configuration's — the
+// same cell built twice (traces regenerated) keys the same whichever
+// figure asks for it, so cross-figure dedup holds — and everything a
+// figure varies moves it.
+func TestFigureCellKeys(t *testing.T) {
+	key := func(spec *scenario.Spec) string {
+		t.Helper()
+		b, err := buildCell(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return b.Key()
 	}
-	// Regenerated traces and shared profiles hash by content: same key.
-	if base().Key() != base().Key() {
-		t.Fatal("equal specs have different keys")
+	scale := QuickScale()
+	// Fig. 14 and Fig. 19 both ask for the 8 j/h FIFO cells.
+	if key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false)) !=
+		key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false)) {
+		t.Fatal("equal cells have different keys")
 	}
-	mutations := map[string]func(*RunSpec){
-		"penalty": func(s *RunSpec) { s.Lacross = 2.0 },
-		"seed":    func(s *RunSpec) { s.Seed++ },
-		"policy":  func(s *RunSpec) { s.Policy = Tiresias },
-		"sched":   func(s *RunSpec) { s.Sched = LASSched },
-		"trace":   func(s *RunSpec) { s.Trace = SiaTrace(2) },
-		"profile": func(s *RunSpec) { s.Profile = LonghornProfile(128) },
-		"view":    func(s *RunSpec) { s.ProfiledView = TestbedProfile() },
-		"measure": func(s *RunSpec) { s.MeasureFirst = 10 },
-		"util":    func(s *RunSpec) { s.RecordUtil = true },
-		"modelL":  func(s *RunSpec) { s.ModelLacross = map[string]float64{"vgg19": 2.0} },
+	ref := key(SiaBaselineSpecs(Scale{SiaTraces: []int{1}})[int(PALPolicy)])
+	mutations := map[string]*scenario.Spec{
+		"penalty":  cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 2.0, ExperimentSeed^1),
+		"seed":     cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^2),
+		"policy":   cellSpec(SiaClusterNodes, siaWorkload(1), Tiresias, "fifo", 1.5, ExperimentSeed^1),
+		"sched":    cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "las", 1.5, ExperimentSeed^1),
+		"trace":    cellSpec(SiaClusterNodes, siaWorkload(2), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
+		"cluster":  cellSpec(2*SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
+		"perModel": cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
 	}
-	ref := base().Key()
-	for name, mutate := range mutations {
-		s := base()
-		mutate(&s)
-		if s.Key() == ref {
+	for name, spec := range mutations {
+		if name != "perModel" {
+			spec.Locality.PerModel = true
+		}
+		if key(spec) == ref {
 			t.Errorf("mutating %s does not change the key (stale-cache hazard)", name)
 		}
+	}
+	if key(testbedSpec(PALPolicy, true)) == key(testbedSpec(PALPolicy, false)) {
+		t.Error("the stale profile does not feed the key")
+	}
+	if key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, true)) ==
+		key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false)) {
+		t.Error("recording GPUs in use does not feed the key")
 	}
 }
 
@@ -129,23 +134,19 @@ func TestSiaBaselineCacheKeyedOnScale(t *testing.T) {
 	})
 }
 
-// TestRunAllMatchesSequentialRun: RunAll must agree with a plain Run
-// loop result-for-result.
-func TestRunAllMatchesSequentialRun(t *testing.T) {
+// TestRunCellsMatchesSequentialRun: RunCells must agree with building
+// and running each cell in a loop, result for result.
+func TestRunCellsMatchesSequentialRun(t *testing.T) {
 	scale := QuickScale()
 	scale.SiaTraces = []int{5}
 	specs := SiaBaselineSpecs(scale)
 
 	var loop []float64
 	for _, spec := range specs {
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loop = append(loop, res.Makespan)
+		loop = append(loop, runCell(t, spec).Makespan)
 	}
 	withPool(t, 4, func() {
-		results, err := RunAll(scale.ctx(), "test", specs)
+		results, err := RunCells(scale.ctx(), "test", specs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vprof"
 )
 
@@ -21,26 +21,24 @@ type SiaRun struct {
 // 64-GPU cluster, Longhorn profile, per-model locality penalties — in
 // workload-major order. The specs feed the runner pool; the benchmark
 // harness also uses them to measure sequential-vs-parallel wall clock.
-func SiaBaselineSpecs(scale Scale) []RunSpec {
-	profile := LonghornProfile(SiaTopology().Size())
-	modelL := trace.LacrossByModel()
-	specs := make([]RunSpec, 0, len(scale.SiaTraces)*int(numPolicies))
+func SiaBaselineSpecs(scale Scale) []*scenario.Spec {
+	specs := make([]*scenario.Spec, 0, len(scale.SiaTraces)*int(numPolicies))
 	for _, idx := range scale.SiaTraces {
-		tr := SiaTrace(idx)
 		for _, pol := range AllPolicies() {
-			specs = append(specs, RunSpec{
-				Trace:        tr,
-				Topo:         SiaTopology(),
-				Sched:        FIFOSched,
-				Policy:       pol,
-				Profile:      profile,
-				Lacross:      1.5, // fallback for models missing from the map
-				ModelLacross: modelL,
-				Seed:         ExperimentSeed ^ uint64(idx),
-			})
+			// 1.5 is the fallback for models missing from the per-model
+			// table.
+			spec := cellSpec(SiaClusterNodes, siaWorkload(idx), pol, "fifo", 1.5, ExperimentSeed^uint64(idx))
+			spec.Locality.PerModel = true
+			specs = append(specs, spec)
 		}
 	}
 	return specs
+}
+
+// siaWorkload selects Sia-Philly workload idx at default parameters
+// (SiaTrace's trace).
+func siaWorkload(idx int) scenario.WorkloadSpec {
+	return scenario.WorkloadSpec{Source: "sia-philly", Workload: idx}
 }
 
 // RunSiaBaseline simulates the baseline grid through the runner pool.
@@ -50,7 +48,7 @@ func SiaBaselineSpecs(scale Scale) []RunSpec {
 // entry — which keeps the repeated consumers (Fig. 11, Fig. 12, the
 // headline metrics) at one simulation per configuration.
 func RunSiaBaseline(scale Scale) ([]SiaRun, error) {
-	results, err := RunAll(scale.ctx(), "sia-baseline", SiaBaselineSpecs(scale))
+	results, err := RunCells(scale.ctx(), "sia-baseline", SiaBaselineSpecs(scale))
 	if err != nil {
 		return nil, fmt.Errorf("sia baseline: %w", err)
 	}
@@ -195,7 +193,6 @@ func Fig12(scale Scale) (*Table, error) {
 // inter-node locality penalty sweeps from 1.0 to 3.0. Packing policies
 // close on PM-First as the penalty grows; PAL stays ahead.
 func Fig13(scale Scale) (*Table, error) {
-	profile := LonghornProfile(SiaTopology().Size())
 	t := &Table{
 		Name:   "fig13",
 		Title:  "Sia avg JCT (hours) vs inter-node locality penalty, FIFO",
@@ -207,28 +204,20 @@ func Fig13(scale Scale) (*Table, error) {
 	// Enumerate the penalty × policy × workload grid through the pool;
 	// the trailing per-trace dimension averages into one point per
 	// (penalty, policy) cell.
-	specs := make([]RunSpec, 0, len(scale.SiaPenalties)*len(AllPolicies())*len(scale.SiaTraces))
+	specs := make([]*scenario.Spec, 0, len(scale.SiaPenalties)*len(AllPolicies())*len(scale.SiaTraces))
 	for _, pen := range scale.SiaPenalties {
 		for _, pol := range AllPolicies() {
 			for _, idx := range scale.SiaTraces {
-				specs = append(specs, RunSpec{
-					Trace:   SiaTrace(idx),
-					Topo:    SiaTopology(),
-					Sched:   FIFOSched,
-					Policy:  pol,
-					Profile: profile,
-					Lacross: pen,
-					// One independent stream per (workload, penalty) cell,
-					// shared across policies so comparisons stay paired.
-					// The textual key avoids the collisions of ad-hoc
-					// integer mixing (uint64(pen*100) conflated close
-					// penalties).
-					Seed: runner.DeriveSeed(ExperimentSeed, fmt.Sprintf("fig13|w%d|pen%g", idx, pen)),
-				})
+				// One independent stream per (workload, penalty) cell,
+				// shared across policies so comparisons stay paired. The
+				// textual key avoids the collisions of ad-hoc integer
+				// mixing (uint64(pen*100) conflated close penalties).
+				seed := runner.DeriveSeed(ExperimentSeed, fmt.Sprintf("fig13|w%d|pen%g", idx, pen))
+				specs = append(specs, cellSpec(SiaClusterNodes, siaWorkload(idx), pol, "fifo", pen, seed))
 			}
 		}
 	}
-	results, err := RunAll(scale.ctx(), "fig13", specs)
+	results, err := RunCells(scale.ctx(), "fig13", specs)
 	if err != nil {
 		return nil, fmt.Errorf("fig13: %w", err)
 	}

@@ -5,51 +5,35 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // synergySpec assembles one Synergy simulation of the load/scheduler/
-// penalty grids.
-func synergySpec(scale Scale, load float64, pol Policy, schedName string, lacross float64, recordUtil bool) (RunSpec, error) {
-	var s sim.Scheduler
-	switch schedName {
-	case "fifo":
-		s = FIFOSched
-	case "las":
-		s = LASSched
-	case "srtf":
-		s = SRTFSched
-	default:
-		return RunSpec{}, fmt.Errorf("experiments: unknown scheduler %q", schedName)
+// penalty grids. recordUtil enables the metrics block restricted to the
+// gpus_in_use series, which Fig. 15 reads back (InUseDeciles).
+func synergySpec(scale Scale, load float64, pol Policy, schedName string, lacross float64, recordUtil bool) *scenario.Spec {
+	w := scenario.WorkloadSpec{Source: "synergy", JobsPerHour: load, NumJobs: scale.SynergyNumJobs}
+	// One independent stream per (scheduler, load) cell, shared across
+	// policies so comparisons stay paired. The old ad-hoc mix
+	// (ExperimentSeed ^ uint64(load*10) ^ uint64(len(schedName)))
+	// collided srtf with fifo — len 4 both — and truncated loads.
+	seed := runner.DeriveSeed(ExperimentSeed, fmt.Sprintf("synergy|%s|load%g", schedName, load))
+	spec := cellSpec(SynergyClusterNodes, w, pol, schedName, lacross, seed)
+	spec.Engine.MeasureFirst = scale.SynergyMeasureFirst
+	spec.Engine.MeasureLast = scale.SynergyMeasureLast
+	if recordUtil {
+		spec.Metrics = scenario.MetricsSpec{Enabled: true, Series: []string{metrics.SeriesGPUsInUse}}
 	}
-	return RunSpec{
-		Trace:   SynergyTrace(load, scale.SynergyNumJobs),
-		Topo:    SynergyTopology(),
-		Sched:   s,
-		Policy:  pol,
-		Profile: LonghornProfile(SynergyTopology().Size()),
-		Lacross: lacross,
-		// One independent stream per (scheduler, load) cell, shared
-		// across policies so comparisons stay paired. The old ad-hoc mix
-		// (ExperimentSeed ^ uint64(load*10) ^ uint64(len(schedName)))
-		// collided srtf with fifo — len 4 both — and truncated loads.
-		Seed:         runner.DeriveSeed(ExperimentSeed, fmt.Sprintf("synergy|%s|load%g", schedName, load)),
-		MeasureFirst: scale.SynergyMeasureFirst,
-		MeasureLast:  scale.SynergyMeasureLast,
-		RecordUtil:   recordUtil,
-	}, nil
+	return spec
 }
 
 // runSynergy executes one Synergy simulation through the pool (single-
 // cell convenience used by the integration tests; the figures enumerate
 // whole grids instead).
 func runSynergy(scale Scale, load float64, pol Policy, schedName string, lacross float64, recordUtil bool) (*sim.Result, error) {
-	spec, err := synergySpec(scale, load, pol, schedName, lacross, recordUtil)
-	if err != nil {
-		return nil, err
-	}
-	results, err := RunAll(scale.ctx(), "synergy", []RunSpec{spec})
+	results, err := RunCells(scale.ctx(), "synergy", []*scenario.Spec{synergySpec(scale, load, pol, schedName, lacross, recordUtil)})
 	if err != nil {
 		return nil, err
 	}
@@ -69,17 +53,13 @@ func Fig14(scale Scale) (*Table, error) {
 	for _, load := range scale.SynergyLoads {
 		t.Header = append(t.Header, fmt.Sprintf("%gj/h", load))
 	}
-	specs := make([]RunSpec, 0, len(scale.SynergyLoads)*len(AllPolicies()))
+	specs := make([]*scenario.Spec, 0, len(scale.SynergyLoads)*len(AllPolicies()))
 	for _, load := range scale.SynergyLoads {
 		for _, pol := range AllPolicies() {
-			spec, err := synergySpec(scale, load, pol, "fifo", SynergyLacross, false)
-			if err != nil {
-				return nil, fmt.Errorf("fig14 load %g %s: %w", load, pol, err)
-			}
-			specs = append(specs, spec)
+			specs = append(specs, synergySpec(scale, load, pol, "fifo", SynergyLacross, false))
 		}
 	}
-	results, err := RunAll(scale.ctx(), "fig14", specs)
+	results, err := RunCells(scale.ctx(), "fig14", specs)
 	if err != nil {
 		return nil, fmt.Errorf("fig14: %w", err)
 	}
@@ -123,17 +103,13 @@ func Fig15(scale Scale) (*Table, error) {
 	// Both quick and full scales examine the same two loads the paper
 	// plots.
 	loads := []float64{8, 10}
-	var specs []RunSpec
+	var specs []*scenario.Spec
 	for _, load := range loads {
 		for _, pol := range []Policy{Tiresias, PALPolicy} {
-			spec, err := synergySpec(scale, load, pol, "fifo", SynergyLacross, true)
-			if err != nil {
-				return nil, fmt.Errorf("fig15 load %g %s: %w", load, pol, err)
-			}
-			specs = append(specs, spec)
+			specs = append(specs, synergySpec(scale, load, pol, "fifo", SynergyLacross, true))
 		}
 	}
-	results, err := RunAll(scale.ctx(), "fig15", specs)
+	results, err := RunCells(scale.ctx(), "fig15", specs)
 	if err != nil {
 		return nil, fmt.Errorf("fig15: %w", err)
 	}
@@ -159,7 +135,7 @@ func Fig15(scale Scale) (*Table, error) {
 // InUseDeciles averages a run's GPUs in use over ten equal slices of
 // its span, one formatted mean per slice ("-" for an empty slice). The
 // series is the gpus_in_use series of the run's metrics payload
-// (RunSpec.RecordUtil attaches the collector), read through
+// (synergySpec's recordUtil enables the collector), read through
 // metrics.FromResult so live and store-loaded results agree. Sample
 // times are rebuilt from the payload's time base by repeated addition
 // of the round length, the engine clock's own arithmetic. Zero samples
@@ -242,17 +218,13 @@ func Fig16and17(scale Scale) (*Table, error) {
 		t.Header = append(t.Header, fmt.Sprintf("%gj/h", load))
 	}
 	for _, schedName := range []string{"las", "srtf"} {
-		specs := make([]RunSpec, 0, len(scale.SchedLoads)*len(AllPolicies()))
+		specs := make([]*scenario.Spec, 0, len(scale.SchedLoads)*len(AllPolicies()))
 		for _, load := range scale.SchedLoads {
 			for _, pol := range AllPolicies() {
-				spec, err := synergySpec(scale, load, pol, schedName, SynergyLacross, false)
-				if err != nil {
-					return nil, fmt.Errorf("fig16/17 %s load %g %s: %w", schedName, load, pol, err)
-				}
-				specs = append(specs, spec)
+				specs = append(specs, synergySpec(scale, load, pol, schedName, SynergyLacross, false))
 			}
 		}
-		results, err := RunAll(scale.ctx(), "fig16_17/"+schedName, specs)
+		results, err := RunCells(scale.ctx(), "fig16_17/"+schedName, specs)
 		if err != nil {
 			return nil, fmt.Errorf("fig16/17 %s: %w", schedName, err)
 		}
@@ -291,17 +263,13 @@ func Fig19(scale Scale) (*Table, error) {
 		Header: []string{"sched", "policy", "mean wait (h)", "p99 wait (h)", "max wait (h)"},
 	}
 	load := 8.0
-	var specs []RunSpec
+	var specs []*scenario.Spec
 	for _, schedName := range []string{"las", "srtf", "fifo"} {
 		for _, pol := range []Policy{Tiresias, PALPolicy} {
-			spec, err := synergySpec(scale, load, pol, schedName, SynergyLacross, false)
-			if err != nil {
-				return nil, fmt.Errorf("fig19 %s %s: %w", schedName, pol, err)
-			}
-			specs = append(specs, spec)
+			specs = append(specs, synergySpec(scale, load, pol, schedName, SynergyLacross, false))
 		}
 	}
-	results, err := RunAll(scale.ctx(), "fig19", specs)
+	results, err := RunCells(scale.ctx(), "fig19", specs)
 	if err != nil {
 		return nil, fmt.Errorf("fig19: %w", err)
 	}
@@ -329,17 +297,13 @@ func Fig20(scale Scale) (*Table, error) {
 	for _, pen := range scale.SynergyPenalties {
 		t.Header = append(t.Header, fmt.Sprintf("C%.1f", pen))
 	}
-	specs := make([]RunSpec, 0, len(scale.SynergyPenalties)*len(AllPolicies()))
+	specs := make([]*scenario.Spec, 0, len(scale.SynergyPenalties)*len(AllPolicies()))
 	for _, pen := range scale.SynergyPenalties {
 		for _, pol := range AllPolicies() {
-			spec, err := synergySpec(scale, 10, pol, "fifo", pen, false)
-			if err != nil {
-				return nil, fmt.Errorf("fig20 penalty %.1f %s: %w", pen, pol, err)
-			}
-			specs = append(specs, spec)
+			specs = append(specs, synergySpec(scale, 10, pol, "fifo", pen, false))
 		}
 	}
-	results, err := RunAll(scale.ctx(), "fig20", specs)
+	results, err := RunCells(scale.ctx(), "fig20", specs)
 	if err != nil {
 		return nil, fmt.Errorf("fig20: %w", err)
 	}

@@ -1,8 +1,10 @@
 // Package experiments contains one runner per table/figure of the paper's
-// evaluation (§V). Each runner assembles traces, profiles, schedulers and
-// placement policies, executes the simulations, and returns a Table whose
-// rows mirror the series the paper plots. The same runners back both
-// `palsweep -experiments` and the root-level benchmark harness.
+// evaluation (§V). Each runner builds its simulation cells as scenario
+// specs (internal/scenario), runs them through the shared runner pool
+// keyed by scenario.Built.Key, and returns a Table whose rows mirror the
+// series the paper plots. The ablations beyond the paper hand-build
+// their engine configurations and run uncached. The same runners back
+// both `palsweep -experiments` and the root-level benchmark harness.
 package experiments
 
 import (

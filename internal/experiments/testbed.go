@@ -3,10 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vprof"
 )
 
@@ -30,49 +29,20 @@ const (
 	staleGPUCount = 2 // GPUs of node 0 whose Class-A profile is stale
 )
 
-// testbedTruthMemo keeps one shared (view, truth) pair: fig09, fig10
-// and table04 each assemble several cells, and a fresh truth pointer per
-// call would defeat the per-pointer profile-digest memo (re-hashing
-// identical content and growing the memo unboundedly).
-var testbedTruthMemo runner.Memo[string, [2]*vprof.Profile]
-
-// testbedTruth returns (profiledView, clusterTruth): the stale view the
-// policies see and the inflated reality the "cluster" run charges.
-func testbedTruth() (*vprof.Profile, *vprof.Profile) {
-	pair := testbedTruthMemo.Get("testbed-truth", func() [2]*vprof.Profile {
-		view := TestbedProfile()
-		// The cluster truth inflates the stale GPUs' Class A scores by
-		// staleFactor; equivalently, the profiled view understates them.
-		// PerturbStaleGPUs divides, so apply it in reverse.
-		gpus := make([]int, staleGPUCount)
-		for i := range gpus {
-			gpus[i] = i // node 0 hosts GPUs 0..GPUsPerNode-1
-		}
-		return [2]*vprof.Profile{view, vprof.PerturbStaleGPUs(view, vprof.ClassA, gpus, 1.0/staleFactor)}
-	})
-	return pair[0], pair[1]
-}
-
 // testbedSpec assembles one (policy, mode) cell of the testbed
-// comparison. cluster=true charges the inflated truth; cluster=false is
+// comparison on the Fig. 8 profile. clusterMode=true mis-profiles the
+// node-0 GPUs (profile.stale), so the engine charges the inflated truth
+// while the policies consult the stale profile; clusterMode=false is
 // the pure simulation.
-func testbedSpec(pol Policy, clusterMode bool) RunSpec {
-	view, truth := testbedTruth()
-	profile := view
+func testbedSpec(pol Policy, clusterMode bool) *scenario.Spec {
+	// The paper uses the Tiresias (LAS) scheduler on Frontera.
+	spec := cellSpec(SiaClusterNodes, siaWorkload(1), pol, "las", 1.5, ExperimentSeed^0x7E57)
+	spec.Profile.Source = "testbed"
+	spec.Locality.PerModel = true
 	if clusterMode {
-		profile = truth
+		spec.Profile.Stale = &scenario.StaleSpec{Class: int(vprof.ClassA), GPUs: staleGPUCount, Factor: staleFactor}
 	}
-	return RunSpec{
-		Trace:        SiaTrace(1),
-		Topo:         SiaTopology(),
-		Sched:        LASSched, // the paper uses the Tiresias (LAS) scheduler on Frontera
-		Policy:       pol,
-		Profile:      profile,
-		ProfiledView: view,
-		Lacross:      1.5,
-		ModelLacross: trace.LacrossByModel(),
-		Seed:         ExperimentSeed ^ 0x7E57,
-	}
+	return spec
 }
 
 // runTestbed executes one testbed cell through the pool: fig09, fig10
@@ -80,7 +50,7 @@ func testbedSpec(pol Policy, clusterMode bool) RunSpec {
 // so the content-addressed cache collapses their twelve requests into
 // four simulations, and Scale.Ctx cancellation reaches them.
 func runTestbed(scale Scale, pol Policy, clusterMode bool) (*sim.Result, error) {
-	results, err := RunAll(scale.ctx(), "testbed", []RunSpec{testbedSpec(pol, clusterMode)})
+	results, err := RunCells(scale.ctx(), "testbed", []*scenario.Spec{testbedSpec(pol, clusterMode)})
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -75,15 +76,17 @@ func TestTableMarkdown(t *testing.T) {
 
 func runSample(t *testing.T) *sim.Result {
 	t.Helper()
-	res, err := experiments.Run(experiments.RunSpec{
-		Trace:   experiments.SiaTrace(1),
-		Topo:    experiments.SiaTopology(),
-		Sched:   experiments.FIFOSched,
-		Policy:  experiments.PALPolicy,
-		Profile: experiments.LonghornProfile(64),
-		Lacross: 1.5,
-		Seed:    1,
-	})
+	spec := &scenario.Spec{
+		Name:     "sia-1 pal",
+		Workload: scenario.WorkloadSpec{Source: "sia-philly", Workload: 1},
+		Policy:   scenario.PolicySpec{Name: "pal"},
+	}
+	spec.Normalize()
+	built, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := built.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

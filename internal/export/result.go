@@ -57,7 +57,7 @@ import (
 // part of the format: an indented core decodes unchanged. The version is
 // deliberately part of the store's on-disk layout, NOT of the simulation
 // cache keys: a codec bump invalidates persisted artifacts without
-// perturbing RunSpec/scenario keys or their golden-key tests.
+// perturbing scenario keys or their golden-key tests.
 
 // ResultFormatVersion names the result-codec revision. internal/store
 // namespaces its object tree by this string, so a bump orphans (and

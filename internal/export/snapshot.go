@@ -20,8 +20,7 @@ import (
 // Like ResultFormatVersion, SnapshotFormatVersion is part of the
 // store's on-disk layout (the snapshot sub-tree's path component) and
 // NOT part of any simulation cache key: bumping it orphans persisted
-// snapshots without perturbing scenario/runspec keys or their golden
-// tests.
+// snapshots without perturbing scenario keys or their golden tests.
 
 // SnapshotFormatVersion names the snapshot-codec revision.
 // v2 dropped the util_series and events fields.

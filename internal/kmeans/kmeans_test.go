@@ -273,6 +273,23 @@ func TestBinCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestBinOverflowingValuesStillBinned: values so far apart that their
+// squared distances overflow make every silhouette NaN; the binning must
+// still cover every index (it used to come back with no bins at all, and
+// the first placer lookup panicked).
+func TestBinOverflowingValuesStillBinned(t *testing.T) {
+	vals := []float64{1e300, 1e300, 1, 1, 1.05, 1.1, 1.2, 1.3}
+	b := Bin(vals)
+	if b.NumBins() == 0 {
+		t.Fatal("no bins")
+	}
+	for i, bin := range b.BinOf {
+		if bin < 0 || bin >= b.NumBins() {
+			t.Fatalf("value %d in invalid bin %d of %d", i, bin, b.NumBins())
+		}
+	}
+}
+
 func TestBinOutlierExactScore(t *testing.T) {
 	vals := make([]float64, 60)
 	for i := range vals {

@@ -84,6 +84,13 @@ func SelectK(values []float64) Selection {
 			bestK, bestScore, bestRes = k, score, res
 		}
 	}
+	if bestRes == nil {
+		// No K scored above -Inf: every silhouette was NaN, which values
+		// too far apart for their squared distances to stay finite
+		// produce. Keep the smallest K rather than no clustering at all,
+		// which would leave the inliers without a bin.
+		bestRes = Cluster1D(inVals, MinK)
+	}
 	sel.K = bestK
 	sel.Score = bestScore
 	sel.Inliers = bestRes

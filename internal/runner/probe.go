@@ -39,9 +39,9 @@ const (
 type TaskSpan struct {
 	Key   string // content-addressed identity ("" = uncached)
 	Label string
-	// Worker is the slot index (0..Workers-1) that carried the task
-	// within its Stream call; concurrent Stream calls on one pool reuse
-	// the same slot indexes.
+	// Worker is the pool slot (0..Workers-1) that carried the task. A
+	// slot carries one task at a time across every concurrent Stream
+	// call on the pool, so one slot's spans never overlap.
 	Worker  int
 	Outcome TaskOutcome
 	Err     error // non-nil iff Outcome == OutcomeError

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -186,5 +187,55 @@ func TestNilProbeUnchanged(t *testing.T) {
 	st := pool.Stats()
 	if st.Completed != 16 {
 		t.Errorf("completed %d, want 16", st.Completed)
+	}
+}
+
+// TestProbeSlotsNeverOverlap: concurrent Stream calls on one pool share
+// its worker slots, and a span's Worker names the slot it held — so
+// the spans of one slot never overlap in time, however many sweeps
+// run at once. (Reporting a per-Stream goroutine index instead let two
+// sweeps' "worker 0" run side by side, and a utilization report
+// summed them past 100%.)
+func TestProbeSlotsNeverOverlap(t *testing.T) {
+	const workers = 2
+	probe := &recordingProbe{}
+	pool := NewPool(workers, nil)
+	pool.SetProbe(probe)
+	tasks := make([]Task, 6)
+	for i := range tasks {
+		tasks[i] = Task{Label: fmt.Sprintf("t%d", i), Run: func() (*sim.Result, error) {
+			time.Sleep(2 * time.Millisecond)
+			return fakeResult(1), nil
+		}}
+	}
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := pool.Run(context.Background(), tasks); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	bySlot := make(map[int][]TaskSpan)
+	for _, sp := range probe.spans {
+		if sp.Worker < 0 || sp.Worker >= workers {
+			t.Fatalf("span %s on worker %d, want 0..%d", sp.Label, sp.Worker, workers-1)
+		}
+		bySlot[sp.Worker] = append(bySlot[sp.Worker], sp)
+	}
+	if len(probe.spans) != 3*len(tasks) {
+		t.Fatalf("probe saw %d spans, want %d", len(probe.spans), 3*len(tasks))
+	}
+	for slot, spans := range bySlot {
+		sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+		for i := 1; i < len(spans); i++ {
+			if end := spans[i-1].Start.Add(spans[i-1].Duration); spans[i].Start.Before(end) {
+				t.Errorf("slot %d: span %s starts %v before span %s ends",
+					slot, spans[i].Label, end.Sub(spans[i].Start), spans[i-1].Label)
+			}
+		}
 	}
 }

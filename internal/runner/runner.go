@@ -105,9 +105,11 @@ type Stats struct {
 type Pool struct {
 	workers int
 	cache   *ResultCache
-	// sem is the pool-global execution bound; every task acquires a slot
-	// for the duration of its run, across all concurrent Stream calls.
-	sem chan struct{}
+	// sem is the pool-global execution bound: it holds the ids of the
+	// free worker slots, and every task takes one for the duration of
+	// its run, across all concurrent Stream calls. The slot id is the
+	// task span's Worker, so no two spans of one slot ever overlap.
+	sem chan int
 	// probe observes task lifecycles (SetProbe). Observation-only: the
 	// nil-probe path takes no timestamps and allocates nothing.
 	probe Probe
@@ -126,7 +128,11 @@ func NewPool(workers int, cache *ResultCache) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers, cache: cache, sem: make(chan struct{}, workers)}
+	sem := make(chan int, workers)
+	for slot := 0; slot < workers; slot++ {
+		sem <- slot
+	}
+	return &Pool{workers: workers, cache: cache, sem: sem}
 }
 
 // Workers returns the pool's concurrency bound.
@@ -201,9 +207,9 @@ func (p *Pool) Stream(ctx context.Context, tasks []Task, deliver func(i int, res
 	outCh := make(chan indexed, workers)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			// A received index is always executed — bailing on `stop` here
 			// would drop an outcome the collector may need to flush the
@@ -224,20 +230,21 @@ func (p *Pool) Stream(ctx context.Context, tasks []Task, deliver func(i int, res
 				// in-flight once its goroutine holds a slot, so a waiter
 				// holding another slot always waits on a progressing
 				// computation, never a queued one.
+				var slot int
 				select {
-				case p.sem <- struct{}{}:
+				case slot = <-p.sem:
 				case <-ctx.Done():
 					return
 				}
-				res, err := p.exec(worker, tasks[i])
-				<-p.sem
+				res, err := p.exec(slot, tasks[i])
+				p.sem <- slot
 				select {
 				case outCh <- indexed{i, res, err}:
 				case <-ctx.Done():
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	go func() {
 		defer close(idxCh)
@@ -308,7 +315,7 @@ func (p *Pool) Stream(ctx context.Context, tasks []Task, deliver func(i int, res
 // outcome the cache tiers decided — executed, memory-hit, store-hit or
 // error — after the task completes; with no probe attached, no clocks
 // are read.
-func (p *Pool) exec(worker int, t Task) (*sim.Result, error) {
+func (p *Pool) exec(slot int, t Task) (*sim.Result, error) {
 	defer p.completed.Add(1)
 	probe := p.probe
 	var start time.Time
@@ -365,7 +372,7 @@ func (p *Pool) exec(worker int, t Task) (*sim.Result, error) {
 		probe.ObserveTask(TaskSpan{
 			Key:      t.Key,
 			Label:    t.Label,
-			Worker:   worker,
+			Worker:   slot,
 			Outcome:  outcome,
 			Err:      err,
 			Start:    start,

@@ -21,34 +21,44 @@ import (
 	"repro/internal/vprof"
 )
 
-// defaultProfileSeed matches the experiments layer's ProfileSeed, so a
-// scenario over a longhorn profile of the same size experiences the
-// exact per-GPU scores the paper-figure runners use.
-// defaultTestbedSeed matches experiments.TestbedProfile's shifted seed
-// (ProfileSeed + 7), so the "testbed" source reproduces the Fig. 8
-// profile exactly.
+// DefaultProfileSeed seeds the longhorn and frontera profile sources
+// when a spec names no seed, and DefaultTestbedSeed the testbed source:
+// the seeds the paper figures' profiles were generated with, so a
+// scenario on a same-sized cluster experiences the exact per-GPU scores
+// the figures ran on, and the testbed source reproduces Fig. 8.
 const (
-	defaultProfileSeed = 0x9A1
-	defaultTestbedSeed = defaultProfileSeed + 7
+	DefaultProfileSeed = 0x9A1
+	DefaultTestbedSeed = DefaultProfileSeed + 7
 )
+
+// DefaultMigrationPenaltySec is the checkpoint/restore cost charged per
+// migration when a spec leaves engine.migration_penalty_sec at 0
+// (§IV-A1: small relative to job runtimes — 10 s against multi-hour
+// jobs, ~3% of a round worst case — but enough that gratuitous
+// non-sticky reshuffling is not free).
+const DefaultMigrationPenaltySec = 10
 
 // fullClusterGPUs is the size of the full generated cluster that
 // longhorn/frontera scenario profiles are sampled from (8 cabinets × 13
 // nodes × 4 GPUs, the paper's Longhorn shape).
 const fullClusterGPUs = 416
 
-// Built is a scenario resolved to concrete simulation inputs. Trace and
-// Profile are immutable and safely shared; Config constructs fresh
-// policy instances per call (placers carry RNG state), so one Built can
-// drive many concurrent runs — unless Counters is set: the engine
-// increments it without atomics, so a counter-bearing Built must drive
-// one run at a time (give concurrent runs their own Built or their own
-// Counters via Config).
+// Built is a scenario resolved to concrete simulation inputs. Trace,
+// Profile and TrueProfile are immutable and safely shared; Config
+// constructs fresh policy instances per call (placers carry RNG state),
+// so one Built can drive many concurrent runs — unless Counters is
+// set: the engine increments it without atomics, so a counter-bearing
+// Built must drive one run at a time (give concurrent runs their own
+// Built or their own Counters via Config).
 type Built struct {
-	Spec    *Spec
-	Topo    cluster.Topology
-	Trace   *trace.Trace
-	Profile *vprof.Profile
+	Spec  *Spec
+	Topo  cluster.Topology
+	Trace *trace.Trace
+	// Profile is what the placers bin and consult; TrueProfile is what
+	// the engine charges jobs. They are the same profile unless the
+	// spec's profile.stale block mis-profiles the cluster.
+	Profile     *vprof.Profile
+	TrueProfile *vprof.Profile
 
 	// Counters, when non-nil, is handed to every Config this Built
 	// produces (sim.Config.Counters): the engine's introspection
@@ -93,7 +103,46 @@ func (s *Spec) Build() (*Built, error) {
 		return nil, fmt.Errorf("scenario %s: profile %q covers %d GPUs, cluster has %d",
 			s.Name, prof.Name(), prof.NumGPUs(), topo.Size())
 	}
-	return &Built{Spec: s, Topo: topo, Trace: tr, Profile: prof}, nil
+	// The engine and the placers index the profile by job class, so a
+	// (file-sourced) job outside the profile's classes must fail here,
+	// not panic mid-run.
+	for _, j := range tr.Jobs {
+		if j.Class < 0 || int(j.Class) >= prof.NumClasses() {
+			return nil, fmt.Errorf("scenario %s: workload job %d has class %d, want 0..%d (profile %q has %d classes)",
+				s.Name, j.ID, int(j.Class), prof.NumClasses()-1, prof.Name(), prof.NumClasses())
+		}
+	}
+	truth, err := s.staleTruth(prof, topo.Size())
+	if err != nil {
+		return nil, err
+	}
+	return &Built{Spec: s, Topo: topo, Trace: tr, Profile: prof, TrueProfile: truth}, nil
+}
+
+// staleTruth returns the profile the engine charges: prof itself, or
+// prof with the profile.stale block's GPUs running Factor times slower
+// than profiled for its class.
+func (s *Spec) staleTruth(prof *vprof.Profile, clusterGPUs int) (*vprof.Profile, error) {
+	st := s.Profile.Stale
+	if st == nil {
+		return prof, nil
+	}
+	if st.Class >= prof.NumClasses() {
+		return nil, fmt.Errorf("scenario %s: profile stale class %d, want 0..%d (profile %q has %d classes)",
+			s.Name, st.Class, prof.NumClasses()-1, prof.Name(), prof.NumClasses())
+	}
+	if st.GPUs > clusterGPUs {
+		return nil, fmt.Errorf("scenario %s: profile stale gpus %d, want 1..%d (the cluster's size)",
+			s.Name, st.GPUs, clusterGPUs)
+	}
+	gpus := make([]int, st.GPUs)
+	for i := range gpus {
+		gpus[i] = i
+	}
+	// PerturbStaleGPUs divides the scores it is handed, so dividing by
+	// 1/Factor makes the true scores Factor times the profiled ones
+	// (before the result renormalizes to its median).
+	return vprof.PerturbStaleGPUs(prof, vprof.Class(st.Class), gpus, 1/st.Factor), nil
 }
 
 // buildTrace materializes the workload.
@@ -129,32 +178,36 @@ func (s *Spec) buildTrace() (*trace.Trace, error) {
 }
 
 // profileMemo caches generated profiles per (source, gpus, seed):
-// generation plus subsampling is cheap, but scenarios fanned out over a
+// generation plus subsampling is cheap, but cells fanned out over a
 // pool build repeatedly and profiles are immutable.
 var profileMemo runner.Memo[string, *vprof.Profile]
 
-// buildProfile materializes the variability profile, sized to cover the
-// cluster.
-func (s *Spec) buildProfile(gpus int) (*vprof.Profile, error) {
-	p := s.Profile
-	switch p.Source {
+// GeneratedProfile returns the profile a generated source ("longhorn",
+// "frontera" or "testbed") yields for a gpus-GPU cluster at the given
+// seed. Longhorn and frontera follow the paper's methodology (§IV-C):
+// generate the full 416-GPU cluster's profile, then sample the
+// cluster's GPUs from it without repetition. The result is memoized
+// and shared; callers must not mutate it.
+func GeneratedProfile(source string, gpus int, seed uint64) (*vprof.Profile, error) {
+	if gpus < 1 {
+		return nil, fmt.Errorf("%s profile for %d GPUs, want >= 1", source, gpus)
+	}
+	switch source {
 	case "longhorn", "frontera":
 		if gpus > fullClusterGPUs {
-			return nil, fmt.Errorf("scenario %s: %s profiles cover at most %d GPUs, cluster has %d",
-				s.Name, p.Source, fullClusterGPUs, gpus)
+			return nil, fmt.Errorf("%s profiles cover at most %d GPUs, cluster has %d",
+				source, fullClusterGPUs, gpus)
 		}
-		key := fmt.Sprintf("%s-%d-%d", p.Source, gpus, p.Seed)
+		key := fmt.Sprintf("%s-%d-%d", source, gpus, seed)
 		var err error
 		prof := profileMemo.Get(key, func() *vprof.Profile {
-			// The paper's methodology (§IV-C): profile the full cluster,
-			// then sample the simulated cluster's GPUs without repetition.
 			var full *vprof.Profile
-			if p.Source == "longhorn" {
-				full = vprof.GenerateLonghorn(fullClusterGPUs, p.Seed)
+			if source == "longhorn" {
+				full = vprof.GenerateLonghorn(fullClusterGPUs, seed)
 			} else {
-				full = vprof.GenerateFrontera(fullClusterGPUs, p.Seed)
+				full = vprof.GenerateFrontera(fullClusterGPUs, seed)
 			}
-			perm := rng.New(p.Seed).Split(uint64(gpus)).Perm(full.NumGPUs())
+			perm := rng.New(seed).Split(uint64(gpus)).Perm(full.NumGPUs())
 			sub, serr := full.Subsample(key, perm, gpus)
 			if serr != nil {
 				err = serr
@@ -162,36 +215,53 @@ func (s *Spec) buildProfile(gpus int) (*vprof.Profile, error) {
 			}
 			return sub
 		})
+		return prof, err
+	case "testbed":
+		if gpus > 64 {
+			return nil, fmt.Errorf("the testbed profile covers 64 GPUs, cluster has %d", gpus)
+		}
+		return profileMemo.Get(fmt.Sprintf("testbed-%d", seed), func() *vprof.Profile {
+			return vprof.GenerateTestbed(seed)
+		}), nil
+	}
+	return nil, fmt.Errorf("unknown generated profile source %q (want longhorn, frontera or testbed)", source)
+}
+
+// buildProfile materializes the variability profile, sized to cover the
+// cluster.
+func (s *Spec) buildProfile(gpus int) (*vprof.Profile, error) {
+	p := s.Profile
+	if p.Source != "file" {
+		prof, err := GeneratedProfile(p.Source, gpus, p.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		return prof, nil
-	case "testbed":
-		if gpus > 64 {
-			return nil, fmt.Errorf("scenario %s: the testbed profile covers 64 GPUs, cluster has %d", s.Name, gpus)
-		}
-		return profileMemo.Get(fmt.Sprintf("testbed-%d", p.Seed), func() *vprof.Profile {
-			return vprof.GenerateTestbed(p.Seed)
-		}), nil
-	case "file":
-		f, err := os.Open(p.Path)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: profile: %w", s.Name, err)
-		}
-		defer f.Close()
-		prof, err := vprof.Load(f)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: profile %s: %w", s.Name, p.Path, err)
-		}
-		return prof, nil
 	}
-	return nil, fmt.Errorf("scenario %s: unknown profile source %q", s.Name, p.Source)
+	f, err := os.Open(p.Path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: profile: %w", s.Name, err)
+	}
+	defer f.Close()
+	prof, err := vprof.Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: profile %s: %w", s.Name, p.Path, err)
+	}
+	return prof, nil
 }
 
-// binMemo caches the silhouette K-Means binning per profile, mirroring
-// the experiments layer: binning is O(n²) per class and profiles are
-// shared immutable values.
+// binMemo caches the silhouette K-Means binning per profile: binning
+// is O(n²) per class and profiles are shared immutable values. Its
+// single flight bins each profile exactly once, however many runs over
+// it start at once.
 var binMemo runner.Memo[*vprof.Profile, *vprof.Binned]
+
+// Bins returns the memoized silhouette K-Means binning of a profile
+// (vprof.BinProfile), the PM-score view the placers consult. The
+// returned Binned is shared and read-only.
+func Bins(p *vprof.Profile) *vprof.Binned {
+	return binMemo.Get(p, func() *vprof.Binned { return vprof.BinProfile(p) })
+}
 
 // Config assembles a sim.Config for the built scenario. Each call
 // constructs fresh scheduler, placer and admission instances — placers
@@ -217,7 +287,7 @@ func (b *Built) Config() (sim.Config, error) {
 	migration := s.Engine.MigrationPenaltySec
 	switch {
 	case migration == 0:
-		migration = defaultMigrationPenaltySec
+		migration = DefaultMigrationPenaltySec
 	case migration < 0:
 		migration = 0
 	}
@@ -263,7 +333,7 @@ func (b *Built) Config() (sim.Config, error) {
 		Sched:               schedPolicy,
 		Placer:              placer,
 		Admit:               admit,
-		TrueProfile:         b.Profile,
+		TrueProfile:         b.TrueProfile,
 		Lacross:             s.Locality.Lacross,
 		ModelLacross:        modelLacross,
 		Lrack:               s.Locality.Lrack,
@@ -278,14 +348,11 @@ func (b *Built) Config() (sim.Config, error) {
 	}, nil
 }
 
-// defaultMigrationPenaltySec mirrors the experiments layer's default
-// checkpoint/restore cost.
-const defaultMigrationPenaltySec = 10
-
 // buildPlacer constructs a placement policy by registry name against
-// the built scenario's profile and locality model, with the placer's
-// RNG stream derived from the spec seed and the policy name — so the
-// spec's own policy and a fork's warmup policy each get the stream they
+// the built scenario's profile and locality model. The spec's own
+// policy takes its RNG stream from policy.seed when set; otherwise, and
+// for a fork's differing warmup policy, the stream derives from the
+// spec seed and the policy name — so each policy gets the stream it
 // would have gotten as the spec's policy.
 func (b *Built) buildPlacer(name string) (sim.Placer, error) {
 	s := b.Spec
@@ -293,12 +360,16 @@ func (b *Built) buildPlacer(name string) (sim.Placer, error) {
 	if s.Locality.PerModel {
 		modelLacross = trace.LacrossByModel()
 	}
+	seed := runner.DeriveSeed(s.Seed, "scenario/placer/"+name)
+	if name == s.Policy.Name && s.Policy.Seed != 0 {
+		seed = s.Policy.Seed
+	}
 	return place.Build(name, place.BuildEnv{
-		Scores:       binMemo.Get(b.Profile, func() *vprof.Binned { return vprof.BinProfile(b.Profile) }),
+		Scores:       Bins(b.Profile),
 		Lacross:      s.Locality.Lacross,
 		ModelLacross: modelLacross,
 		Lrack:        s.Locality.Lrack,
-		Seed:         runner.DeriveSeed(s.Seed, "scenario/placer/"+name),
+		Seed:         seed,
 	})
 }
 

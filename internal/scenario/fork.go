@@ -147,6 +147,11 @@ func (b *Built) PrefixKey() string {
 	probe := s.clone()
 	probe.Name = ""
 	probe.Fork = nil
+	if wp != s.Policy.Name {
+		// A switched warmup placer derives its own stream; the spec's
+		// placer seed belongs to the post-fork policy only.
+		probe.Policy.Seed = 0
+	}
 	probe.Policy.Name = wp
 	if ws != s.Sched.Name {
 		// A switched warmup sched is built with default params; the

@@ -1,11 +1,8 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
-
-	"repro/internal/export"
 )
 
 // forkBaseSpec is a small but non-trivial configuration: enough jobs
@@ -43,86 +40,6 @@ func buildSpec(t *testing.T, src string, mutate func(*Spec)) *Built {
 	return b
 }
 
-// resultBytes archives a result through the versioned codec with the
-// wall-clock field neutralized — the byte-identity comparison form.
-func resultBytes(t *testing.T, b *Built) []byte {
-	t.Helper()
-	res, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.PlaceTimes = nil
-	var buf bytes.Buffer
-	if err := export.EncodeResult(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestForkedRunByteIdentical: a fork whose warmup equals the spec's own
-// policies (pure prefix caching) must reproduce the unforked run bit
-// for bit — capture/resume is not allowed to perturb anything.
-func TestForkedRunByteIdentical(t *testing.T) {
-	plain := buildSpec(t, forkBaseSpec, nil)
-	want := resultBytes(t, plain)
-	for _, horizon := range []int{1, 7, 40} {
-		forked := buildSpec(t, forkBaseSpec, func(s *Spec) {
-			s.Fork = &ForkSpec{Rounds: horizon}
-		})
-		if got := resultBytes(t, forked); !bytes.Equal(got, want) {
-			t.Errorf("fork at round %d diverged from the unforked run", horizon)
-		}
-	}
-}
-
-// TestSharedSnapshotMatchesOwnCapture: cells differing only in their
-// post-fork policies share a prefix; resuming cell B from cell A's
-// snapshot must equal B simulating its own prefix — the property that
-// makes cross-cell snapshot sharing sound.
-func TestSharedSnapshotMatchesOwnCapture(t *testing.T) {
-	fork := &ForkSpec{Rounds: 12, Policy: "packed-sticky", Sched: "fifo"}
-	cellA := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: fork.Rounds, Policy: fork.Policy, Sched: fork.Sched}
-		s.Policy.Name = "pal"
-	})
-	cellB := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: fork.Rounds, Policy: fork.Policy, Sched: fork.Sched}
-		s.Policy.Name = "pm-first"
-		s.Sched.Name = "srtf"
-		s.Sched.Params = nil
-	})
-	if cellA.PrefixKey() != cellB.PrefixKey() {
-		t.Fatalf("cells differing only in post-fork policies have different prefix keys:\n  A %s\n  B %s",
-			cellA.PrefixKey(), cellB.PrefixKey())
-	}
-	snapA, early, err := cellA.CaptureSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snapA == nil {
-		t.Fatalf("warmup completed before the horizon (early=%v); enlarge the workload", early != nil)
-	}
-	shared, err := cellB.ResumeFrom(snapA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	own, err := cellB.RunForked(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared.PlaceTimes, own.PlaceTimes = nil, nil
-	var a, b bytes.Buffer
-	if err := export.EncodeResult(&a, shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := export.EncodeResult(&b, own); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("resuming from a shared snapshot diverged from simulating the cell's own prefix")
-	}
-}
-
 // TestPrefixKeySensitivity: the prefix key must separate cells whose
 // warmup runs genuinely differ — and only those.
 func TestPrefixKeySensitivity(t *testing.T) {
@@ -149,6 +66,26 @@ func TestPrefixKeySensitivity(t *testing.T) {
 	if renamed.PrefixKey() != ref {
 		t.Error("cell name perturbs the prefix key (kills snapshot sharing)")
 	}
+	// Nor the post-fork placer's seed: a switched warmup placer derives
+	// its own stream.
+	reseeded := buildSpec(t, forkBaseSpec, func(s *Spec) {
+		s.Fork = &ForkSpec{Rounds: 10, Policy: "packed-sticky"}
+		s.Policy.Seed = 77
+	})
+	if reseeded.PrefixKey() != ref {
+		t.Error("post-fork placer seed perturbs the prefix key (kills snapshot sharing)")
+	}
+	// An own-policy warmup does draw from policy.seed.
+	own := func(seed uint64) string {
+		return buildSpec(t, forkBaseSpec, func(s *Spec) {
+			s.Fork = &ForkSpec{Rounds: 10}
+			s.Policy.Name = "random-sticky"
+			s.Policy.Seed = seed
+		}).PrefixKey()
+	}
+	if own(0) == own(77) {
+		t.Error("the seed of an own-policy warmup placer does not perturb the prefix key")
+	}
 
 	// Everything the warmup run can observe must move it.
 	perturb := map[string]func(*Spec){
@@ -159,6 +96,7 @@ func TestPrefixKeySensitivity(t *testing.T) {
 		"cluster":       func(s *Spec) { s.Cluster.Nodes = 5 },
 		"round length":  func(s *Spec) { s.Engine.RoundSec = 120 },
 		"metrics off":   func(s *Spec) { s.Metrics = MetricsSpec{} },
+		"stale profile": func(s *Spec) { s.Profile.Stale = &StaleSpec{GPUs: 2, Factor: 3} },
 	}
 	for what, mutate := range perturb {
 		b := buildSpec(t, forkBaseSpec, func(s *Spec) {
@@ -226,19 +164,5 @@ func TestForkRejectsBadHorizon(t *testing.T) {
 	}`))
 	if err == nil {
 		t.Fatal("fork rounds 0 accepted, want a validation error")
-	}
-}
-
-// TestForkPastEndOfRun: a horizon beyond the run's natural end returns
-// the warmup run's result unchanged — with an own-policy warmup that
-// is byte-identical to the unforked run.
-func TestForkPastEndOfRun(t *testing.T) {
-	plain := buildSpec(t, forkBaseSpec, nil)
-	want := resultBytes(t, plain)
-	forked := buildSpec(t, forkBaseSpec, func(s *Spec) {
-		s.Fork = &ForkSpec{Rounds: 1000000}
-	})
-	if got := resultBytes(t, forked); !bytes.Equal(got, want) {
-		t.Error("past-end fork diverged from the unforked run")
 	}
 }

@@ -47,3 +47,91 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// fuzzMaxRounds caps FuzzBuildFile's runs: enough rounds to place,
+// preempt and finish jobs, few enough to keep each input fast.
+const fuzzMaxRounds = 300
+
+// FuzzBuildFile: a file-sourced trace or profile comes from the user,
+// so building a spec over one and running it may only return an error,
+// never panic. Each input is a spec (its first grid cell) whose
+// workload and profile are replaced by the fuzzed trace and profile
+// bytes, run for at most fuzzMaxRounds rounds. Seeded from the
+// checked-in example specs with their own built trace and profile, and
+// from a trace whose job names a class the profile does not have. Run
+// it with
+//
+//	go test -run '^$' -fuzz '^FuzzBuildFile$' -fuzztime 10s ./internal/scenario
+func FuzzBuildFile(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/scenario/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example specs to seed from (err %v)", err)
+	}
+	var specData, profData []byte
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := Parse(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cells, err := s.ExpandGrid()
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := cells[0].Build()
+		if err != nil {
+			f.Fatal(err)
+		}
+		var tr, prof bytes.Buffer
+		if err := b.Trace.Save(&tr); err != nil {
+			f.Fatal(err)
+		}
+		if err := b.Profile.Save(&prof); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, tr.Bytes(), prof.Bytes())
+		specData, profData = data, prof.Bytes()
+	}
+	class99, err := os.ReadFile("testdata/class99-trace.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(specData, class99, profData)
+	f.Fuzz(func(t *testing.T, specData, traceData, profData []byte) {
+		s, err := Parse(specData)
+		if err != nil {
+			return
+		}
+		cells, err := s.ExpandGrid()
+		if err != nil || len(cells) == 0 {
+			return
+		}
+		cell := cells[0]
+		dir := t.TempDir()
+		tracePath := filepath.Join(dir, "trace.json")
+		profPath := filepath.Join(dir, "profile.json")
+		if err := os.WriteFile(tracePath, traceData, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(profPath, profData, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cell.Workload = WorkloadSpec{Source: "file", Path: tracePath}
+		cell.Profile = ProfileSpec{Source: "file", Path: profPath, Stale: cell.Profile.Stale}
+		if cell.Engine.MaxRounds == 0 || cell.Engine.MaxRounds > fuzzMaxRounds {
+			cell.Engine.MaxRounds = fuzzMaxRounds
+		}
+		cell.Normalize()
+		if err := cell.Validate(); err != nil {
+			return
+		}
+		b, err := cell.Build()
+		if err != nil {
+			return
+		}
+		_, _ = b.Run()
+	})
+}

@@ -296,5 +296,9 @@ func (s *Spec) clone() *Spec {
 		f := *s.Fork
 		c.Fork = &f
 	}
+	if s.Profile.Stale != nil {
+		st := *s.Profile.Stale
+		c.Profile.Stale = &st
+	}
 	return &c
 }

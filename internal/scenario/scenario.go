@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -92,14 +93,38 @@ type ClusterSpec struct {
 // with vprof.Profile.Save.
 type ProfileSpec struct {
 	Source string `json:"source"` // longhorn | frontera | testbed | file; default longhorn
-	// Seed for profile generation and GPU sampling. Defaults to the
-	// experiments layer's constants (0x9A1; the testbed source uses its
-	// shifted seed 0x9A8), so a scenario on a 64-GPU longhorn cluster
-	// experiences the exact profile Fig. 11 ran on and a testbed
-	// scenario the exact Fig. 8 profile.
+	// Seed for profile generation and GPU sampling. Defaults to
+	// DefaultProfileSeed (0x9A1; the testbed source uses
+	// DefaultTestbedSeed, 0x9A8), so a scenario on a 64-GPU longhorn
+	// cluster experiences the exact profile Fig. 11 runs on and a
+	// testbed scenario the exact Fig. 8 profile.
 	Seed uint64 `json:"seed,omitempty"`
 	// Path of the profile JSON (source "file" only).
 	Path string `json:"path,omitempty"`
+	// Stale, when present, mis-profiles the cluster: the engine charges
+	// jobs the perturbed scores it describes, while the placers bin and
+	// consult the profile as generated (or loaded). This is the stale
+	// node-0 profile of the paper's testbed comparison (§V-A, Figs. 9-10,
+	// Table IV). Absent means the placers see exactly what jobs
+	// experience.
+	Stale *StaleSpec `json:"stale,omitempty"`
+}
+
+// StaleSpec describes a mis-profiled class on the cluster's leading
+// GPUs: jobs of Class run Factor times slower on GPUs 0..GPUs-1,
+// relative to the class's other GPUs, than the profile says
+// (vprof.PerturbStaleGPUs with 1/Factor; the charged scores are
+// renormalized to their median GPU like every profile).
+type StaleSpec struct {
+	// Class is the mis-profiled variability class (0 = A, 1 = B, 2 = C);
+	// it must be one of the profile's classes.
+	Class int `json:"class"`
+	// GPUs counts the leading GPUs whose profile is stale, from 1 to the
+	// cluster's size.
+	GPUs int `json:"gpus"`
+	// Factor is how much slower than profiled those GPUs really run
+	// (finite and > 0; the testbed figures use 3).
+	Factor float64 `json:"factor"`
 }
 
 // WorkloadSpec selects the job trace.
@@ -142,6 +167,14 @@ type WorkloadSpec struct {
 // internal/place ("pal", "pm-first", "packed-sticky"/"tiresias", ...).
 type PolicySpec struct {
 	Name string `json:"name"` // default "pal"
+	// Seed, when nonzero, seeds the placer's RNG stream directly. 0
+	// derives it from the root seed and the policy name
+	// (runner.DeriveSeed(seed, "scenario/placer/"+name)). A fork's
+	// warmup placer uses it only when the warmup policy is the spec's
+	// own. The paper figures set it to keep the streams their recorded
+	// values were drawn with; the random and packed placers draw from
+	// it, PAL and PM-First do not.
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // SchedSpec selects the scheduling policy from the registry in
@@ -170,8 +203,7 @@ type EngineSpec struct {
 	RoundSec  float64 `json:"round_sec,omitempty"`
 	MaxRounds int     `json:"max_rounds,omitempty"`
 	// MigrationPenaltySec: 0 selects the default 10 s checkpoint/restore
-	// cost; negative disables the penalty (same convention as the
-	// experiments layer).
+	// cost (DefaultMigrationPenaltySec); negative disables the penalty.
 	MigrationPenaltySec float64 `json:"migration_penalty_sec,omitempty"`
 	MeasureFirst        int     `json:"measure_first,omitempty"`
 	MeasureLast         int     `json:"measure_last,omitempty"`
@@ -315,15 +347,15 @@ func (s *Spec) normalize() {
 		s.Profile.Source = "longhorn"
 	}
 	if s.Profile.Seed == 0 {
-		// Default to the experiments layer's seeds so a scenario over a
+		// Default to the paper figures' seeds so a scenario over a
 		// same-sized cluster experiences the exact per-GPU scores the
-		// paper figures ran on (the testbed generator uses a shifted
-		// seed there, matching Fig. 8).
+		// figures run on (the testbed generator uses a shifted seed,
+		// matching Fig. 8).
 		switch s.Profile.Source {
 		case "longhorn", "frontera":
-			s.Profile.Seed = defaultProfileSeed
+			s.Profile.Seed = DefaultProfileSeed
 		case "testbed":
-			s.Profile.Seed = defaultTestbedSeed
+			s.Profile.Seed = DefaultTestbedSeed
 		}
 	}
 	if s.Workload.Source == "" {
@@ -466,6 +498,17 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario %s: unknown profile source %q (want longhorn, frontera, testbed or file)",
 			s.Name, s.Profile.Source)
+	}
+	if st := s.Profile.Stale; st != nil {
+		if st.Class < 0 {
+			return fmt.Errorf("scenario %s: profile stale class %d, want >= 0 (a class of the profile)", s.Name, st.Class)
+		}
+		if st.GPUs < 1 {
+			return fmt.Errorf("scenario %s: profile stale gpus %d, want >= 1 (leading GPUs mis-profiled)", s.Name, st.GPUs)
+		}
+		if !(st.Factor > 0) || math.IsInf(st.Factor, 0) {
+			return fmt.Errorf("scenario %s: profile stale factor %g, want a finite value > 0", s.Name, st.Factor)
+		}
 	}
 	switch s.Workload.Source {
 	case "sia-philly":

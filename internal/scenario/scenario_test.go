@@ -25,7 +25,7 @@ func TestParseAppliesDefaults(t *testing.T) {
 	if s.Cluster.Nodes != 16 || s.Cluster.GPUsPerNode != 4 {
 		t.Errorf("cluster defaults: %+v", s.Cluster)
 	}
-	if s.Profile.Source != "longhorn" || s.Profile.Seed != defaultProfileSeed {
+	if s.Profile.Source != "longhorn" || s.Profile.Seed != DefaultProfileSeed {
 		t.Errorf("profile defaults: %+v", s.Profile)
 	}
 	if s.Policy.Name != "pal" || s.Sched.Name != "fifo" || s.Admission != "admit-fits" {

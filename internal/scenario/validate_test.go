@@ -44,6 +44,21 @@ func TestValidateMessagesStateConstraints(t *testing.T) {
 			want: []string{`profile source "file" needs a path`},
 		},
 		{
+			name: "negative stale class",
+			spec: `{"profile": {"stale": {"class": -1, "gpus": 2, "factor": 3}}}`,
+			want: []string{"stale class -1", "want >= 0"},
+		},
+		{
+			name: "stale gpus below 1",
+			spec: `{"profile": {"stale": {"class": 0, "gpus": 0, "factor": 3}}}`,
+			want: []string{"stale gpus 0", "want >= 1"},
+		},
+		{
+			name: "non-positive stale factor",
+			spec: `{"profile": {"stale": {"class": 0, "gpus": 2, "factor": 0}}}`,
+			want: []string{"stale factor 0", "finite value > 0"},
+		},
+		{
 			name: "unknown workload source",
 			spec: `{"workload": {"source": "alibaba"}}`,
 			want: []string{`unknown workload source "alibaba"`, "sia-philly, synergy, synthetic or file"},

@@ -1,8 +1,8 @@
 // Package store is the persistent tier of the result cache: a
 // crash-safe, content-addressed on-disk store for simulation results,
-// keyed by the same canonical content hashes the in-memory cache uses
-// (experiments.RunSpec.Key for the paper figures, scenario.Built.Key for
-// every scenario run, palsim's flag runs included). Where runner.ResultCache
+// keyed by the same canonical content hashes the in-memory cache uses:
+// scenario.Built.Key, for every paper-figure cell and every scenario
+// run, palsim's flag runs included. Where runner.ResultCache
 // makes one process warm, the store makes every later process warm:
 // bit-reproducible simulations (the determinism invariant) never need to
 // run twice on one machine, across palsweep/palsim invocations, CI runs

@@ -49,8 +49,14 @@ func (t *Trace) Save(w io.Writer) error {
 // Load reads a trace previously written by Save and validates it.
 func Load(r io.Reader) (*Trace, error) {
 	var in traceJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
+	}
+	// Anything but whitespace after the trace means the file is not one
+	// trace.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("trace: trailing data after trace")
 	}
 	t := &Trace{Name: in.Name, Jobs: make([]JobSpec, len(in.Jobs))}
 	for i, j := range in.Jobs {

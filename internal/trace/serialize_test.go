@@ -38,3 +38,21 @@ func TestTraceLoadRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceLoadRejectsTrailingData: a saved trace followed by another
+// JSON value is not one trace; trailing whitespace is fine.
+func TestTraceLoadRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SiaPhilly(DefaultSiaPhillyParams(), 1).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	if _, err := Load(strings.NewReader(saved + " \n\t")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{`{"junk":1}`, `}`, `x`} {
+		if _, err := Load(strings.NewReader(saved + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("trace followed by %q: err = %v, want a trailing-data error", tail, err)
+		}
+	}
+}

@@ -41,8 +41,14 @@ func (p *Profile) Save(w io.Writer) error {
 // validated (shape and positive medians) through NewProfile.
 func Load(r io.Reader) (*Profile, error) {
 	var in profileJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("vprof: decode profile: %w", err)
+	}
+	// Anything but whitespace after the profile means the file is not
+	// one profile.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("vprof: trailing data after profile")
 	}
 	if len(in.Scores) != in.Classes {
 		return nil, fmt.Errorf("vprof: profile %q declares %d classes, has %d score rows",

@@ -41,3 +41,21 @@ func TestProfileLoadRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileLoadRejectsTrailingData: a saved profile followed by
+// another JSON value is not one profile; trailing whitespace is fine.
+func TestProfileLoadRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := GenerateLonghorn(8, 5).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	if _, err := Load(strings.NewReader(saved + " \n\t")); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
+	for _, tail := range []string{`{"junk":1}`, `]`, `x`} {
+		if _, err := Load(strings.NewReader(saved + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("profile followed by %q: err = %v, want a trailing-data error", tail, err)
+		}
+	}
+}
