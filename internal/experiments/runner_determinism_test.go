@@ -94,9 +94,21 @@ func TestFigureCellKeys(t *testing.T) {
 	if key(testbedSpec(PALPolicy, true)) == key(testbedSpec(PALPolicy, false)) {
 		t.Error("the stale profile does not feed the key")
 	}
-	if key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, true)) ==
-		key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false)) {
+	synergyRef := key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false))
+	if key(synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, true)) == synergyRef {
 		t.Error("recording GPUs in use does not feed the key")
+	}
+	// The Synergy cells' measure window follows the scale, so each end
+	// of it must move the key.
+	first := synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false)
+	first.Engine.MeasureFirst++
+	last := synergySpec(scale, 8, PALPolicy, "fifo", SynergyLacross, false)
+	last.Engine.MeasureLast++
+	if key(first) == synergyRef {
+		t.Error("engine.measure_first does not feed the key (stale-cache hazard)")
+	}
+	if key(last) == synergyRef {
+		t.Error("engine.measure_last does not feed the key (stale-cache hazard)")
 	}
 }
 

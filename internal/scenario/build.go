@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -135,14 +136,40 @@ func (s *Spec) staleTruth(prof *vprof.Profile, clusterGPUs int) (*vprof.Profile,
 		return nil, fmt.Errorf("scenario %s: profile stale gpus %d, want 1..%d (the cluster's size)",
 			s.Name, st.GPUs, clusterGPUs)
 	}
-	gpus := make([]int, st.GPUs)
-	for i := range gpus {
-		gpus[i] = i
+	// The same arithmetic as vprof.PerturbStaleGPUs with 1/Factor (the
+	// true scores are Factor times the profiled ones before they
+	// renormalize to their median), but a factor that over- or
+	// underflows the scores is an error here, not a panic or a NaN.
+	perClass := make([][]float64, prof.NumClasses())
+	for c := range perClass {
+		perClass[c] = prof.ClassScores(vprof.Class(c))
 	}
-	// PerturbStaleGPUs divides the scores it is handed, so dividing by
-	// 1/Factor makes the true scores Factor times the profiled ones
-	// (before the result renormalizes to its median).
-	return vprof.PerturbStaleGPUs(prof, vprof.Class(st.Class), gpus, 1/st.Factor), nil
+	inv := 1 / st.Factor
+	for g := 0; g < st.GPUs; g++ {
+		perClass[st.Class][g] /= inv
+	}
+	truth, err := vprof.NewProfile(prof.Name()+"-stale", perClass)
+	if err == nil {
+		err = usableScores(truth)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: profile stale factor %g leaves a charged profile the engine cannot use: %w",
+			s.Name, st.Factor, err)
+	}
+	return truth, nil
+}
+
+// usableScores reports the first score of p that is not finite and
+// positive: one the engine cannot charge a job's runtime by.
+func usableScores(p *vprof.Profile) error {
+	for c := 0; c < p.NumClasses(); c++ {
+		for g := 0; g < p.NumGPUs(); g++ {
+			if v := p.Score(vprof.Class(c), g); !(v > 0) || math.IsInf(v, 0) {
+				return fmt.Errorf("class %d GPU %d scores %g", c, g, v)
+			}
+		}
+	}
+	return nil
 }
 
 // buildTrace materializes the workload.

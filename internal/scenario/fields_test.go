@@ -167,6 +167,11 @@ func TestStaleProfile(t *testing.T) {
 	}{
 		{StaleSpec{Class: 3, GPUs: 1, Factor: 2}, "stale class 3, want 0..2"},
 		{StaleSpec{Class: 0, GPUs: 65, Factor: 2}, "stale gpus 65, want 1..64"},
+		// Factors that Validate accepts but that overflow the scores:
+		// the stale GPUs' own, or (with most GPUs stale, so the median
+		// is tiny) the fresh GPUs' once renormalized.
+		{StaleSpec{Class: 0, GPUs: 64, Factor: math.MaxFloat64}, "charged profile the engine cannot use"},
+		{StaleSpec{Class: 0, GPUs: 48, Factor: 5.6e-309}, "charged profile the engine cannot use"},
 	} {
 		s, err := Parse([]byte(src))
 		if err != nil {

@@ -57,9 +57,9 @@ const fuzzMaxRounds = 300
 // never panic. Each input is a spec (its first grid cell) whose
 // workload and profile are replaced by the fuzzed trace and profile
 // bytes, run for at most fuzzMaxRounds rounds. Seeded from the
-// checked-in example specs with their own built trace and profile, and
-// from a trace whose job names a class the profile does not have. Run
-// it with
+// checked-in example specs with their own built trace and profile,
+// from a trace whose job names a class the profile does not have, and
+// from a spec with a profile.stale block. Run it with
 //
 //	go test -run '^$' -fuzz '^FuzzBuildFile$' -fuzztime 10s ./internal/scenario
 func FuzzBuildFile(f *testing.F) {
@@ -67,7 +67,7 @@ func FuzzBuildFile(f *testing.F) {
 	if err != nil || len(paths) == 0 {
 		f.Fatalf("no example specs to seed from (err %v)", err)
 	}
-	var specData, profData []byte
+	var specData, traceData, profData []byte
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -93,13 +93,16 @@ func FuzzBuildFile(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data, tr.Bytes(), prof.Bytes())
-		specData, profData = data, prof.Bytes()
+		specData, traceData, profData = data, tr.Bytes(), prof.Bytes()
 	}
 	class99, err := os.ReadFile("testdata/class99-trace.json")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(specData, class99, profData)
+	// The stale block survives the file swap, so its factor fuzzes too.
+	f.Add([]byte(`{"name":"stale","cluster":{"nodes":2},"profile":{"stale":{"class":0,"gpus":4,"factor":3}}}`),
+		traceData, profData)
 	f.Fuzz(func(t *testing.T, specData, traceData, profData []byte) {
 		s, err := Parse(specData)
 		if err != nil {

@@ -123,7 +123,9 @@ type StaleSpec struct {
 	// cluster's size.
 	GPUs int `json:"gpus"`
 	// Factor is how much slower than profiled those GPUs really run
-	// (finite and > 0; the testbed figures use 3).
+	// (finite and > 0, with a finite reciprocal; the testbed figures
+	// use 3). Build rejects a factor that over- or underflows the
+	// profile's scores.
 	Factor float64 `json:"factor"`
 }
 
@@ -506,8 +508,8 @@ func (s *Spec) Validate() error {
 		if st.GPUs < 1 {
 			return fmt.Errorf("scenario %s: profile stale gpus %d, want >= 1 (leading GPUs mis-profiled)", s.Name, st.GPUs)
 		}
-		if !(st.Factor > 0) || math.IsInf(st.Factor, 0) {
-			return fmt.Errorf("scenario %s: profile stale factor %g, want a finite value > 0", s.Name, st.Factor)
+		if !(st.Factor > 0) || math.IsInf(st.Factor, 0) || math.IsInf(1/st.Factor, 0) {
+			return fmt.Errorf("scenario %s: profile stale factor %g, want a finite value > 0 with a finite reciprocal", s.Name, st.Factor)
 		}
 	}
 	switch s.Workload.Source {

@@ -59,6 +59,12 @@ func TestValidateMessagesStateConstraints(t *testing.T) {
 			want: []string{"stale factor 0", "finite value > 0"},
 		},
 		{
+			// A subnormal factor's reciprocal overflows to +Inf.
+			name: "stale factor with an infinite reciprocal",
+			spec: `{"profile": {"stale": {"class": 0, "gpus": 64, "factor": 1e-320}}}`,
+			want: []string{"stale factor 1e-320", "finite reciprocal"},
+		},
+		{
 			name: "unknown workload source",
 			spec: `{"workload": {"source": "alibaba"}}`,
 			want: []string{`unknown workload source "alibaba"`, "sia-philly, synergy, synthetic or file"},
