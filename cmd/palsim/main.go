@@ -47,7 +47,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -249,7 +251,7 @@ func runScenario(sess *cli.Session, spec *scenario.Spec, dumpTrace string, asJSO
 		header := fmt.Sprintf("scenario=%s trace=%s jobs=%d cluster=%d GPUs policy=%s sched=%s lacross=%.2f key=%s",
 			spec.Name, built.Trace.Name, len(built.Trace.Jobs), built.Topo.Size(),
 			spec.Policy.Name, spec.Sched.Name, spec.Locality.Lacross, built.Key()[:12])
-		printMetrics(header, res)
+		printMetrics(os.Stdout, header, res)
 	}
 	sess.Summarize(1, "scenarios", time.Since(start), []*sim.Counters{ctrs})
 }
@@ -276,28 +278,40 @@ func run(sess *cli.Session, built *scenario.Built) (*sim.Result, *sim.Counters, 
 }
 
 // printMetrics renders the aggregate metric block, plus the GPUs-in-use
-// deciles when the run carries a metrics payload.
-func printMetrics(header string, res *sim.Result) {
+// deciles when the run carries a metrics payload. A statistic over no
+// job is not a zero: the JCT and wait lines print "-" when no measured
+// job completed, and the makespan line when no job completed at all.
+func printMetrics(w io.Writer, header string, res *sim.Result) {
 	jcts := res.JCTs()
 	waits := res.Waits()
-	fmt.Println(header)
+	fmt.Fprintln(w, header)
 	if res.Truncated {
-		fmt.Printf("  TRUNCATED at %d rounds: %d jobs unfinished; metrics cover completed jobs only\n",
+		fmt.Fprintf(w, "  TRUNCATED at %d rounds: %d jobs unfinished; metrics cover completed jobs only\n",
 			res.Rounds, res.Unfinished)
 	}
-	fmt.Printf("  avg JCT      %10.1f s (%.2f h)\n", stats.Mean(jcts), stats.Mean(jcts)/3600)
-	fmt.Printf("  p50 JCT      %10.1f s\n", stats.Percentile(jcts, 50))
-	fmt.Printf("  p99 JCT      %10.1f s\n", stats.Percentile(jcts, 99))
-	fmt.Printf("  mean wait    %10.1f s\n", stats.Mean(waits))
-	fmt.Printf("  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
-	fmt.Printf("  utilization  %10.2f%%\n", 100*res.Utilization)
-	fmt.Printf("  rounds       %10d\n", res.Rounds)
+	if len(jcts) > 0 {
+		fmt.Fprintf(w, "  avg JCT      %10.1f s (%.2f h)\n", stats.Mean(jcts), stats.Mean(jcts)/3600)
+		fmt.Fprintf(w, "  p50 JCT      %10.1f s\n", stats.Percentile(jcts, 50))
+		fmt.Fprintf(w, "  p99 JCT      %10.1f s\n", stats.Percentile(jcts, 99))
+		fmt.Fprintf(w, "  mean wait    %10.1f s\n", stats.Mean(waits))
+	} else {
+		for _, label := range []string{"avg JCT", "p50 JCT", "p99 JCT", "mean wait"} {
+			fmt.Fprintf(w, "  %-12s %10s\n", label, "-")
+		}
+	}
+	if slices.ContainsFunc(res.Jobs, func(j *sim.Job) bool { return j.Done }) {
+		fmt.Fprintf(w, "  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
+	} else {
+		fmt.Fprintf(w, "  %-12s %10s\n", "makespan", "-")
+	}
+	fmt.Fprintf(w, "  utilization  %10.2f%%\n", 100*res.Utilization)
+	fmt.Fprintf(w, "  rounds       %10d\n", res.Rounds)
 	if metrics.FromResult(res) != nil {
 		deciles, err := experiments.InUseDeciles(res)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "palsim: no in-use deciles: %v\n", err)
 		} else {
-			fmt.Printf("  in-use (deciles): %s\n", strings.Join(deciles, " "))
+			fmt.Fprintf(w, "  in-use (deciles): %s\n", strings.Join(deciles, " "))
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -197,9 +198,19 @@ func cmdInfo(args []string) {
 	if res.Truncated {
 		fmt.Printf("TRUNCATED    %d jobs unfinished; metrics cover completed jobs only\n", res.Unfinished)
 	}
-	fmt.Printf("avg JCT      %.1f s\n", stats.Mean(jcts))
-	fmt.Printf("p99 JCT      %.1f s\n", stats.Percentile(jcts, 99))
-	fmt.Printf("makespan     %.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
+	// A statistic over no job is not a zero: "-" when no measured job
+	// completed, and for the makespan when none completed.
+	if len(jcts) > 0 {
+		fmt.Printf("avg JCT      %.1f s\n", stats.Mean(jcts))
+		fmt.Printf("p99 JCT      %.1f s\n", stats.Percentile(jcts, 99))
+	} else {
+		fmt.Printf("avg JCT      -\np99 JCT      -\n")
+	}
+	if slices.ContainsFunc(res.Jobs, func(j *sim.Job) bool { return j.Done }) {
+		fmt.Printf("makespan     %.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
+	} else {
+		fmt.Printf("makespan     -\n")
+	}
 	fmt.Printf("utilization  %.2f%%\n", 100*res.Utilization)
 }
 
@@ -279,9 +290,13 @@ func cmdExport(args []string) {
 		if res.Truncated {
 			truncated = fmt.Sprintf("yes (%d unfinished)", res.Unfinished)
 		}
+		var avg, p50, p99, wait any = "-", "-", "-", "-" // nothing measured
+		if len(jcts) > 0 {
+			avg, p50, p99 = stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99)
+			wait = stats.Mean(res.Waits())
+		}
 		table.AddRowf(key[:16], name, policy, sched, len(res.Jobs), len(res.Measured),
-			stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99),
-			stats.Mean(res.Waits()), 100*res.Utilization, res.Rounds, truncated)
+			avg, p50, p99, wait, 100*res.Utilization, res.Rounds, truncated)
 	}
 	if err := export.WriteTable(table, *format, ""); err != nil {
 		fatal(err)

@@ -90,6 +90,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -444,10 +445,19 @@ func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir strin
 		if res.Truncated {
 			truncated = fmt.Sprintf("yes (%d unfinished)", res.Unfinished)
 		}
+		// A statistic over no job is not a zero: "-" when no measured
+		// job completed, and for the makespan when none completed.
+		var avg, p50, p99, wait, makespan any = "-", "-", "-", "-", "-"
+		if len(jcts) > 0 {
+			avg, p50, p99 = stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99)
+			wait = stats.Mean(res.Waits())
+		}
+		if slices.ContainsFunc(res.Jobs, func(j *sim.Job) bool { return j.Done }) {
+			makespan = res.Makespan / 3600
+		}
 		table.AddRowf(b.Spec.Name, b.Trace.Name, len(b.Trace.Jobs), b.Topo.Size(),
 			b.Spec.Policy.Name, b.Spec.Sched.Name,
-			stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99),
-			stats.Mean(res.Waits()), res.Makespan/3600, 100*res.Utilization, res.Rounds, truncated)
+			avg, p50, p99, wait, makespan, 100*res.Utilization, res.Rounds, truncated)
 		table.Note("%s: key %s (%s)", b.Spec.Name, b.Key()[:16], c.path)
 	}
 	return table, archived, nil

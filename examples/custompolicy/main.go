@@ -40,35 +40,42 @@ func (s *Striped) Name() string { return "striped" }
 // Sticky implements sim.Placer.
 func (s *Striped) Sticky() bool { return false }
 
-// PlaceRound implements sim.Placer.
+// PlaceRound implements sim.Placer. It reads occupancy through the
+// cluster's read-only View and marks the round's own picks in a local
+// set: only the engine writes the cluster. Each job gets a fresh slice
+// here, which is simplest, but not required — the engine copies every
+// allocation it is handed, so a placer may as well return runs of one
+// buffer it reuses, valid until its next PlaceRound. What a placer must
+// not do is keep a job's PrevAlloc past the call: that array is engine
+// storage a later round reuses.
 func (s *Striped) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
+	v := c.View()
+	per := v.GPUsPerNode()
 	out := make(map[int][]cluster.GPUID, len(need))
-	var reserved []cluster.GPUID
+	taken := make(map[cluster.GPUID]bool)
 	for _, j := range need {
 		alloc := make([]cluster.GPUID, 0, j.Spec.Demand)
 		for len(alloc) < j.Spec.Demand {
-			// Walk nodes from the cursor until a free GPU turns up.
-			for tries := 0; tries < c.NumNodes(); tries++ {
-				node := cluster.NodeID((s.next + tries) % c.NumNodes())
+			// Walk nodes from the cursor until an untaken free GPU turns up.
+			for tries := 0; tries < v.NumNodes(); tries++ {
+				node := (s.next + tries) % v.NumNodes()
 				found := false
-				for _, g := range c.GPUsOnNode(node) {
-					if c.IsFree(g) {
+				for g := cluster.GPUID(node * per); g < cluster.GPUID((node+1)*per); g++ {
+					if v.IsFree(g) && !taken[g] {
 						alloc = append(alloc, g)
-						c.Allocate(j.Spec.ID, []cluster.GPUID{g})
-						reserved = append(reserved, g)
+						taken[g] = true
 						found = true
 						break
 					}
 				}
 				if found {
-					s.next = (int(node) + 1) % c.NumNodes()
+					s.next = (node + 1) % v.NumNodes()
 					break
 				}
 			}
 		}
 		out[j.Spec.ID] = alloc
 	}
-	c.Release(reserved)
 	return out
 }
 

@@ -9,13 +9,15 @@
 // L_across if it spans nodes. An optional rack level is supported as an
 // extension for deeper L×V matrices.
 //
-// Occupancy is indexed incrementally: Allocate and Release maintain
-// free-GPU counts per node and per rack alongside the flat bitmap, so the
+// Occupancy is indexed incrementally: Allocate, Release and Claim
+// maintain a free-GPU count per node alongside the flat bitmap, so the
 // occupancy queries the placement policies issue every round — NumFree,
-// FreeOnNode, FreeOnRack, and the busy-node skip inside FreeGPUs — cost
-// O(1) per node instead of rescanning the whole cluster. Placers choose
-// allocations through the read-only View handle; only the engine and a
-// placer's own PlaceRound hold the mutable *Cluster.
+// FreeOnNode, and the busy-node skip inside FreeGPUs — cost O(1) per
+// node instead of rescanning the whole cluster. FreeOnRack sums its
+// rack's node counts; nothing on the hot path asks it, so no per-rack
+// index is kept. Placers choose allocations through the read-only View
+// handle and hold their round's tentative picks in scratch of their
+// own; only the engine writes the cluster.
 package cluster
 
 import "fmt"
@@ -61,7 +63,7 @@ func (t Topology) Validate() error {
 
 // Cluster is the allocatable state of a GPU cluster. It tracks which GPUs
 // are free and which job owns each busy GPU, plus incrementally-maintained
-// free counts per node and per rack. Cluster is not safe for concurrent
+// free counts per node. Cluster is not safe for concurrent
 // use; the round-based engine drives it from a single goroutine.
 type Cluster struct {
 	topo  Topology
@@ -69,9 +71,8 @@ type Cluster struct {
 	owner []int  // owner[g] is the job ID holding GPU g, or -1
 	nfree int
 
-	// Occupancy indexes, updated on every Allocate/Release.
+	// Occupancy index, updated on every Allocate/Release/Claim.
 	freeNode []int // freeNode[n] counts free GPUs on node n
-	freeRack []int // freeRack[r] counts free GPUs in rack r
 }
 
 // New creates a cluster with the given topology, all GPUs free.
@@ -88,7 +89,6 @@ func New(topo Topology) *Cluster {
 		owner:    make([]int, n),
 		nfree:    n,
 		freeNode: make([]int, topo.NumNodes),
-		freeRack: make([]int, topo.NumRacks()),
 	}
 	for i := range c.free {
 		c.free[i] = true
@@ -97,23 +97,7 @@ func New(topo Topology) *Cluster {
 	for n := range c.freeNode {
 		c.freeNode[n] = topo.GPUsPerNode
 	}
-	for r := range c.freeRack {
-		c.freeRack[r] = c.rackSize(r)
-	}
 	return c
-}
-
-// rackSize returns the number of GPUs rack r holds (the last rack may be
-// partial).
-func (c *Cluster) rackSize(r int) int {
-	if c.topo.NodesPerRack <= 0 {
-		return c.topo.Size()
-	}
-	nodes := c.topo.NodesPerRack
-	if first := r * c.topo.NodesPerRack; first+nodes > c.topo.NumNodes {
-		nodes = c.topo.NumNodes - first
-	}
-	return nodes * c.topo.GPUsPerNode
 }
 
 // Topology returns the cluster's topology.
@@ -130,7 +114,7 @@ func (c *Cluster) GPUsPerNode() int { return c.topo.GPUsPerNode }
 
 // NumRacks returns the number of racks (1 when no rack grouping is
 // configured).
-func (c *Cluster) NumRacks() int { return len(c.freeRack) }
+func (c *Cluster) NumRacks() int { return c.topo.NumRacks() }
 
 // NodeOf returns the node hosting GPU g.
 func (c *Cluster) NodeOf(g GPUID) NodeID {
@@ -144,14 +128,6 @@ func (c *Cluster) RackOf(g GPUID) int {
 		return 0
 	}
 	return int(c.NodeOf(g)) / c.topo.NodesPerRack
-}
-
-// rackOfNode returns the rack hosting node n.
-func (c *Cluster) rackOfNode(n NodeID) int {
-	if c.topo.NodesPerRack <= 0 {
-		return 0
-	}
-	return int(n) / c.topo.NodesPerRack
 }
 
 // GPUsOnNode returns the IDs of all GPUs on node n, in ascending order.
@@ -205,9 +181,19 @@ func (c *Cluster) AppendFreeGPUs(out []GPUID) []GPUID {
 // incremental index.
 func (c *Cluster) FreeOnNode(n NodeID) int { return c.freeNode[n] }
 
-// FreeOnRack returns the number of free GPUs in rack r, answered from the
-// incremental index.
-func (c *Cluster) FreeOnRack(r int) int { return c.freeRack[r] }
+// FreeOnRack returns the number of free GPUs in rack r: the sum of its
+// nodes' counts in the per-node index.
+func (c *Cluster) FreeOnRack(r int) int {
+	lo, hi := 0, c.topo.NumNodes
+	if per := c.topo.NodesPerRack; per > 0 {
+		lo, hi = r*per, min((r+1)*per, hi)
+	}
+	n := 0
+	for _, f := range c.freeNode[lo:hi] {
+		n += f
+	}
+	return n
+}
 
 // Allocate marks the given GPUs as owned by job jobID. It panics if any
 // GPU is already allocated: placement policies must only hand out free
@@ -224,10 +210,29 @@ func (c *Cluster) Allocate(jobID int, gpus []GPUID) {
 		c.free[g] = false
 		c.owner[g] = jobID
 		c.nfree--
-		n := c.NodeOf(g)
-		c.freeNode[n]--
-		c.freeRack[c.rackOfNode(n)]--
+		c.freeNode[c.NodeOf(g)]--
 	}
+}
+
+// Claim checks and commits an allocation in one pass: it marks each GPU
+// of gpus as owned by jobID and returns -1, unless some GPU is out of
+// range or not free — already owned, or repeated earlier in gpus. Then
+// it releases what it claimed so far, leaving the cluster exactly as it
+// was, and returns the index in gpus of that first failing GPU. Unlike
+// Allocate it never panics: the engine turns the index into an error
+// naming the placer's fault.
+func (c *Cluster) Claim(jobID int, gpus []GPUID) int {
+	for i, g := range gpus {
+		if g < 0 || int(g) >= len(c.free) || !c.free[g] {
+			c.Release(gpus[:i])
+			return i
+		}
+		c.free[g] = false
+		c.owner[g] = jobID
+		c.nfree--
+		c.freeNode[c.NodeOf(g)]--
+	}
+	return -1
 }
 
 // Release frees the given GPUs. It panics if any GPU is already free,
@@ -242,9 +247,7 @@ func (c *Cluster) Release(gpus []GPUID) {
 		c.free[g] = true
 		c.owner[g] = -1
 		c.nfree++
-		n := c.NodeOf(g)
-		c.freeNode[n]++
-		c.freeRack[c.rackOfNode(n)]++
+		c.freeNode[c.NodeOf(g)]++
 	}
 }
 
@@ -401,26 +404,20 @@ func (c *Cluster) Reset() {
 	for n := range c.freeNode {
 		c.freeNode[n] = c.topo.GPUsPerNode
 	}
-	for r := range c.freeRack {
-		c.freeRack[r] = c.rackSize(r)
-	}
 }
 
 // CheckInvariants verifies internal consistency: the total free count and
-// the per-node and per-rack occupancy indexes all match a from-scratch
+// the per-node occupancy index both match a from-scratch
 // recount of the free bitmap, and owners are -1 exactly on free GPUs. It
 // is used by tests and the engine's end-of-run audit and returns an error
 // describing the first violation found.
 func (c *Cluster) CheckInvariants() error {
 	count := 0
 	nodeCount := make([]int, c.topo.NumNodes)
-	rackCount := make([]int, len(c.freeRack))
 	for g, f := range c.free {
 		if f {
 			count++
-			n := c.NodeOf(GPUID(g))
-			nodeCount[n]++
-			rackCount[c.rackOfNode(n)]++
+			nodeCount[c.NodeOf(GPUID(g))]++
 			if c.owner[g] != -1 {
 				return fmt.Errorf("cluster: free GPU %d has owner %d", g, c.owner[g])
 			}
@@ -434,11 +431,6 @@ func (c *Cluster) CheckInvariants() error {
 	for n, want := range nodeCount {
 		if c.freeNode[n] != want {
 			return fmt.Errorf("cluster: node %d free index %d != bitmap count %d", n, c.freeNode[n], want)
-		}
-	}
-	for r, want := range rackCount {
-		if c.freeRack[r] != want {
-			return fmt.Errorf("cluster: rack %d free index %d != bitmap count %d", r, c.freeRack[r], want)
 		}
 	}
 	return nil

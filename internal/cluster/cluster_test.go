@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +124,71 @@ func TestDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	c.Release([]GPUID{0})
+}
+
+// TestClaim drives the engine's one-pass check-and-commit: a rejected
+// claim names the first GPU that is out of range, repeated or busy, and
+// leaves the cluster exactly as it found it — bitmap, owners and both
+// counts; a valid claim commits like Allocate.
+func TestClaim(t *testing.T) {
+	topo := Topology{NumNodes: 4, GPUsPerNode: 4, NodesPerRack: 2}
+	c := New(topo)
+	c.Allocate(7, []GPUID{2, 9})
+	type state struct {
+		free     []bool
+		owner    []int
+		nfree    int
+		freeNode []int
+	}
+	snap := func() state {
+		return state{slices.Clone(c.free), slices.Clone(c.owner), c.nfree, slices.Clone(c.freeNode)}
+	}
+	before := snap()
+	rejected := []struct {
+		gpus []GPUID
+		bad  int
+	}{
+		{[]GPUID{-1}, 0},
+		{[]GPUID{0, 1, 16}, 2},   // one past the end
+		{[]GPUID{0, 1, 1000}, 2}, // far out of range
+		{[]GPUID{0, 5, 0}, 2},    // repeated
+		{[]GPUID{3, 3}, 1},       // repeated at once
+		{[]GPUID{0, 1, 2, 3}, 2}, // busy, owned by job 7
+		{[]GPUID{9}, 0},          // busy first
+		{[]GPUID{4, 5, 6, 7, 9}, 4},
+		{[]GPUID{0, 0, 2}, 1}, // the repeat comes before the busy GPU
+	}
+	for _, tc := range rejected {
+		if got := c.Claim(1, tc.gpus); got != tc.bad {
+			t.Errorf("Claim(%v) = %d, want %d", tc.gpus, got, tc.bad)
+		}
+		if after := snap(); !reflect.DeepEqual(after, before) {
+			t.Errorf("Claim(%v) rejected but changed the cluster: %+v, was %+v", tc.gpus, after, before)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("Claim(%v): %v", tc.gpus, err)
+		}
+	}
+
+	want := []GPUID{0, 5, 15, 8}
+	if got := c.Claim(3, want); got != -1 {
+		t.Fatalf("valid Claim(%v) = %d, want -1", want, got)
+	}
+	for _, g := range want {
+		if c.IsFree(g) || c.Owner(g) != 3 {
+			t.Errorf("GPU %d: free %v, owner %d after the claim, want job 3", g, c.IsFree(g), c.Owner(g))
+		}
+	}
+	if c.NumFree() != before.nfree-len(want) || c.FreeOnNode(0) != 2 || c.FreeOnRack(1) != 5 {
+		t.Errorf("counts after the claim: %d free, node 0 %d, rack 1 %d", c.NumFree(), c.FreeOnNode(0), c.FreeOnRack(1))
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.Release(want)
+	if after := snap(); !reflect.DeepEqual(after, before) {
+		t.Errorf("release after the claim did not restore the cluster")
+	}
 }
 
 func TestAllocateAtomicOnPanic(t *testing.T) {

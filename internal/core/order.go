@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -17,6 +18,8 @@ type scoreOrder struct {
 	scorer vprof.Scorer
 	// byClass[c] lists every GPU ascending by Score(c, g).
 	byClass [][]cluster.GPUID
+	// rank[c][g] is GPU g's position in byClass[c].
+	rank [][]int32
 	// nodeByClass[c][n] lists node n's GPUs ascending by Score(c, g).
 	nodeByClass [][][]cluster.GPUID
 }
@@ -35,6 +38,7 @@ func newScoreOrder(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *scoreOr
 	o := &scoreOrder{
 		scorer:      scorer,
 		byClass:     make([][]cluster.GPUID, numClasses),
+		rank:        make([][]int32, numClasses),
 		nodeByClass: make([][][]cluster.GPUID, numClasses),
 	}
 	tie := make([]uint64, n)
@@ -64,6 +68,11 @@ func newScoreOrder(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *scoreOr
 		}
 		sort.Slice(all, func(a, b int) bool { return cmp(all[a], all[b]) })
 		o.byClass[c] = all
+		rank := make([]int32, n)
+		for i, g := range all {
+			rank[g] = int32(i)
+		}
+		o.rank[c] = rank
 
 		nodes := make([][]cluster.GPUID, numNodes)
 		for nIdx := 0; nIdx < numNodes; nIdx++ {
@@ -117,14 +126,115 @@ func (oc *orderCache) get(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *
 	return oc.order
 }
 
-// takeBest writes into dst[:0] the first demand free GPUs in class
-// order, i.e. the free GPUs with the lowest PM scores (Algorithm 1's
-// selection). It returns the buffer, grown as needed so the caller can
-// keep it for the next pick, and whether demand GPUs were found.
-func (o *scoreOrder) takeBest(dst []cluster.GPUID, c cluster.View, class vprof.Class, demand int) ([]cluster.GPUID, bool) {
+// reservation is a placement round's free set as the hysteresis loop
+// sees it: the cluster's free GPUs minus those the round holds for its
+// jobs. One generation stamp per GPU answers availability — start stamps
+// the GPUs the cluster has busy, hold stamps a job's GPUs, unhold clears
+// them — so the loop reserves without writing the cluster, and per-node
+// counts net of the holds answer FreeOnNode. The embedded View answers
+// the topology questions; IsFree, FreeOnNode and NumFree are the
+// round's.
+//
+// The score-order walks start at a per-class cursor: every GPU before
+// byClass[class][cur[class]] is unavailable. A walk moves the cursor
+// past the unavailable run it starts on, holds only take GPUs away, and
+// unhold lowers the cursor to each returned GPU's rank — so a crowded
+// cluster's walks skip its busy best GPUs in O(1).
+type reservation struct {
+	cluster.View
+	order *scoreOrder
+	stamp []uint32 // stamp[g] == gen: GPU g is busy or held this round
+	gen   uint32
+	free  []int // free[n]: node n's available GPUs
+	nfree int
+	cur   []int // per-class cursor into order.byClass
+}
+
+// start begins a round over the cluster's current free state and the
+// score orders.
+func (r *reservation) start(v cluster.View, o *scoreOrder) {
+	r.View, r.order = v, o
+	if len(r.stamp) != v.Size() {
+		r.stamp = make([]uint32, v.Size())
+		r.gen = 0
+	}
+	if r.gen++; r.gen == 0 {
+		// The generation wrapped: clear the stamps so none aliases it.
+		clear(r.stamp)
+		r.gen = 1
+	}
+	per := v.GPUsPerNode()
+	r.free = slices.Grow(r.free[:0], v.NumNodes())[:v.NumNodes()]
+	for n := range r.free {
+		f := v.FreeOnNode(cluster.NodeID(n))
+		r.free[n] = f
+		if f == per {
+			continue
+		}
+		for g := cluster.GPUID(n * per); g < cluster.GPUID((n+1)*per); g++ {
+			if !v.IsFree(g) {
+				r.stamp[g] = r.gen
+			}
+		}
+	}
+	r.nfree = v.NumFree()
+	r.cur = slices.Grow(r.cur[:0], len(o.byClass))[:len(o.byClass)]
+	clear(r.cur)
+}
+
+// IsFree reports whether GPU g is available to the round's next pick.
+func (r *reservation) IsFree(g cluster.GPUID) bool { return r.stamp[g] != r.gen }
+
+// FreeOnNode returns node n's available GPUs.
+func (r *reservation) FreeOnNode(n cluster.NodeID) int { return r.free[n] }
+
+// NumFree returns the round's available GPUs.
+func (r *reservation) NumFree() int { return r.nfree }
+
+// hold takes available GPUs out of the round's free set.
+func (r *reservation) hold(gpus []cluster.GPUID) {
+	per := r.GPUsPerNode()
+	for _, g := range gpus {
+		r.stamp[g] = r.gen
+		r.free[int(g)/per]--
+	}
+	r.nfree -= len(gpus)
+}
+
+// unhold returns held GPUs to the round's free set, lowering each
+// class's cursor to the best of them.
+func (r *reservation) unhold(gpus []cluster.GPUID) {
+	per := r.GPUsPerNode()
+	for _, g := range gpus {
+		r.stamp[g] = 0 // no round's generation is 0
+		r.free[int(g)/per]++
+		for c, rank := range r.order.rank {
+			r.cur[c] = min(r.cur[c], int(rank[g]))
+		}
+	}
+	r.nfree += len(gpus)
+}
+
+// from returns class's score order from its cursor on, first moving the
+// cursor past the unavailable GPUs it rests on.
+func (r *reservation) from(class vprof.Class) []cluster.GPUID {
+	order := r.order.byClass[class]
+	i := r.cur[class]
+	for i < len(order) && r.stamp[order[i]] == r.gen {
+		i++
+	}
+	r.cur[class] = i
+	return order[i:]
+}
+
+// takeBest writes into dst[:0] the first demand available GPUs in class
+// order, i.e. the available GPUs with the lowest PM scores (Algorithm
+// 1's selection). It returns the buffer, grown as needed so the caller
+// can keep it for the next pick, and whether demand GPUs were found.
+func (r *reservation) takeBest(dst []cluster.GPUID, class vprof.Class, demand int) ([]cluster.GPUID, bool) {
 	out := dst[:0]
-	for _, g := range o.byClass[class] {
-		if !c.IsFree(g) {
+	for _, g := range r.from(class) {
+		if !r.IsFree(g) {
 			continue
 		}
 		out = append(out, g)
@@ -136,14 +246,15 @@ func (o *scoreOrder) takeBest(dst []cluster.GPUID, c cluster.View, class vprof.C
 }
 
 // takeBestUnder is takeBest restricted to GPUs with score <= v. The class
-// order is ascending by score, so the walk stops at the first GPU over v.
-func (o *scoreOrder) takeBestUnder(dst []cluster.GPUID, c cluster.View, class vprof.Class, demand int, v float64) ([]cluster.GPUID, bool) {
+// order is ascending by score, so the walk stops at the first GPU over v
+// (and the GPUs the cursor skips score no higher than the ones it walks).
+func (r *reservation) takeBestUnder(dst []cluster.GPUID, class vprof.Class, demand int, v float64) ([]cluster.GPUID, bool) {
 	out := dst[:0]
-	for _, g := range o.byClass[class] {
-		if o.scorer.Score(class, int(g)) > v {
+	for _, g := range r.from(class) {
+		if r.order.scorer.Score(class, int(g)) > v {
 			break
 		}
-		if !c.IsFree(g) {
+		if !r.IsFree(g) {
 			continue
 		}
 		out = append(out, g)
@@ -154,17 +265,18 @@ func (o *scoreOrder) takeBestUnder(dst []cluster.GPUID, c cluster.View, class vp
 	return out, false
 }
 
-// takeNodeUnder writes into dst[:0] the demand lowest-score free GPUs on
-// the node with score <= v. Like takeBest it returns the buffer and
-// whether the node could supply them; maxV is the allocation's max score.
-func (o *scoreOrder) takeNodeUnder(dst []cluster.GPUID, c cluster.View, class vprof.Class, node, demand int, v float64) (out []cluster.GPUID, maxV float64, ok bool) {
+// takeNodeUnder writes into dst[:0] the demand lowest-score available
+// GPUs on the node with score <= v. Like takeBest it returns the buffer
+// and whether the node could supply them; maxV is the allocation's max
+// score.
+func (r *reservation) takeNodeUnder(dst []cluster.GPUID, class vprof.Class, node, demand int, v float64) (out []cluster.GPUID, maxV float64, ok bool) {
 	out = dst[:0]
-	for _, g := range o.nodeByClass[class][node] {
-		s := o.scorer.Score(class, int(g))
+	for _, g := range r.order.nodeByClass[class][node] {
+		s := r.order.scorer.Score(class, int(g))
 		if s > v {
 			break
 		}
-		if !c.IsFree(g) {
+		if !r.IsFree(g) {
 			continue
 		}
 		out = append(out, g)

@@ -17,6 +17,13 @@ func orderFixture() (*scoreOrder, *cluster.Cluster, *fakeBinned) {
 	return newScoreOrder(f, 1, 16, 4), c, f
 }
 
+// roundOver begins a reservation over the cluster's free state.
+func roundOver(o *scoreOrder, c *cluster.Cluster) *reservation {
+	var r reservation
+	r.start(c.View(), o)
+	return &r
+}
+
 func TestScoreOrderAscending(t *testing.T) {
 	o, _, f := orderFixture()
 	prev := -1.0
@@ -53,7 +60,7 @@ func TestTakeBestSkipsBusy(t *testing.T) {
 	o, c, f := orderFixture()
 	// Occupy all the score-1.0 GPUs (positions 0, 4, 8, 12).
 	c.Allocate(1, []cluster.GPUID{0, 4, 8, 12})
-	got, ok := o.takeBest(nil, c.View(), 0, 2)
+	got, ok := roundOver(o, c).takeBest(nil, 0, 2)
 	if !ok || len(got) != 2 {
 		t.Fatalf("takeBest = %v, %v", got, ok)
 	}
@@ -67,7 +74,7 @@ func TestTakeBestSkipsBusy(t *testing.T) {
 func TestTakeBestInsufficient(t *testing.T) {
 	o, c, _ := orderFixture()
 	c.Allocate(1, c.FreeGPUs()[:15])
-	if got, ok := o.takeBest(nil, c.View(), 0, 2); ok {
+	if got, ok := roundOver(o, c).takeBest(nil, 0, 2); ok {
 		t.Errorf("takeBest with 1 free GPU for demand 2 = %v, want not ok", got)
 	}
 }
@@ -75,7 +82,7 @@ func TestTakeBestInsufficient(t *testing.T) {
 func TestTakeBestUnderStopsAtThreshold(t *testing.T) {
 	o, c, f := orderFixture()
 	// Filter at 1.05: only the four 1.0-score GPUs qualify.
-	got, ok := o.takeBestUnder(nil, c.View(), 0, 4, 1.05)
+	got, ok := roundOver(o, c).takeBestUnder(nil, 0, 4, 1.05)
 	if !ok || len(got) != 4 {
 		t.Fatalf("takeBestUnder = %v", got)
 	}
@@ -85,7 +92,7 @@ func TestTakeBestUnderStopsAtThreshold(t *testing.T) {
 		}
 	}
 	// Demand 5 at the same threshold cannot be met.
-	if got, ok := o.takeBestUnder(nil, c.View(), 0, 5, 1.05); ok {
+	if got, ok := roundOver(o, c).takeBestUnder(nil, 0, 5, 1.05); ok {
 		t.Errorf("threshold overrun: %v", got)
 	}
 }
@@ -93,7 +100,7 @@ func TestTakeBestUnderStopsAtThreshold(t *testing.T) {
 func TestTakeNodeUnder(t *testing.T) {
 	o, c, _ := orderFixture()
 	// Node 0: scores 1.0-1.3; at threshold 1.15, two GPUs qualify.
-	alloc, maxV, ok := o.takeNodeUnder(nil, c.View(), 0, 0, 2, 1.15)
+	alloc, maxV, ok := roundOver(o, c).takeNodeUnder(nil, 0, 0, 2, 1.15)
 	if !ok || len(alloc) != 2 {
 		t.Fatalf("takeNodeUnder = %v", alloc)
 	}
@@ -101,7 +108,7 @@ func TestTakeNodeUnder(t *testing.T) {
 		t.Errorf("maxV = %v, want 1.1", maxV)
 	}
 	// Demand 3 at that threshold fails.
-	if alloc, _, ok := o.takeNodeUnder(nil, c.View(), 0, 0, 3, 1.15); ok {
+	if alloc, _, ok := roundOver(o, c).takeNodeUnder(nil, 0, 0, 3, 1.15); ok {
 		t.Errorf("over-demand succeeded: %v", alloc)
 	}
 }

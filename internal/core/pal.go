@@ -29,7 +29,6 @@ type PAL struct {
 	matrices []*LVMatrix        // per class, built lazily
 	modelMat map[string][]*LVMatrix
 	cache    orderCache
-	order    *scoreOrder
 	hyst     hysteresis
 
 	// Scratch the fresh picks are written into (valid until the next
@@ -144,9 +143,9 @@ func (p *PAL) matrixFor(j *sim.Job) *LVMatrix {
 // PlaceRound implements sim.Placer.
 func (p *PAL) PlaceRound(c *cluster.Cluster, need []*sim.Job, now float64) map[int][]cluster.GPUID {
 	v := c.View()
-	p.order = p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode())
-	return p.hyst.place(c, need, placeOpts{noHysteresis: p.NoHysteresis},
-		func(j *sim.Job) []cluster.GPUID { return p.placeJob(v, j) },
+	res := p.hyst.start(v, p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode()))
+	return p.hyst.place(need, placeOpts{noHysteresis: p.NoHysteresis},
+		func(j *sim.Job) []cluster.GPUID { return p.placeJob(res, j) },
 		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(v, j, gpus) })
 }
 
@@ -170,9 +169,9 @@ func (p *PAL) lvProduct(c cluster.View, j *sim.Job, gpus []cluster.GPUID) float6
 	return l * maxScore(p.scorer, j.Spec.Class, gpus)
 }
 
-// placeJob implements Algorithm 2 for one job against the cluster's
-// current free state. The pick lives in the placer's scratch.
-func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
+// placeJob implements Algorithm 2 for one job against the round's
+// current free set. The pick lives in the placer's scratch.
+func (p *PAL) placeJob(c *reservation, j *sim.Job) []cluster.GPUID {
 	d := j.Spec.Demand
 	rackCap := 0
 	if p.lrack > 0 && c.Topology().NodesPerRack > 0 {
@@ -188,7 +187,7 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 		// variability is all that is left to optimize (Algorithm 2
 		// lines 23-25).
 		var ok bool
-		p.pick, ok = p.order.takeBest(p.pick[:0], c, j.Spec.Class, d)
+		p.pick, ok = c.takeBest(p.pick[:0], j.Spec.Class, d)
 		if !ok {
 			panic("core: PAL/PM-First path out of free GPUs")
 		}
@@ -214,7 +213,7 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 			// in the traversal; make a PM-First pick over the filtered
 			// free list.
 			var ok bool
-			if p.pick, ok = p.order.takeBestUnder(p.pick[:0], c, class, d, e.V); ok {
+			if p.pick, ok = c.takeBestUnder(p.pick[:0], class, d, e.V); ok {
 				alloc = p.pick
 			}
 		default:
@@ -237,7 +236,7 @@ func (p *PAL) placeJob(c cluster.View, j *sim.Job) []cluster.GPUID {
 // walks the global ascending score order, so the first rack to
 // accumulate d GPUs wins. The racks accumulate in the placer's
 // scratch, and the pick is the winning rack's bucket.
-func (p *PAL) rackUnder(c cluster.View, class vprof.Class, d int, v float64) []cluster.GPUID {
+func (p *PAL) rackUnder(c *reservation, class vprof.Class, d int, v float64) []cluster.GPUID {
 	if c.Topology().NodesPerRack <= 0 {
 		return nil
 	}
@@ -249,7 +248,7 @@ func (p *PAL) rackUnder(c cluster.View, class vprof.Class, d int, v float64) []c
 	for r := range buckets {
 		buckets[r] = buckets[r][:0]
 	}
-	for _, g := range p.order.byClass[class] {
+	for _, g := range c.from(class) {
 		if p.scorer.Score(class, int(g)) > v {
 			break
 		}
@@ -272,7 +271,7 @@ func (p *PAL) rackUnder(c cluster.View, class vprof.Class, d int, v float64) []c
 // (see newScoreOrder for why that matters). The running best lives in
 // p.pick and each node's candidate in p.cand; a winning candidate swaps
 // buffers with the best instead of being copied.
-func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) []cluster.GPUID {
+func (p *PAL) packedUnder(c *reservation, class vprof.Class, d int, v float64) []cluster.GPUID {
 	found := false
 	bestMax := 0.0
 	bestTie := uint64(0)
@@ -282,7 +281,7 @@ func (p *PAL) packedUnder(c cluster.View, class vprof.Class, d int, v float64) [
 		if c.FreeOnNode(cluster.NodeID(n)) < d {
 			continue
 		}
-		cand, maxV, ok := p.order.takeNodeUnder(p.cand[:0], c, class, n, d, v)
+		cand, maxV, ok := c.takeNodeUnder(p.cand[:0], class, n, d, v)
 		p.cand = cand
 		if !ok {
 			continue

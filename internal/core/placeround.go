@@ -22,9 +22,9 @@ type placeOpts struct {
 // hysteresis is the two-pass allocation loop shared by PM-First and PAL,
 // together with the scratch it sorts, holds and returns through. The
 // owning placer keeps one across rounds and writes its fresh picks into
-// scratch of its own, so a round allocates only the one slice per job
-// whose fresh pick beats its kept allocation — a fixpoint round
-// allocates nothing.
+// scratch of its own; the loop holds GPUs in its reservation, never in
+// the cluster, and copies each winning pick into one arena, so a warm
+// round allocates nothing.
 //
 // Both policies are Non-Sticky so jobs *can* migrate to better GPUs every
 // round, but a migration costs a checkpoint/restore, so a rational policy
@@ -42,25 +42,34 @@ type placeOpts struct {
 // so the same job set placed again — in any order — keeps them again.
 // That is what lets the engine skip such rounds (sim.FixpointPlacer).
 type hysteresis struct {
-	ordered  []*sim.Job
-	next     []int             // orderByClass's per-class cursors
-	kept     [][]cluster.GPUID // kept[i] is ordered[i]'s held previous allocation
-	reserved []cluster.GPUID
-	out      map[int][]cluster.GPUID
+	res     reservation
+	ordered []*sim.Job
+	next    []int             // orderByClass's per-class cursors
+	kept    [][]cluster.GPUID // kept[i] is ordered[i]'s held previous allocation
+	arena   []cluster.GPUID   // the round's winning fresh picks, back to back
+	out     map[int][]cluster.GPUID
 }
 
-// place runs the loop. fresh must return a valid allocation given the
-// cluster's current free state; it may return placer scratch, valid
-// until its next call, because place copies a fresh pick before keeping
-// it. quality evaluates an allocation for a job. The returned map is the
-// scratch's own: valid until the next call.
+// start begins a round over the cluster's free state and the placer's
+// score orders, returning the reservation fresh picks must read.
+func (h *hysteresis) start(v cluster.View, o *scoreOrder) *reservation {
+	h.res.start(v, o)
+	return &h.res
+}
+
+// place runs the loop over the round begun by start. fresh must return
+// a valid allocation given the reservation's current free set; it may
+// return placer scratch, valid until its next call, because place
+// copies a fresh pick before keeping it. quality evaluates an allocation
+// for a job. The returned map and the slices in it are the scratch's
+// own: valid until the next call.
 func (h *hysteresis) place(
-	c *cluster.Cluster,
 	need []*sim.Job,
 	opts placeOpts,
 	fresh func(*sim.Job) []cluster.GPUID,
 	quality func(*sim.Job, []cluster.GPUID) float64,
 ) map[int][]cluster.GPUID {
+	res := &h.res
 	// Placement priority (§III-B): a stable sort by class, class A
 	// first, so within a class the scheduling order is kept. The caller
 	// already truncated the queue at cluster size, so every job here is
@@ -72,44 +81,48 @@ func (h *hysteresis) place(
 	}
 
 	// Pass 1: tentatively hold every job's previous allocation.
-	v := c.View()
 	h.kept = slices.Grow(h.kept[:0], len(h.ordered))[:len(h.ordered)]
+	demand := 0
 	for i, j := range h.ordered {
+		demand += j.Spec.Demand
 		h.kept[i] = nil
 		if opts.noHysteresis {
 			continue
 		}
-		if prev := reusablePrev(v, j); prev != nil {
-			c.Allocate(j.Spec.ID, prev)
+		if prev := reusablePrev(res, j); prev != nil {
+			res.hold(prev)
 			h.kept[i] = prev
 		}
 	}
 
-	// Pass 2: fresh-vs-previous decision per job, in priority order.
+	// Pass 2: fresh-vs-previous decision per job, in priority order. The
+	// arena has room for every pick, so it never moves under the slices
+	// already handed out.
 	if h.out == nil {
 		h.out = make(map[int][]cluster.GPUID, len(need))
 	}
 	clear(h.out)
-	h.reserved = h.reserved[:0]
+	h.arena = slices.Grow(h.arena[:0], demand)
 	for i, j := range h.ordered {
 		prev := h.kept[i]
 		if prev != nil {
-			c.Release(prev) // expose the job's own GPUs to its fresh pick
+			res.unhold(prev) // expose the job's own GPUs to its fresh pick
 		}
 		alloc := fresh(j)
 		if prev != nil && quality(j, prev) <= quality(j, alloc) {
 			alloc = prev
 		} else {
-			// The engine keeps every returned slice (sim.Placer), so a
-			// winning pick leaves the placer's scratch.
-			alloc = slices.Clone(alloc)
+			// A winning pick leaves the placer's scratch for the arena.
+			start := len(h.arena)
+			h.arena = append(h.arena, alloc...)
+			alloc = h.arena[start:len(h.arena):len(h.arena)]
 		}
-		c.Allocate(j.Spec.ID, alloc)
-		h.reserved = append(h.reserved, alloc...)
+		res.hold(alloc)
 		h.out[j.Spec.ID] = alloc
 	}
-	c.Release(h.reserved) // hand ownership back to the engine
-	// Drop the job references so the scratch pins no finished jobs.
+	// The holds end with the round: the next start begins a new
+	// generation. Drop the job references so the scratch pins no
+	// finished jobs.
 	clear(h.ordered)
 	clear(h.kept)
 	return h.out
@@ -161,14 +174,14 @@ func (h *hysteresis) orderByClass(need []*sim.Job) {
 }
 
 // reusablePrev returns the job's previous allocation if it is intact and
-// entirely free, else nil.
-func reusablePrev(c cluster.View, j *sim.Job) []cluster.GPUID {
+// entirely available, else nil.
+func reusablePrev(r *reservation, j *sim.Job) []cluster.GPUID {
 	prev := j.PrevAlloc
 	if len(prev) != j.Spec.Demand {
 		return nil
 	}
 	for _, g := range prev {
-		if !c.IsFree(g) {
+		if !r.IsFree(g) {
 			return nil
 		}
 	}

@@ -18,7 +18,6 @@ import (
 type PMFirst struct {
 	scorer vprof.Scorer
 	cache  orderCache // precomputed score orders, rebuilt if scores drift
-	order  *scoreOrder
 	hyst   hysteresis
 	pick   []cluster.GPUID // a fresh pick, valid until the next one
 
@@ -54,23 +53,19 @@ func (p *PMFirst) opts() placeOpts {
 // the job set changes.
 func (p *PMFirst) FixpointStable() bool { return fixpointStable(p.scorer, p.opts()) }
 
-// ensureOrder refreshes the precomputed score orders (rebuilding when a
-// dynamic scorer's version moves).
-func (p *PMFirst) ensureOrder(c cluster.View) {
-	p.order = p.cache.get(p.scorer, p.scorer.NumClasses(), c.Size(), c.GPUsPerNode())
-}
-
 // PlaceRound implements sim.Placer.
 func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[int][]cluster.GPUID {
 	v := c.View()
-	p.ensureOrder(v)
-	return p.hyst.place(c, need, p.opts(),
+	// The precomputed score orders are rebuilt when a dynamic scorer's
+	// version moves.
+	res := p.hyst.start(v, p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode()))
+	return p.hyst.place(need, p.opts(),
 		func(j *sim.Job) []cluster.GPUID {
 			var ok bool
-			p.pick, ok = p.order.takeBest(p.pick[:0], v, j.Spec.Class, j.Spec.Demand)
+			p.pick, ok = res.takeBest(p.pick[:0], j.Spec.Class, j.Spec.Demand)
 			if !ok {
 				panic(fmt.Sprintf("core: PM-First cannot place job %d (demand %d, free %d)",
-					j.Spec.ID, j.Spec.Demand, v.NumFree()))
+					j.Spec.ID, j.Spec.Demand, res.NumFree()))
 			}
 			return p.pick
 		},

@@ -21,7 +21,6 @@ package place
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/rng"
@@ -38,11 +37,14 @@ import (
 // best fit is a walk over the handful of counts instead of a scan over
 // every node, and ascending bit order is ascending node order, the tied
 // list the RNG draws from. The round's own reservations update that
-// index and a per-GPU mark; the cluster itself is never written.
+// index and a per-GPU mark; the cluster itself is never written. The
+// allocations are consecutive runs of one per-round arena, so a warm
+// round allocates nothing.
 type Packed struct {
 	sticky  bool
 	rng     *rng.RNG
 	scratch packScratch
+	arena   []cluster.GPUID         // the round's allocations, back to back
 	out     map[int][]cluster.GPUID // returned map, reused across rounds
 }
 
@@ -69,15 +71,24 @@ func (p *Packed) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[
 	p.out = resetOut(p.out)
 	v := c.View()
 	p.scratch.index(v)
-	for _, j := range need {
-		p.out[j.Spec.ID] = p.scratch.packJob(v, j.Spec.Demand, p.rng)
+	// The round places at most the free GPUs, so the arena never moves
+	// while the slices handed out so far point into it.
+	arena := p.arena[:0]
+	if cap(arena) < v.NumFree() {
+		arena = make([]cluster.GPUID, 0, v.Size())
 	}
+	for _, j := range need {
+		start := len(arena)
+		arena = p.scratch.packJob(arena, v, j.Spec.Demand, p.rng)
+		p.out[j.Spec.ID] = arena[start:len(arena):len(arena)]
+	}
+	p.arena = arena
 	return p.out
 }
 
 // resetOut empties a placer's reusable result map, creating it on first
-// use. The engine reads the map before the next round (sim.Placer) and
-// keeps only the fresh slices in it.
+// use. The engine reads the map, and copies the allocations in it,
+// before the next round (sim.Placer).
 func resetOut(out map[int][]cluster.GPUID) map[int][]cluster.GPUID {
 	if out == nil {
 		return make(map[int][]cluster.GPUID)
@@ -96,8 +107,7 @@ type nodeFree struct {
 // free count net of the round's reservations, the nodes grouped by that
 // count, a mark on every reserved GPU, and reusable walk buffers. A
 // placer keeps one across rounds, so its steady-state rounds allocate
-// only the returned allocation slices (which the engine retains — those
-// must stay fresh).
+// nothing.
 type packScratch struct {
 	per   int   // GPUs per node
 	words int   // uint64 words per node bitset
@@ -122,7 +132,7 @@ type packScratch struct {
 func PackJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
 	var s packScratch
 	s.index(c)
-	return s.packJob(c, demand, r)
+	return s.packJob(make([]cluster.GPUID, 0, demand), c, demand, r)
 }
 
 // index starts a round: it loads every node's free count from the
@@ -170,8 +180,8 @@ func (s *packScratch) nth(f, k int) cluster.NodeID {
 }
 
 // packJob reserves a packed allocation of demand GPUs against the
-// round's index.
-func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
+// round's index and appends it to dst.
+func (s *packScratch) packJob(dst []cluster.GPUID, c cluster.View, demand int, r *rng.RNG) []cluster.GPUID {
 	// Best fit: the smallest sufficient free count; the RNG picks one of
 	// the nodes tied at it.
 	for f := max(demand, 1); f <= s.per; f++ {
@@ -180,7 +190,7 @@ func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.
 			if r != nil && tied > 1 {
 				k = r.Intn(tied)
 			}
-			return s.take(make([]cluster.GPUID, 0, demand), c, s.nth(f, k), demand, r)
+			return s.take(dst, c, s.nth(f, k), demand, r)
 		}
 	}
 
@@ -197,21 +207,21 @@ func (s *packScratch) packJob(c cluster.View, demand int, r *rng.RNG) []cluster.
 	// shuffled nodes one free count at a time, from full down, which is
 	// the order a stable sort by descending free count would give.
 	if r != nil {
-		r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		rng.ShuffleSlice(r, nodes)
 	}
-	alloc := make([]cluster.GPUID, 0, demand)
-	for f := s.per; f > 0 && len(alloc) < demand; f-- {
+	want := len(dst) + demand
+	for f := s.per; f > 0 && len(dst) < want; f-- {
 		for _, nf := range nodes {
 			if nf.free != f {
 				continue
 			}
-			alloc = s.take(alloc, c, nf.node, min(demand-len(alloc), f), r)
-			if len(alloc) == demand {
+			dst = s.take(dst, c, nf.node, min(want-len(dst), f), r)
+			if len(dst) == want {
 				break
 			}
 		}
 	}
-	return alloc
+	return dst
 }
 
 // take reserves up to n of the node's unreserved free GPUs and appends
@@ -226,7 +236,7 @@ func (s *packScratch) take(dst []cluster.GPUID, c cluster.View, node cluster.Nod
 	}
 	s.gpus = free
 	if r != nil {
-		r.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+		rng.ShuffleSlice(r, free)
 	}
 	n = min(n, len(free))
 	for _, g := range free[:n] {
@@ -245,7 +255,8 @@ func (s *packScratch) take(dst []cluster.GPUID, c cluster.View, node cluster.Nod
 }
 
 // Random is the scattered placement policy: each job receives a uniform
-// random subset of the free GPUs.
+// random subset of the free GPUs — the next run of the round's shuffled
+// free list, handed out in place.
 type Random struct {
 	sticky bool
 	rng    *rng.RNG
@@ -276,11 +287,12 @@ func (r *Random) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[
 	// shuffle's outcome, and so every recorded result, depends on it.
 	free := c.AppendFreeGPUs(r.free[:0])
 	r.free = free
-	r.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	rng.ShuffleSlice(r.rng, free)
 	idx := 0
 	for _, j := range need {
-		r.out[j.Spec.ID] = slices.Clone(free[idx : idx+j.Spec.Demand])
-		idx += j.Spec.Demand
+		next := idx + j.Spec.Demand
+		r.out[j.Spec.ID] = free[idx:next:next]
+		idx = next
 	}
 	return r.out
 }

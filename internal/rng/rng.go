@@ -10,7 +10,10 @@
 // single experiment seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic pseudo-random number generator (SplitMix64).
 // The zero value is a valid generator seeded with 0. RNG is not safe for
@@ -73,28 +76,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aLo * bLo
-	lo = t & mask
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask
-	c = t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask) << 32
-	hi = aHi*bHi + c + (t >> 32)
-	return hi, lo
 }
 
 // NormFloat64 returns a standard normal variate (mean 0, stddev 1), using
@@ -166,6 +152,17 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
+	}
+}
+
+// ShuffleSlice pseudo-randomly permutes s in place, drawing exactly as
+// r.Shuffle(len(s), swap) with an element swap does — the same Intn
+// calls, the same swaps — without an indirect call per swap, for the
+// placers that shuffle every round.
+func ShuffleSlice[T any](r *RNG, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
 	}
 }
 

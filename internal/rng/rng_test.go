@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -96,6 +97,33 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
+}
+
+// TestIntnGoldenSequence pins Intn's draws from one stream across small,
+// 33-bit, near-2^62 and maximal bounds. The large bounds reject often,
+// so the sequence also pins how many Uint64 draws each call consumes:
+// any change to the multiply-shift or its rejection test shows here.
+func TestIntnGoldenSequence(t *testing.T) {
+	golden := []struct {
+		n    int
+		want []int
+	}{
+		{1, []int{0, 0, 0, 0, 0, 0, 0, 0}},
+		{3, []int{2, 1, 2, 2, 0, 0, 1, 2}},
+		{1<<32 + 1, []int{125750120, 2183948292, 1519357071, 651375782, 498475562, 1362395918, 2699845937, 3233780388}},
+		{1<<62 + 12345, []int{4314566276076525764, 4096314945419789049, 4284751876061455982, 1212056011619985830,
+			3199254192516871293, 4107381794224654458, 3916795224161654058, 1620140812304730755}},
+		{math.MaxInt64, []int{6919915301014536220, 8864070113617661, 6981815158017833659, 6734610389038276823,
+			5169029433885104860, 288506768915283615, 918813200874755451, 6452425776103585588}},
+	}
+	r := New(20241017)
+	for _, g := range golden {
+		for i, want := range g.want {
+			if got := r.Intn(g.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", g.n, i, got, want)
+			}
+		}
+	}
 }
 
 func TestIntnUniformity(t *testing.T) {
@@ -232,6 +260,25 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 	if sum != 28 {
 		t.Errorf("shuffle changed elements: %v", xs)
+	}
+}
+
+// TestShuffleSliceMatchesShuffle: ShuffleSlice permutes exactly as
+// Shuffle with an element swap does and leaves the stream at the same
+// position, over lengths 0 to 300.
+func TestShuffleSliceMatchesShuffle(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		a, b := New(uint64(n)), New(uint64(n))
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		got := slices.Clone(want)
+		a.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+		ShuffleSlice(b, got)
+		if !slices.Equal(got, want) || a.State() != b.State() {
+			t.Fatalf("n=%d: ShuffleSlice gave %v (state %d), Shuffle %v (state %d)", n, got, b.State(), want, a.State())
+		}
 	}
 }
 

@@ -68,7 +68,8 @@ type Counters struct {
 
 	// Scheduling churn and allocator traffic: preemptions deschedule a
 	// running job, migrations change a running job's allocation,
-	// Alloc/Release count cluster.Allocate/Release calls.
+	// AllocCalls counts the allocations the engine commits
+	// (cluster.Claim), ReleaseCalls the ones it releases.
 	Preemptions  int64 `json:"preemptions,omitempty"`
 	Migrations   int64 `json:"migrations,omitempty"`
 	AllocCalls   int64 `json:"alloc_calls,omitempty"`

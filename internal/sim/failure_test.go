@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -124,47 +123,6 @@ func TestOverlappingAllocationsSurfaceError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "busy GPU") {
 		t.Errorf("error %q does not mention the busy GPU", err)
-	}
-}
-
-// TestDuplicateCheckAcrossStampWrap drives the allocation check's
-// generation stamp across its wrap: a valid allocation stays accepted
-// even over a stamp left from the previous epoch, and a repeated GPU is
-// rejected on both sides of the wrap, in direct checks and in a run.
-func TestDuplicateCheckAcrossStampWrap(t *testing.T) {
-	cfg := baseConfig(t, []trace.JobSpec{{ID: 0, Arrival: 0, Demand: 2, Work: 600}})
-	e, err := newEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := e.jobs[0]
-	check := func(gpus []cluster.GPUID, dup bool) {
-		t.Helper()
-		err := e.checkGPUs(j, gpus)
-		switch {
-		case dup && (err == nil || !strings.Contains(err.Error(), "twice")):
-			t.Errorf("generation %d: duplicate in %v not rejected (err %v)", e.allocGen, gpus, err)
-		case !dup && err != nil:
-			t.Errorf("generation %d: valid allocation %v rejected: %v", e.allocGen, gpus, err)
-		}
-	}
-	e.allocGen = math.MaxUint32 - 2
-	check([]cluster.GPUID{0, 1}, false)
-	check([]cluster.GPUID{1, 1}, true) // the last generation before the wrap
-	// A mark from the previous epoch that generation 1 would alias.
-	e.allocSeen[4] = 1
-	check([]cluster.GPUID{4, 5}, false) // wraps
-	check([]cluster.GPUID{5, 5}, true)
-	check([]cluster.GPUID{0, 1}, false)
-
-	cfg.Placer = dupPlacer{}
-	e, err = newEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.allocGen = math.MaxUint32
-	if _, err := e.run(); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Errorf("run across the wrap: error %v, want a duplicate GPU", err)
 	}
 }
 

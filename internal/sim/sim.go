@@ -51,7 +51,9 @@ type Job struct {
 	// PrevAlloc is the allocation the job held before the current
 	// placement call (nil if it was not running). Placement policies may
 	// use it for hysteresis: PM-First and PAL re-use it unless a strictly
-	// better allocation exists, avoiding gratuitous migrations.
+	// better allocation exists, avoiding gratuitous migrations. Its array
+	// is engine storage that a later round's allocation reuses: a policy
+	// reads it during PlaceRound and never retains it (see Placer).
 	PrevAlloc []cluster.GPUID
 
 	// migrated marks that the allocation changed this round, charging
@@ -104,11 +106,13 @@ type Scheduler interface {
 // slice is engine-owned scratch, valid only for the duration of the
 // call — copy it if the policy retains state across rounds. The engine
 // reads the returned map before the next PlaceRound call, so a policy
-// may reuse one map across rounds. The allocation slices in it are
-// different: the engine keeps every one as job state (Job.Alloc, then
-// Job.PrevAlloc), so each must be a fresh slice, or a job's own
-// PrevAlloc handed back unchanged, and never scratch the policy writes
-// to again.
+// may reuse one map across rounds, and the allocation slices in it
+// too: the engine copies every allocation into storage of its own, so a
+// returned slice need only stay valid until the next PlaceRound call —
+// placer scratch, a sub-slice of one shared arena, or a job's own
+// PrevAlloc handed back unchanged. Job.PrevAlloc, in turn, is engine
+// storage that a later round reuses: read it during the call, and never
+// retain it.
 //
 // Sticky reports the placement flavor (§IV-A1): sticky placers keep a
 // running job's allocation until it completes or is preempted; non-sticky
@@ -464,11 +468,10 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	fp, ok := cfg.Placer.(FixpointPlacer)
 	return &engine{
-		cfg:       cfg,
-		cluster:   c,
-		jobs:      jobs,
-		ctr:       cfg.Counters,
-		allocSeen: make([]uint32, c.Size()),
+		cfg:     cfg,
+		cluster: c,
+		jobs:    jobs,
+		ctr:     cfg.Counters,
 		// The fixpoint regime needs every skipped placement to be
 		// unobservable: the naive reference loop, an Observer (one
 		// callback per job per round) and a decision sink (non-sticky
@@ -514,20 +517,17 @@ type engine struct {
 	placeTimes []float64
 
 	// Scratch buffers reused across rounds so the steady-state loop
-	// allocates nothing: metrics observations, the placement need list,
-	// and the bulk-advance partition/ceiling/slowdown workspaces.
-	obsJobs []*Job
-	obsSds  []float64
-	needBuf []*Job
-	runBuf  []*Job
-	waitBuf []*Job
-	ceilBuf []float64
-	sdsBuf  []float64
-
-	// Allocation-validation stamps (see checkGPUs): allocSeen[g] is the
-	// generation of the last check that saw GPU g.
-	allocSeen []uint32
-	allocGen  uint32
+	// allocates nothing: metrics observations, the placement need list
+	// with the allocation storage each need job retires (see place), and
+	// the bulk-advance partition/ceiling/slowdown workspaces.
+	obsJobs  []*Job
+	obsSds   []float64
+	needBuf  []*Job
+	spareBuf [][]cluster.GPUID
+	runBuf   []*Job
+	waitBuf  []*Job
+	ceilBuf  []float64
+	sdsBuf   []float64
 
 	// Decision-trace scratch: the per-round placement/preemption
 	// decisions collected by place() for the decision sink, and a
@@ -1112,6 +1112,14 @@ func schedulablePrefix(ordered []*Job, clusterSize int) []*Job {
 // maps, so the phase allocates nothing in steady state; both marks are
 // false again by the time place returns. Under the fixpoint gate it also
 // records whether every placed job kept its previous GPUs.
+//
+// The engine owns allocation storage. A running job re-placed this
+// round retires its PrevAlloc — its allocation from the round before,
+// an array nothing else references, since a job's Alloc and PrevAlloc
+// never share one — and the placer's pick is copied into that array.
+// So a non-sticky steady state allocates nothing per job, and the array
+// the job's new PrevAlloc uses, which migration detection and the
+// encoded results read, is never written.
 func (e *engine) place(prefix []*Job, now float64) error {
 	e.fixpoint = e.fixpointGate
 	for _, j := range prefix {
@@ -1136,14 +1144,16 @@ func (e *engine) place(prefix []*Job, now float64) error {
 	}
 
 	sticky := e.cfg.Placer.Sticky()
-	need := e.needBuf[:0]
+	need, spare := e.needBuf[:0], e.spareBuf[:0]
 	for _, j := range prefix {
 		j.inPrefix = false
+		var retired []cluster.GPUID
 		if j.Alloc != nil {
 			if sticky {
 				continue // sticky jobs keep their GPUs
 			}
 			j.wasRunning = true
+			retired = j.PrevAlloc
 			j.PrevAlloc = j.Alloc
 			e.cluster.Release(j.Alloc)
 			j.Alloc = nil
@@ -1152,8 +1162,13 @@ func (e *engine) place(prefix []*Job, now float64) error {
 			}
 		}
 		need = append(need, j)
+		spare = append(spare, retired)
 	}
 	e.needBuf = need[:0]
+	// The retired arrays are about to become job state again; drop the
+	// scratch's references so it pins nothing past this call.
+	defer clear(spare)
+	e.spareBuf = spare[:0]
 	if len(need) == 0 {
 		return nil
 	}
@@ -1166,21 +1181,24 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		e.ctr.JobsPlaced += int64(len(need))
 	}
 
-	for _, j := range need {
+	for i, j := range need {
 		alloc, ok := allocs[j.Spec.ID]
 		if !ok || len(alloc) != j.Spec.Demand {
 			return fmt.Errorf("sim: placer %s gave job %d %d GPUs, want %d",
 				e.cfg.Placer.Name(), j.Spec.ID, len(alloc), j.Spec.Demand)
 		}
-		// Validate before committing so a buggy placer surfaces as an
-		// error, not a panic deep in the cluster bookkeeping.
-		if err := e.checkGPUs(j, alloc); err != nil {
-			return err
+		// Claim validates while it commits, so a buggy placer surfaces
+		// as an error, not a panic deep in the cluster bookkeeping.
+		if bad := e.cluster.Claim(j.Spec.ID, alloc); bad >= 0 {
+			return e.claimError(j, alloc, bad)
 		}
-		e.cluster.Allocate(j.Spec.ID, alloc)
 		if e.ctr != nil {
 			e.ctr.AllocCalls++
 		}
+		if cap(spare[i]) < len(alloc) {
+			spare[i] = make([]cluster.GPUID, len(alloc))
+		}
+		alloc = append(spare[i][:0], alloc...)
 		wasRunning := j.wasRunning
 		j.wasRunning = false
 		migrated := wasRunning && !sameGPUs(j.PrevAlloc, alloc)
@@ -1222,34 +1240,23 @@ func (e *engine) place(prefix []*Job, now float64) error {
 	return nil
 }
 
-// checkGPUs validates the GPUs a placer allocated to j: each in range,
-// none repeated and none busy. The repeat check is one pass over a
-// per-GPU generation stamp instead of a pairwise scan: GPU g already
-// appeared iff allocSeen[g] holds this call's generation. When the
-// generation wraps, the stamps are cleared so no stale mark can alias
-// the new one.
-func (e *engine) checkGPUs(j *Job, alloc []cluster.GPUID) error {
-	e.allocGen++
-	if e.allocGen == 0 {
-		clear(e.allocSeen)
-		e.allocGen = 1
+// claimError describes why Cluster.Claim rejected alloc[bad], the first
+// GPU of j's allocation it could not take: out of range, repeated
+// earlier in alloc, or held by another job. Every GPU before it was in
+// range, distinct and free, so this is the fault a GPU-by-GPU check
+// would have met first.
+func (e *engine) claimError(j *Job, alloc []cluster.GPUID, bad int) error {
+	g := alloc[bad]
+	switch {
+	case g < 0 || int(g) >= e.cluster.Size():
+		return fmt.Errorf("sim: placer %s gave job %d out-of-range GPU %d",
+			e.cfg.Placer.Name(), j.Spec.ID, g)
+	case slices.Contains(alloc[:bad], g):
+		return fmt.Errorf("sim: placer %s gave job %d GPU %d twice",
+			e.cfg.Placer.Name(), j.Spec.ID, g)
 	}
-	for _, g := range alloc {
-		if g < 0 || int(g) >= len(e.allocSeen) {
-			return fmt.Errorf("sim: placer %s gave job %d out-of-range GPU %d",
-				e.cfg.Placer.Name(), j.Spec.ID, g)
-		}
-		if e.allocSeen[g] == e.allocGen {
-			return fmt.Errorf("sim: placer %s gave job %d GPU %d twice",
-				e.cfg.Placer.Name(), j.Spec.ID, g)
-		}
-		e.allocSeen[g] = e.allocGen
-		if !e.cluster.IsFree(g) {
-			return fmt.Errorf("sim: placer %s gave job %d busy GPU %d (owner %d)",
-				e.cfg.Placer.Name(), j.Spec.ID, g, e.cluster.Owner(g))
-		}
-	}
-	return nil
+	return fmt.Errorf("sim: placer %s gave job %d busy GPU %d (owner %d)",
+		e.cfg.Placer.Name(), j.Spec.ID, g, e.cluster.Owner(g))
 }
 
 // sameGPUs reports set equality of two allocations: equal lengths and
