@@ -49,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -299,7 +298,7 @@ func printMetrics(w io.Writer, header string, res *sim.Result) {
 			fmt.Fprintf(w, "  %-12s %10s\n", label, "-")
 		}
 	}
-	if slices.ContainsFunc(res.Jobs, func(j *sim.Job) bool { return j.Done }) {
+	if res.Unfinished < len(res.Jobs) {
 		fmt.Fprintf(w, "  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
 	} else {
 		fmt.Fprintf(w, "  %-12s %10s\n", "makespan", "-")

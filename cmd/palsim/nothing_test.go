@@ -2,49 +2,20 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
-// writeNothingCompletes writes a spec in which no job can complete —
-// under admit-all, job 0 demands 500 GPUs of 16 and blocks job 1 behind
-// it under FIFO until the round cap — and returns its path.
-func writeNothingCompletes(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	files := map[string]string{
-		"trace.json": `{"name": "oversized", "jobs": [
-  {"id": 0, "model": "resnet50", "class": 0, "arrival_sec": 0, "demand": 500, "work_sec": 3600},
-  {"id": 1, "model": "resnet50", "class": 0, "arrival_sec": 30, "demand": 2, "work_sec": 1800}
-]}`,
-		"spec.json": `{
-  "name": "nothing-completes",
-  "cluster": {"nodes": 4, "gpus_per_node": 4},
-  "admission": "admit-all",
-  "workload": {"source": "file", "path": "TRACE"},
-  "policy": {"name": "pal"},
-  "sched": {"name": "fifo"}
-}`,
-	}
-	for name, body := range files {
-		// A file workload's path is relative to the working directory.
-		body = strings.ReplaceAll(body, "TRACE", filepath.Join(dir, "trace.json"))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return filepath.Join(dir, "spec.json")
-}
-
 // TestNothingCompletedPrintsDashes is the regression test for a run in
-// which no job completes: the JCT, wait and makespan lines used to
-// print means and percentiles over no job as 0.0.
+// which no job completes — in ../testdata/nothing-completes.json, shared
+// with palsweep's test, job 0 demands 500 GPUs of 16 under admit-all and
+// blocks job 1 behind it under FIFO until the round cap: the JCT, wait
+// and makespan lines used to print means and percentiles over no job
+// as 0.0.
 func TestNothingCompletedPrintsDashes(t *testing.T) {
-	spec, err := scenario.LoadFile(writeNothingCompletes(t))
+	spec, err := scenario.LoadFile("../testdata/nothing-completes.json")
 	if err != nil {
 		t.Fatal(err)
 	}

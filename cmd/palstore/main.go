@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -206,7 +205,7 @@ func cmdInfo(args []string) {
 	} else {
 		fmt.Printf("avg JCT      -\np99 JCT      -\n")
 	}
-	if slices.ContainsFunc(res.Jobs, func(j *sim.Job) bool { return j.Done }) {
+	if res.Unfinished < len(res.Jobs) {
 		fmt.Printf("makespan     %.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
 	} else {
 		fmt.Printf("makespan     -\n")

@@ -90,7 +90,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -452,7 +451,7 @@ func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir strin
 			avg, p50, p99 = stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99)
 			wait = stats.Mean(res.Waits())
 		}
-		if slices.ContainsFunc(res.Jobs, func(j *sim.Job) bool { return j.Done }) {
+		if res.Unfinished < len(res.Jobs) {
 			makespan = res.Makespan / 3600
 		}
 		table.AddRowf(b.Spec.Name, b.Trace.Name, len(b.Trace.Jobs), b.Topo.Size(),

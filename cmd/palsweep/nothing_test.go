@@ -1,41 +1,16 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 )
 
 // TestNothingCompletedTableDashes is the regression test for a scenario
-// in which no job completes — under admit-all, job 0 demands 500 GPUs
-// of 16 and blocks job 1 behind it under FIFO until the round cap: the
-// table's JCT, wait and makespan columns used to read 0.
+// in which no job completes (../testdata/nothing-completes.json, shared
+// with palsim's test): the table's JCT, wait and makespan columns used
+// to read 0.
 func TestNothingCompletedTableDashes(t *testing.T) {
-	dir := t.TempDir()
-	files := map[string]string{
-		"trace.json": `{"name": "oversized", "jobs": [
-  {"id": 0, "model": "resnet50", "class": 0, "arrival_sec": 0, "demand": 500, "work_sec": 3600},
-  {"id": 1, "model": "resnet50", "class": 0, "arrival_sec": 30, "demand": 2, "work_sec": 1800}
-]}`,
-		"spec.json": `{
-  "name": "nothing-completes",
-  "cluster": {"nodes": 4, "gpus_per_node": 4},
-  "admission": "admit-all",
-  "workload": {"source": "file", "path": "TRACE"},
-  "policy": {"name": "pal"},
-  "sched": {"name": "fifo"}
-}`,
-	}
-	for name, body := range files {
-		// A file workload's path is relative to the working directory.
-		body = strings.ReplaceAll(body, "TRACE", filepath.Join(dir, "trace.json"))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cells, err := loadScenarioCells([]string{filepath.Join(dir, "spec.json")}, false, false)
+	cells, err := loadScenarioCells([]string{"../testdata/nothing-completes.json"}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,17 +155,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// ShuffleSlice pseudo-randomly permutes s in place, drawing exactly as
-// r.Shuffle(len(s), swap) with an element swap does — the same Intn
-// calls, the same swaps — without an indirect call per swap, for the
-// placers that shuffle every round.
-func ShuffleSlice[T any](r *RNG, s []T) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

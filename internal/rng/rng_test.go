@@ -2,7 +2,6 @@ package rng
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -260,25 +259,6 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 	if sum != 28 {
 		t.Errorf("shuffle changed elements: %v", xs)
-	}
-}
-
-// TestShuffleSliceMatchesShuffle: ShuffleSlice permutes exactly as
-// Shuffle with an element swap does and leaves the stream at the same
-// position, over lengths 0 to 300.
-func TestShuffleSliceMatchesShuffle(t *testing.T) {
-	for n := 0; n <= 300; n++ {
-		a, b := New(uint64(n)), New(uint64(n))
-		want := make([]int, n)
-		for i := range want {
-			want[i] = i
-		}
-		got := slices.Clone(want)
-		a.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
-		ShuffleSlice(b, got)
-		if !slices.Equal(got, want) || a.State() != b.State() {
-			t.Fatalf("n=%d: ShuffleSlice gave %v (state %d), Shuffle %v (state %d)", n, got, b.State(), want, a.State())
-		}
 	}
 }
 

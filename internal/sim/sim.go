@@ -30,6 +30,11 @@ type Job struct {
 	// Remaining ideal work in seconds (starts at Spec.Work).
 	Remaining float64
 	// Alloc is the job's current GPU allocation, nil when not running.
+	// Its array is engine storage that a later placement rewrites: a
+	// re-placed job's Alloc becomes its PrevAlloc, and the placement
+	// after that copies the new pick into the same array. A reader that
+	// keeps the GPUs past the callback or round in which it read them
+	// copies the slice.
 	Alloc []cluster.GPUID
 	// Attained is the accumulated service in GPU-seconds (wall seconds
 	// running × demand), the quantity Tiresias's LAS discretizes.
@@ -317,7 +322,8 @@ type MetricsSink interface {
 // observable in bulk-synchronous training (every rank logs its compute
 // time before the gradient exchange), which is what makes online
 // re-profiling deployable. perGPU[i] corresponds to j.Alloc[i] and
-// excludes the locality penalty.
+// excludes the locality penalty. j.Alloc is engine storage that a later
+// placement rewrites: copy it to keep it past the call (see Job.Alloc).
 type Observer interface {
 	ObserveRound(j *Job, perGPU []float64, now float64)
 }
