@@ -10,7 +10,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -72,7 +71,7 @@ func TestGridCoveragePartialStore(t *testing.T) {
 		}
 		ran[b.Key()] = true
 		run := b
-		sweep.Add(run.Key(), run.Spec.Name, func() (*sim.Result, error) { return run.Run() })
+		sweep.AddTask(runner.Task{Key: run.Key(), Label: run.Spec.Name, Run: run.Run})
 	}
 	if len(ran) == 0 || len(ran) == len(expanded) {
 		t.Fatalf("shard %d/%d covers %d of %d cells; test needs a strict subset", shard, shards, len(ran), len(expanded))

@@ -469,7 +469,7 @@ func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir strin
 // the cell resumes from it under its own policies. Forked reports
 // whether the result genuinely rode a shared capture, which the pool
 // surfaces as the snapshot-fork outcome. Every degraded path falls
-// back to the cell simulating its own prefix (RunForked(nil)), so
+// back to the cell simulating its own prefix (RunForked()), so
 // snapshot sharing can only ever save work, never fail a cell that
 // would have succeeded on its own.
 func forkRun(snapCache *runner.SnapshotCache, b *scenario.Built) (run func() (*sim.Result, error), forked func() bool) {
@@ -491,13 +491,13 @@ func forkRun(snapCache *runner.SnapshotCache, b *scenario.Built) (run func() (*s
 		if err != nil || snap == nil || snap.Completed {
 			// Capture failure or early completion: the cell runs on its
 			// own (a deterministic capture error resurfaces per cell).
-			return b.RunForked(nil)
+			return b.RunForked()
 		}
 		res, rerr := b.ResumeFrom(snap)
 		if rerr != nil && fromCache {
 			// A shared (possibly store-loaded) snapshot that fails to
 			// resume must not fail the cell — simulate its own prefix.
-			return b.RunForked(nil)
+			return b.RunForked()
 		}
 		if rerr == nil {
 			rode.Store(fromCache)

@@ -52,7 +52,7 @@ func runCells(t *testing.T, cells []scenarioCell, st *store.Store) ([]*sim.Resul
 	sweep := runner.NewSweep(pool)
 	for _, c := range cells {
 		run := c.built
-		sweep.Add(run.Key(), run.Spec.Name, func() (*sim.Result, error) { return run.Run() })
+		sweep.AddTask(runner.Task{Key: run.Key(), Label: run.Spec.Name, Run: run.Run})
 	}
 	results, err := sweep.Run(context.Background())
 	if err != nil {

@@ -76,7 +76,7 @@ func TestCoreReadsSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		sweep := runner.NewSweep(sess.Pool)
-		sweep.Add(b.Key(), "cell", b.Run)
+		sweep.AddTask(runner.Task{Key: b.Key(), Label: "cell", Run: b.Run})
 		results, err := sweep.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)

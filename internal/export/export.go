@@ -149,37 +149,44 @@ func WriteTable(t *experiments.Table, format, outDir string) error {
 // resultJSON is the archival shape of one simulation result. Truncation
 // is part of the archival record: a run that stopped at the MaxRounds
 // cap reports metrics over completed jobs only, and an archived result
-// must say so.
+// must say so. A statistic over no job is null, as the text outputs
+// print "-": the JCT and wait fields when nothing was measured, the
+// makespan when no job completed.
 type resultJSON struct {
-	Jobs        int     `json:"jobs"`
-	Measured    int     `json:"measured"`
-	AvgJCT      float64 `json:"avg_jct_sec"`
-	P50JCT      float64 `json:"p50_jct_sec"`
-	P99JCT      float64 `json:"p99_jct_sec"`
-	MeanWait    float64 `json:"mean_wait_sec"`
-	Makespan    float64 `json:"makespan_sec"`
-	Utilization float64 `json:"utilization"`
-	Rounds      int     `json:"rounds"`
-	Truncated   bool    `json:"truncated,omitempty"`
-	Unfinished  int     `json:"unfinished,omitempty"`
+	Jobs        int      `json:"jobs"`
+	Measured    int      `json:"measured"`
+	AvgJCT      *float64 `json:"avg_jct_sec"`
+	P50JCT      *float64 `json:"p50_jct_sec"`
+	P99JCT      *float64 `json:"p99_jct_sec"`
+	MeanWait    *float64 `json:"mean_wait_sec"`
+	Makespan    *float64 `json:"makespan_sec"`
+	Utilization float64  `json:"utilization"`
+	Rounds      int      `json:"rounds"`
+	Truncated   bool     `json:"truncated,omitempty"`
+	Unfinished  int      `json:"unfinished,omitempty"`
 }
 
 // ResultJSON writes the aggregate metrics of a simulation result.
 func ResultJSON(w io.Writer, res *sim.Result) error {
-	jcts := res.JCTs()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(resultJSON{
+	num := func(v float64) *float64 { return &v }
+	out := resultJSON{
 		Jobs:        len(res.Jobs),
 		Measured:    len(res.Measured),
-		AvgJCT:      stats.Mean(jcts),
-		P50JCT:      stats.Percentile(jcts, 50),
-		P99JCT:      stats.Percentile(jcts, 99),
-		MeanWait:    stats.Mean(res.Waits()),
-		Makespan:    res.Makespan,
 		Utilization: res.Utilization,
 		Rounds:      res.Rounds,
 		Truncated:   res.Truncated,
 		Unfinished:  res.Unfinished,
-	})
+	}
+	if jcts := res.JCTs(); len(jcts) > 0 {
+		out.AvgJCT = num(stats.Mean(jcts))
+		out.P50JCT = num(stats.Percentile(jcts, 50))
+		out.P99JCT = num(stats.Percentile(jcts, 99))
+		out.MeanWait = num(stats.Mean(res.Waits()))
+	}
+	if res.Unfinished < len(res.Jobs) {
+		out.Makespan = num(res.Makespan)
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }

@@ -47,7 +47,7 @@ type ResultCache struct {
 	capacity int
 	ll       *list.List               // front = most recently used
 	entries  map[string]*list.Element // key -> element holding *cacheEntry
-	inflight map[string]*flight
+	flight   flight[sim.Result]
 	backend  Backend
 	// hadBackend remembers that SetBackend attached a non-nil backend,
 	// so BackendDetached can distinguish "never had a store" from "the
@@ -76,12 +76,66 @@ type cacheEntry struct {
 	res *sim.Result
 }
 
-// flight tracks one in-progress computation so duplicate keys wait for
-// it instead of recomputing.
-type flight struct {
+// flight is the single-flight table both caches share: concurrent
+// lookups of one key wait on one in-progress load instead of repeating
+// it. It holds no values itself — each cache supplies its memory tier
+// (hit) and its retention policy (keep). mu is the owning cache's
+// mutex; it guards the table and is held around hit and keep.
+type flight[T any] struct {
+	mu    *sync.Mutex
+	calls map[string]*call[T]
+}
+
+// call is one in-progress load; done closes once v and err are final.
+type call[T any] struct {
 	done chan struct{}
-	res  *sim.Result
+	v    *T
 	err  error
+}
+
+// newFlight returns an empty table guarded by mu.
+func newFlight[T any](mu *sync.Mutex) flight[T] {
+	return flight[T]{mu: mu, calls: make(map[string]*call[T])}
+}
+
+// do returns the value for key: from hit, from another caller's
+// in-flight load, or by running load once. shared reports the first
+// two, i.e. that this call did not load. A successful load is handed
+// to keep before any waiter wakes; an error reaches every waiter but is
+// never kept, so the key can be retried. A panicking load keeps
+// panicking in its own caller while its waiters get an error — never a
+// (nil, nil) outcome they would dereference.
+func (f *flight[T]) do(key string, hit func() (*T, bool), load func() (*T, error), keep func(*T)) (v *T, shared bool, err error) {
+	f.mu.Lock()
+	if v, ok := hit(); ok {
+		f.mu.Unlock()
+		return v, true, nil
+	}
+	if c, ok := f.calls[key]; ok {
+		f.mu.Unlock()
+		<-c.done
+		return c.v, true, c.err
+	}
+	c := &call[T]{done: make(chan struct{})}
+	f.calls[key] = c
+	f.mu.Unlock()
+
+	returned := false
+	defer func() {
+		if !returned {
+			c.err = fmt.Errorf("runner: cache load for key %q panicked", key)
+		}
+		f.mu.Lock()
+		delete(f.calls, key)
+		if c.err == nil && c.v != nil {
+			keep(c.v)
+		}
+		f.mu.Unlock()
+		close(c.done)
+	}()
+	c.v, c.err = load()
+	returned = true
+	return c.v, false, c.err
 }
 
 // NewResultCache returns a cache holding at most capacity results.
@@ -90,12 +144,13 @@ func NewResultCache(capacity int) *ResultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &ResultCache{
+	c := &ResultCache{
 		capacity: capacity,
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
 	}
+	c.flight = newFlight[sim.Result](&c.mu)
+	return c
 }
 
 // SetBackend attaches (or, with nil, detaches) the durable second tier.
@@ -181,73 +236,49 @@ func (c *ResultCache) Do(key string, compute func() (*sim.Result, error)) (*sim.
 
 // do is Do with the satisfying tier attributed, for the pool's probe.
 func (c *ResultCache) do(key string, compute func() (*sim.Result, error)) (*sim.Result, tier, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	src := tierComputed
+	res, shared, err := c.flight.do(key, func() (*sim.Result, bool) {
+		el, ok := c.entries[key]
+		if !ok {
+			return nil, false
+		}
 		c.ll.MoveToFront(el)
-		c.hits++
-		res := el.Value.(*cacheEntry).res
-		c.mu.Unlock()
-		return res, tierMemory, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-f.done
-		return f.res, tierMemory, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	backend := c.backend
-	c.mu.Unlock()
-
-	// The closing of f.done and the inflight cleanup must survive a
-	// panicking compute (the pool already converts panics to errors, but
-	// the cache should not rely on its callers for its own liveness).
-	// When compute never returned, waiters must see an error — not a
-	// (nil, nil) outcome they would dereference — while the panic itself
-	// keeps propagating to the computing caller.
-	returned := false
-	defer func() {
-		if !returned && f.err == nil {
-			f.err = fmt.Errorf("runner: cache computation for key %q panicked", key)
-		}
+		return el.Value.(*cacheEntry).res, true
+	}, func() (*sim.Result, error) {
 		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.err == nil && f.res != nil {
-			c.add(key, f.res)
-		}
+		backend := c.backend
 		c.mu.Unlock()
-		close(f.done)
-	}()
-
-	// Backend tier. The flight is already registered, so concurrent
-	// callers for this key wait on one disk read, never a stampede.
-	if backend != nil {
-		res, ok, err := backend.Get(key)
-		switch {
-		case err != nil:
-			c.backendFailed()
-		case ok:
-			c.backendWorked(&c.storeHits)
-			f.res = res
-			returned = true
-			return res, tierStore, nil
-		default:
-			c.backendWorked(nil) // clean miss: the backend is healthy
+		// Backend tier. The flight is already registered, so concurrent
+		// callers for this key wait on one disk read, never a stampede.
+		if backend != nil {
+			res, ok, err := backend.Get(key)
+			switch {
+			case err != nil:
+				c.backendFailed()
+			case ok:
+				c.backendWorked(&c.storeHits)
+				src = tierStore
+				return res, nil
+			default:
+				c.backendWorked(nil) // clean miss: the backend is healthy
+			}
 		}
-	}
-
-	c.count(&c.misses)
-	f.res, f.err = compute()
-	returned = true
-	if f.err == nil && f.res != nil && backend != nil {
-		if err := backend.Put(key, f.res); err != nil {
-			c.backendFailed()
-		} else {
-			c.backendWorked(&c.stored)
+		c.count(&c.misses)
+		res, err := compute()
+		if err == nil && res != nil && backend != nil {
+			if err := backend.Put(key, res); err != nil {
+				c.backendFailed()
+			} else {
+				c.backendWorked(&c.stored)
+			}
 		}
+		return res, err
+	}, func(res *sim.Result) { c.add(key, res) })
+	if shared {
+		c.count(&c.hits)
+		return res, tierMemory, err
 	}
-	return f.res, tierComputed, f.err
+	return res, src, err
 }
 
 // count bumps one counter under the cache mutex.

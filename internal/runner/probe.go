@@ -40,7 +40,7 @@ type TaskSpan struct {
 	Key   string // content-addressed identity ("" = uncached)
 	Label string
 	// Worker is the pool slot (0..Workers-1) that carried the task. A
-	// slot carries one task at a time across every concurrent Stream
+	// slot carries one task at a time across every concurrent Run
 	// call on the pool, so one slot's spans never overlap.
 	Worker  int
 	Outcome TaskOutcome
@@ -73,6 +73,6 @@ type Probe interface {
 }
 
 // SetProbe attaches (or with nil detaches) the pool's task-lifecycle
-// probe. Call it before the first Run/Stream; the pool reads the probe
+// probe. Call it before the first Run; the pool reads the probe
 // without synchronization once workers are running.
 func (p *Pool) SetProbe(probe Probe) { p.probe = probe }

@@ -190,10 +190,10 @@ func TestNilProbeUnchanged(t *testing.T) {
 	}
 }
 
-// TestProbeSlotsNeverOverlap: concurrent Stream calls on one pool share
+// TestProbeSlotsNeverOverlap: concurrent Run calls on one pool share
 // its worker slots, and a span's Worker names the slot it held — so
 // the spans of one slot never overlap in time, however many sweeps
-// run at once. (Reporting a per-Stream goroutine index instead let two
+// run at once. (Reporting a per-Run goroutine index instead let two
 // sweeps' "worker 0" run side by side, and a utilization report
 // summed them past 100%.)
 func TestProbeSlotsNeverOverlap(t *testing.T) {

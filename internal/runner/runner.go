@@ -9,15 +9,15 @@
 // builds on that property:
 //
 //   - Pool executes Tasks on up to Workers goroutines with context
-//     cancellation and per-task panic capture. Results are always
-//     delivered in submission order, never completion order, so callers
-//     observe the exact sequence a serial loop would have produced.
+//     cancellation and per-task panic capture. Results come back indexed
+//     by submission order, never completion order, so callers observe
+//     the exact sequence a serial loop would have produced.
 //   - ResultCache (cache.go) memoizes results under content-addressed
 //     keys — a canonical hash of the full run configuration — with LRU
 //     eviction and single-flight deduplication, so identical
 //     configurations reached from different experiments run once.
-//   - Sweep (sweep.go) accumulates parameter grids and streams the
-//     completed results back in grid order.
+//   - Sweep (sweep.go) accumulates parameter grids and runs them,
+//     returning the results in grid order.
 //
 // The package deliberately knows nothing about the experiments layer: a
 // Task is just a key plus a closure returning a *sim.Result, which keeps
@@ -81,7 +81,7 @@ func (e *PanicError) Error() string {
 // Stats is a snapshot of a pool's lifetime counters, used for progress
 // and ETA reporting.
 type Stats struct {
-	Submitted int64 // tasks handed to Run/Stream
+	Submitted int64 // tasks handed to Run
 	Completed int64 // tasks finished (including cache hits and errors)
 	CacheHits int64 // tasks satisfied from the result cache (either tier)
 	// Executed counts tasks whose Run closure actually ran — simulations
@@ -96,7 +96,7 @@ type Stats struct {
 }
 
 // Pool executes tasks with bounded concurrency. The bound is
-// pool-global: concurrent Run/Stream calls share one semaphore, so a
+// pool-global: concurrent Run calls share one semaphore, so a
 // CLI fanning out many experiments over one pool still runs at most
 // Workers simulations at a time. The zero value is not usable;
 // construct with NewPool. A Pool is safe for concurrent use and holds
@@ -107,7 +107,7 @@ type Pool struct {
 	cache   *ResultCache
 	// sem is the pool-global execution bound: it holds the ids of the
 	// free worker slots, and every task takes one for the duration of
-	// its run, across all concurrent Stream calls. The slot id is the
+	// its run, across all concurrent Run calls. The slot id is the
 	// task span's Worker, so no two spans of one slot ever overlap.
 	sem chan int
 	// probe observes task lifecycles (SetProbe). Observation-only: the
@@ -152,162 +152,70 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Run executes the tasks and returns their results in submission order.
-// The first error (in submission order) cancels the remaining tasks and
-// is returned; results already produced are discarded.
+// Run executes the tasks and returns their results in submission
+// order, the exact sequence a serial loop would have produced. Workers
+// claim task indices in submission order from one counter, and a
+// claimed task always runs: the engine is not interruptible
+// mid-simulation. Once any task fails, no new task starts, and Run
+// returns the lowest-index failure. That error is deterministic because
+// every lower index was claimed first and therefore ran. External
+// cancellation stops dispatch the same way and returns ctx.Err().
 func (p *Pool) Run(ctx context.Context, tasks []Task) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(tasks))
-	err := p.Stream(ctx, tasks, func(i int, res *sim.Result) error {
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// indexed pairs a task index with its outcome for the collector.
-type indexed struct {
-	i   int
-	res *sim.Result
-	err error
-}
-
-// Stream executes the tasks and delivers each result to deliver in
-// submission order (deliver(0, ...), deliver(1, ...), ...), regardless of
-// completion order — the property that makes an N-worker sweep
-// byte-identical to a serial loop. deliver runs on the calling goroutine.
-// On a task error or a non-nil error from deliver, dispatch stops as
-// soon as the failure is observed — in-flight runs finish (the engine is
-// not interruptible mid-simulation) but no further tasks start. The
-// returned error is deterministic: the lowest-index failure.
-func (p *Pool) Stream(ctx context.Context, tasks []Task, deliver func(i int, res *sim.Result) error) error {
-	if len(tasks) == 0 {
-		return ctx.Err()
-	}
 	p.submitted.Add(int64(len(tasks)))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// stop halts the feeder the moment any failure is observed, even one
-	// whose submission-order prefix has not completed yet (cancelling ctx
-	// at that point instead could race workers into dropping completed
-	// earlier-index outcomes, losing the deterministic error). In-flight
-	// tasks — at most Workers of them — still finish and deliver.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	workers := p.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	idxCh := make(chan int)
-	outCh := make(chan indexed, workers)
-
+	out := make([]*sim.Result, len(tasks))
+	errs := make([]error, len(tasks))
+	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for range workers {
+	for range min(p.workers, len(tasks)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A received index is always executed — bailing on `stop` here
-			// would drop an outcome the collector may need to flush the
-			// prefix below a failing task, losing the deterministic error.
-			// Only the feeder listens to stop; the in-flight slack after a
-			// failure is therefore at most one task per worker.
-			for i := range idxCh {
-				// Check cancellation before the select: with both cases
-				// ready, select picks randomly, which would let a task
-				// start ~50% of the time on an already-cancelled context.
-				if ctx.Err() != nil {
-					return
-				}
+			for {
 				// The pool-global semaphore keeps the total number of
-				// in-flight tasks at p.workers even when several Stream
-				// calls run concurrently on one pool. Safe with the
-				// cache's singleflight: a computation only registers as
-				// in-flight once its goroutine holds a slot, so a waiter
-				// holding another slot always waits on a progressing
-				// computation, never a queued one.
+				// in-flight tasks at p.workers even when several Run calls
+				// share one pool. A slot is taken before an index is
+				// claimed, so every claimed index runs. Safe with the
+				// cache's single-flight: a load only registers as in-flight
+				// once its goroutine holds a slot, so a waiter holding
+				// another slot always waits on a progressing load.
 				var slot int
 				select {
 				case slot = <-p.sem:
 				case <-ctx.Done():
 					return
 				}
-				res, err := p.exec(slot, tasks[i])
-				p.sem <- slot
-				select {
-				case outCh <- indexed{i, res, err}:
-				case <-ctx.Done():
+				// Checked after the slot is taken: with both select cases
+				// ready, select picks randomly.
+				i := len(tasks)
+				if !failed.Load() && ctx.Err() == nil {
+					i = int(next.Add(1)) - 1
+				}
+				if i >= len(tasks) {
+					p.sem <- slot
 					return
 				}
+				out[i], errs[i] = p.exec(slot, tasks[i])
+				if errs[i] != nil {
+					failed.Store(true)
+				}
+				p.sem <- slot
 			}
 		}()
 	}
-	go func() {
-		defer close(idxCh)
-		for i := range tasks {
-			// As in the worker: a random select pick must not dispatch
-			// onto a context that is already cancelled.
-			if ctx.Err() != nil {
-				return
-			}
-			select {
-			case idxCh <- i:
-			case <-stop:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(outCh)
-	}()
+	wg.Wait()
 
-	// Reassemble in submission order: buffer out-of-order completions and
-	// flush the contiguous prefix as it becomes available.
-	pending := make(map[int]indexed, workers)
-	next := 0
-	var firstErr error
-	for o := range outCh {
-		if o.err != nil {
-			halt()
-		}
-		pending[o.i] = o
-		for {
-			buf, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if firstErr == nil && buf.err != nil {
-				firstErr = fmt.Errorf("runner: task %d (%s): %w", buf.i, tasks[buf.i].Label, buf.err)
-				cancel()
-			}
-			if firstErr == nil {
-				if err := deliver(buf.i, buf.res); err != nil {
-					firstErr = err
-					cancel()
-				}
-			}
-			next++
+	claimed := min(int(next.Load()), len(tasks))
+	for i, err := range errs[:claimed] {
+		if err != nil {
+			return nil, fmt.Errorf("runner: task %d (%s): %w", i, tasks[i].Label, err)
 		}
 	}
-	if firstErr != nil {
-		return firstErr
+	if claimed < len(tasks) {
+		// No task failed, so dispatch stopped on cancellation.
+		return nil, ctx.Err()
 	}
-	if next < len(tasks) {
-		// Workers bailed out before finishing: external cancellation.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("runner: %d of %d tasks never completed", len(tasks)-next, len(tasks))
-	}
-	return nil
+	return out, nil
 }
 
 // exec runs one task with panic capture, cache routing and (when a

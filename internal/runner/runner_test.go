@@ -41,7 +41,7 @@ func fakeTasks(n int, delay func(i int) time.Duration) []Task {
 	return tasks
 }
 
-// TestPoolDeterminism: a 1-worker pool and an 8-worker pool must deliver
+// TestPoolDeterminism: a 1-worker pool and an 8-worker pool must return
 // identical results in identical (submission) order, even when later
 // tasks complete before earlier ones.
 func TestPoolDeterminism(t *testing.T) {
@@ -50,31 +50,23 @@ func TestPoolDeterminism(t *testing.T) {
 	// order is roughly the reverse of the submission order.
 	delay := func(i int) time.Duration { return time.Duration(n-i) * time.Millisecond / 4 }
 
-	collect := func(workers int) []int {
-		var order []int
-		pool := NewPool(workers, nil)
-		err := pool.Stream(context.Background(), fakeTasks(n, delay), func(i int, res *sim.Result) error {
-			if res.Rounds != i {
-				t.Fatalf("workers=%d: index %d delivered result %d", workers, i, res.Rounds)
-			}
-			order = append(order, i)
-			return nil
-		})
+	collect := func(workers int) []*sim.Result {
+		results, err := NewPool(workers, nil).Run(context.Background(), fakeTasks(n, delay))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return order
+		return results
 	}
 
 	serial := collect(1)
 	parallel := collect(8)
 	if len(serial) != n || len(parallel) != n {
-		t.Fatalf("delivered %d and %d results, want %d", len(serial), len(parallel), n)
+		t.Fatalf("returned %d and %d results, want %d", len(serial), len(parallel), n)
 	}
 	for i := range serial {
-		if serial[i] != i || parallel[i] != i {
-			t.Fatalf("delivery out of submission order at %d: serial=%d parallel=%d",
-				i, serial[i], parallel[i])
+		if serial[i].Rounds != i || parallel[i].Rounds != i {
+			t.Fatalf("result out of submission order at %d: serial=%d parallel=%d",
+				i, serial[i].Rounds, parallel[i].Rounds)
 		}
 	}
 }
@@ -410,38 +402,30 @@ func TestHashCanonical(t *testing.T) {
 	}
 }
 
-// TestSweepStreamOrder: Sweep delivers grid cells in enumeration order.
-func TestSweepStreamOrder(t *testing.T) {
+// TestSweepRunOrder: Sweep returns grid cells in enumeration order.
+func TestSweepRunOrder(t *testing.T) {
 	pool := NewPool(4, NewResultCache(8))
 	sweep := NewSweep(pool)
 	const n = 12
 	for i := 0; i < n; i++ {
 		i := i
-		idx := sweep.Add(fmt.Sprintf("cell-%d", i%3), fmt.Sprintf("sweep-%d", i),
-			func() (*sim.Result, error) { return fakeResult(i % 3), nil })
+		idx := sweep.AddTask(Task{Key: fmt.Sprintf("cell-%d", i%3), Label: fmt.Sprintf("sweep-%d", i),
+			Run: func() (*sim.Result, error) { return fakeResult(i % 3), nil }})
 		if idx != i {
-			t.Fatalf("Add returned %d, want %d", idx, i)
+			t.Fatalf("AddTask returned %d, want %d", idx, i)
 		}
 	}
-	if sweep.Len() != n {
-		t.Fatalf("len = %d", sweep.Len())
-	}
-	next := 0
-	err := sweep.Stream(context.Background(), func(i int, res *sim.Result) error {
-		if i != next {
-			t.Fatalf("delivered %d, want %d", i, next)
-		}
-		if res.Rounds != i%3 {
-			t.Fatalf("cell %d has result %d", i, res.Rounds)
-		}
-		next++
-		return nil
-	})
+	results, err := sweep.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != n {
-		t.Fatalf("delivered %d cells", next)
+	if len(results) != n {
+		t.Fatalf("returned %d cells, want %d", len(results), n)
+	}
+	for i, res := range results {
+		if res.Rounds != i%3 {
+			t.Fatalf("cell %d has result %d", i, res.Rounds)
+		}
 	}
 	// 3 distinct keys -> at most 3 executions, 9 hits.
 	if hits := pool.Stats().CacheHits; hits != n-3 {

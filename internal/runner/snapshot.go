@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/sim"
@@ -31,24 +30,16 @@ type SnapshotBackend interface {
 // capturing, write-throughs are dropped, and both are counted in
 // Stats().StoreErrors.
 type SnapshotCache struct {
-	mu       sync.Mutex
-	snaps    map[string]*sim.Snapshot
-	inflight map[string]*snapFlight
-	backend  SnapshotBackend
+	mu      sync.Mutex
+	snaps   map[string]*sim.Snapshot
+	flight  flight[sim.Snapshot]
+	backend SnapshotBackend
 
 	captured    int64
 	hits        int64
 	storeHits   int64
 	stored      int64
 	storeErrors int64
-}
-
-// snapFlight tracks one in-progress capture so duplicate prefix keys
-// wait for it instead of re-simulating the prefix.
-type snapFlight struct {
-	done chan struct{}
-	snap *sim.Snapshot
-	err  error
 }
 
 // SnapshotCacheStats is a snapshot of the cache's counters.
@@ -65,11 +56,9 @@ type SnapshotCacheStats struct {
 // NewSnapshotCache returns a snapshot cache; backend may be nil for a
 // memory-only cache.
 func NewSnapshotCache(backend SnapshotBackend) *SnapshotCache {
-	return &SnapshotCache{
-		snaps:    make(map[string]*sim.Snapshot),
-		inflight: make(map[string]*snapFlight),
-		backend:  backend,
-	}
+	c := &SnapshotCache{snaps: make(map[string]*sim.Snapshot), backend: backend}
+	c.flight = newFlight[sim.Snapshot](&c.mu)
+	return c
 }
 
 // Stats returns the cache's counters.
@@ -93,64 +82,37 @@ func (c *SnapshotCache) Stats() SnapshotCacheStats {
 // surfaces as a snapshot fork. Errors from capture propagate to every
 // waiter but are never cached, so a failed capture can be retried.
 func (c *SnapshotCache) GetOrCapture(key string, capture func() (*sim.Snapshot, error)) (snap *sim.Snapshot, fromCache bool, err error) {
-	c.mu.Lock()
-	if s, ok := c.snaps[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return s, true, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-f.done
-		return f.snap, true, f.err
-	}
-	f := &snapFlight{done: make(chan struct{})}
-	c.inflight[key] = f
-	backend := c.backend
-	c.mu.Unlock()
-
-	// Liveness must survive a panicking capture: waiters see an error,
-	// the panic keeps propagating to the capturing caller (the pool
-	// converts it to a task error there).
-	returned := false
-	defer func() {
-		if !returned && f.err == nil {
-			f.err = fmt.Errorf("runner: snapshot capture for key %q panicked", key)
+	storeHit := false
+	snap, shared, err := c.flight.do(key, func() (*sim.Snapshot, bool) {
+		s, ok := c.snaps[key]
+		return s, ok
+	}, func() (*sim.Snapshot, error) {
+		if c.backend != nil {
+			s, ok, berr := c.backend.GetSnapshot(key)
+			switch {
+			case berr != nil:
+				c.count(&c.storeErrors)
+			case ok:
+				c.count(&c.storeHits)
+				storeHit = true
+				return s, nil
+			}
 		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.err == nil && f.snap != nil {
-			c.snaps[key] = f.snap
+		c.count(&c.captured)
+		s, err := capture()
+		if err == nil && s != nil && c.backend != nil {
+			if berr := c.backend.PutSnapshot(key, s); berr != nil {
+				c.count(&c.storeErrors)
+			} else {
+				c.count(&c.stored)
+			}
 		}
-		c.mu.Unlock()
-		close(f.done)
-	}()
-
-	if backend != nil {
-		s, ok, berr := backend.GetSnapshot(key)
-		switch {
-		case berr != nil:
-			c.count(&c.storeErrors)
-		case ok:
-			c.count(&c.storeHits)
-			f.snap = s
-			returned = true
-			return s, true, nil
-		}
+		return s, err
+	}, func(s *sim.Snapshot) { c.snaps[key] = s })
+	if shared {
+		c.count(&c.hits)
 	}
-
-	c.count(&c.captured)
-	f.snap, f.err = capture()
-	returned = true
-	if f.err == nil && f.snap != nil && backend != nil {
-		if berr := backend.PutSnapshot(key, f.snap); berr != nil {
-			c.count(&c.storeErrors)
-		} else {
-			c.count(&c.stored)
-		}
-	}
-	return f.snap, false, f.err
+	return snap, shared || storeHit, err
 }
 
 // count bumps one counter under the cache mutex.

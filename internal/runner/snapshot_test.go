@@ -3,9 +3,11 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -152,5 +154,55 @@ func TestSnapshotCacheBackendTier(t *testing.T) {
 	st := c.Stats()
 	if st.StoreHits != 1 || st.Stored != 1 || st.Captured != 2 || st.StoreErrors != 2 {
 		t.Errorf("stats = %+v, want StoreHits 1, Stored 1, Captured 2, StoreErrors 2", st)
+	}
+}
+
+// TestSnapshotCachePanicPropagatesToWaiters: when the capturing
+// caller's capture panics, concurrent waiters on the same key must
+// receive an error rather than a (nil, false, nil) outcome, and the key
+// must stay retryable.
+func TestSnapshotCachePanicPropagatesToWaiters(t *testing.T) {
+	c := NewSnapshotCache(nil)
+	capturing := make(chan struct{})
+	var waiterIn atomic.Bool
+
+	waiterErr := make(chan error, 1)
+	go func() {
+		<-capturing // the panicking capture has registered in-flight
+		waiterIn.Store(true)
+		_, _, err := c.GetOrCapture("k", func() (*sim.Snapshot, error) {
+			// Only reached if the waiter lost the race below and
+			// captured itself; the nil error then fails the assertion.
+			return &sim.Snapshot{Rounds: 1}, nil
+		})
+		waiterErr <- err
+	}()
+
+	func() {
+		defer func() { recover() }() // the panic still reaches the capturing caller
+		c.GetOrCapture("k", func() (*sim.Snapshot, error) {
+			close(capturing)
+			// Panic only once the waiter is (microseconds from) blocking
+			// on this flight; the sleep dwarfs its mutex acquisition.
+			for !waiterIn.Load() {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			panic("capture exploded")
+		})
+	}()
+
+	select {
+	case err := <-waiterErr:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter got err = %v, want panic sentinel", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter never unblocked")
+	}
+	want := &sim.Snapshot{Rounds: 2}
+	snap, fromCache, err := c.GetOrCapture("k", func() (*sim.Snapshot, error) { return want, nil })
+	if err != nil || snap != want || fromCache {
+		t.Fatalf("retry after panic: snap=%v fromCache=%v err=%v, want a fresh capture", snap, fromCache, err)
 	}
 }

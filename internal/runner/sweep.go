@@ -2,17 +2,18 @@ package runner
 
 import (
 	"context"
+	"hash/fnv"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
 // Sweep accumulates a parameter grid of keyed tasks and executes it
-// through a pool, delivering results in the order the grid was
+// through a pool, returning results in the order the grid was
 // enumerated. Experiments build their grids with ordinary nested loops
-// (policy × load × penalty × trace × seed), Add-ing one task per cell,
-// then Run or Stream the whole sweep; the index handed back by Add is
-// the cell's position in every output.
+// (policy × load × penalty × trace × seed), adding one task per cell,
+// then Run the whole sweep; the index handed back by AddTask is the
+// cell's position in the results.
 type Sweep struct {
 	pool  *Pool
 	tasks []Task
@@ -23,34 +24,16 @@ func NewSweep(pool *Pool) *Sweep {
 	return &Sweep{pool: pool}
 }
 
-// Add appends one task and returns its index in the sweep's outputs.
-// key is the content-addressed identity of the run ("" disables
-// caching); label names the cell in errors and progress output.
-func (s *Sweep) Add(key, label string, run func() (*sim.Result, error)) int {
-	return s.AddTask(Task{Key: key, Label: label, Run: run})
-}
-
-// AddTask appends one fully specified task (Add with the extra Task
-// fields — e.g. Forked — available) and returns its index.
+// AddTask appends one task and returns its index in the sweep's
+// results.
 func (s *Sweep) AddTask(t Task) int {
 	s.tasks = append(s.tasks, t)
 	return len(s.tasks) - 1
 }
 
-// Len returns the number of accumulated tasks.
-func (s *Sweep) Len() int { return len(s.tasks) }
-
 // Run executes the sweep and returns the results in enumeration order.
 func (s *Sweep) Run(ctx context.Context) ([]*sim.Result, error) {
 	return s.pool.Run(ctx, s.tasks)
-}
-
-// Stream executes the sweep, delivering each result in enumeration order
-// as soon as its contiguous prefix has completed. Aggregations that fold
-// results into tables can therefore start consuming while later cells
-// are still simulating.
-func (s *Sweep) Stream(ctx context.Context, deliver func(i int, res *sim.Result) error) error {
-	return s.pool.Stream(ctx, s.tasks, deliver)
 }
 
 // DeriveSeed deterministically derives a per-run seed from a base
@@ -62,16 +45,7 @@ func (s *Sweep) Stream(ctx context.Context, deliver func(i int, res *sim.Result)
 func DeriveSeed(base uint64, key string) uint64 {
 	// FNV-1a folds the key to a 64-bit label; Split mixes the label into
 	// the base seed's stream without perturbing adjacent labels.
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	label := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		label ^= uint64(key[i])
-		label *= prime64
-	}
-	return rng.New(base).Split(label).Uint64()
+	return rng.New(base).Split(fnv1a(key)).Uint64()
 }
 
 // ShardOf deterministically assigns a cache key to one of n shards:
@@ -85,14 +59,12 @@ func ShardOf(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h % uint64(n))
+	return int(fnv1a(key) % uint64(n))
+}
+
+// fnv1a is the 64-bit FNV-1a hash of key.
+func fnv1a(key string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(key)) // a hash.Hash's Write never returns an error
+	return h.Sum64()
 }

@@ -404,7 +404,7 @@ func (b *Built) buildPlacer(name string) (sim.Placer, error) {
 // spec runs its warmup-then-switch semantics (RunForked).
 func (b *Built) Run() (*sim.Result, error) {
 	if b.Forked() {
-		return b.RunForked(nil)
+		return b.RunForked()
 	}
 	cfg, err := b.Config()
 	if err != nil {

@@ -106,20 +106,13 @@ func (b *Built) ResumeFrom(snap *sim.Snapshot) (*sim.Result, error) {
 	return sim.Resume(cfg, snap)
 }
 
-// RunForked executes the fork semantics end to end. snap, when
-// non-nil and not the completed sentinel, is a previously captured
-// snapshot for this cell's prefix group (PrefixKey); otherwise the
-// prefix is simulated here.
-func (b *Built) RunForked(snap *sim.Snapshot) (*sim.Result, error) {
-	if snap == nil || snap.Completed {
-		captured, early, err := b.CaptureSnapshot()
-		if err != nil {
-			return nil, err
-		}
-		if captured == nil {
-			return early, nil
-		}
-		snap = captured
+// RunForked executes the fork semantics end to end: it simulates the
+// warmup prefix here, then resumes under the cell's own policies. A
+// warmup that completes before the horizon is the whole run.
+func (b *Built) RunForked() (*sim.Result, error) {
+	snap, early, err := b.CaptureSnapshot()
+	if err != nil || snap == nil {
+		return early, err
 	}
 	return b.ResumeFrom(snap)
 }

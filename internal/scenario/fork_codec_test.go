@@ -110,7 +110,7 @@ func TestSharedSnapshotMatchesOwnCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := cellB.RunForked(nil)
+	own, err := cellB.RunForked()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1220,12 +1220,10 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		}
 		j.Alloc = alloc
 		started := false
-		switch {
-		case !j.Started:
+		if !j.Started {
 			j.Started = true
 			j.FirstRun = now
 			started = true
-		case !wasRunning:
 		}
 		if e.cfg.Decisions != nil {
 			l, maxV := e.slowdownParts(j)
