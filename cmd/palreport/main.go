@@ -330,8 +330,14 @@ func summaryTable(payloads []*metrics.Payload) *experiments.Table {
 		if p.Truncated {
 			truncated = fmt.Sprintf("yes (%d unfinished)", p.Unfinished)
 		}
-		t.AddRowf(p.Name, p.Policy, p.Sched, a.Measured, a.AvgJCT, a.P50JCT,
-			a.P90JCT, a.P99JCT, a.MeanWait, 100*meanUtil(p), truncated)
+		// A statistic over no job is not a zero: "-" when nothing was
+		// measured.
+		var avg, p50, p90, p99, wait any = "-", "-", "-", "-", "-"
+		if a.Measured > 0 {
+			avg, p50, p90, p99, wait = a.AvgJCT, a.P50JCT, a.P90JCT, a.P99JCT, a.MeanWait
+		}
+		t.AddRowf(p.Name, p.Policy, p.Sched, a.Measured, avg, p50,
+			p90, p99, wait, 100*meanUtil(p), truncated)
 		if key := p.Key; key != "" {
 			// Hand-edited payloads may carry keys shorter than the usual
 			// 64-hex digest; never slice past what is there.
@@ -359,15 +365,22 @@ func comparisonTable(payloads []*metrics.Payload, base *metrics.Payload) *experi
 			continue
 		}
 		a := p.Aggregates
-		t.AddRowf(p.Name, p.Policy,
-			100*stats.Improvement(b.AvgJCT, a.AvgJCT),
-			100*stats.Improvement(b.P50JCT, a.P50JCT),
-			100*stats.Improvement(b.P99JCT, a.P99JCT),
-			100*stats.Improvement(b.MeanWait, a.MeanWait),
-			100*(meanUtil(p)-meanUtil(base)))
+		// An improvement of or over a run that measured nothing is
+		// undefined, not 100% or -Inf.
+		var avg, p50, p99, wait any = "-", "-", "-", "-"
+		if a.Measured > 0 && b.Measured > 0 {
+			avg = 100 * stats.Improvement(b.AvgJCT, a.AvgJCT)
+			p50 = 100 * stats.Improvement(b.P50JCT, a.P50JCT)
+			p99 = 100 * stats.Improvement(b.P99JCT, a.P99JCT)
+			wait = 100 * stats.Improvement(b.MeanWait, a.MeanWait)
+		}
+		t.AddRowf(p.Name, p.Policy, avg, p50, p99, wait, 100*(meanUtil(p)-meanUtil(base)))
 	}
-	t.Note("baseline: %s (%s/%s), avg JCT %.1f s, p99 %.1f s",
-		base.Name, base.Policy, base.Sched, b.AvgJCT, b.P99JCT)
+	avg, p99 := "-", "-"
+	if b.Measured > 0 {
+		avg, p99 = fmt.Sprintf("%.1f s", b.AvgJCT), fmt.Sprintf("%.1f s", b.P99JCT)
+	}
+	t.Note("baseline: %s (%s/%s), avg JCT %s, p99 %s", base.Name, base.Policy, base.Sched, avg, p99)
 	return t
 }
 

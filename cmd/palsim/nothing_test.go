@@ -12,11 +12,10 @@ import (
 
 // TestNothingCompletedPrintsDashes is the regression test for a run in
 // which no job completes — in ../testdata/nothing-completes.json, shared
-// with palsweep's test, job 0 demands 500 GPUs of 16 under admit-all and
-// blocks job 1 behind it under FIFO until the round cap: the JCT, wait
-// and makespan lines used to print means and percentiles over no job
-// as 0.0, and -json reported them as 0 beside "measured": 0. The text
-// prints "-" and the JSON null.
+// with palsweep's test, a 2-round cap stops two jobs that each need
+// more rounds than that: the JCT, wait and makespan lines used to print
+// means and percentiles over no job as 0.0, and -json reported them as
+// 0 beside "measured": 0. The text prints "-" and the JSON null.
 func TestNothingCompletedPrintsDashes(t *testing.T) {
 	spec, err := scenario.LoadFile("../testdata/nothing-completes.json")
 	if err != nil {

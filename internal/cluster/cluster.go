@@ -20,7 +20,10 @@
 // own; only the engine writes the cluster.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // GPUID identifies a GPU within a cluster; IDs are dense in [0, Size).
 type GPUID int
@@ -269,6 +272,24 @@ func (c *Cluster) MultiRack(gpus []GPUID) bool {
 	return spansBlocks(gpus, c.topo.NodesPerRack*c.topo.GPUsPerNode)
 }
 
+// NodesSpanned returns the number of distinct nodes covered by the given
+// GPU set; the decision trace records it. The locality model asks only
+// whether it exceeds 1, which MultiNode answers in linear time.
+func (c *Cluster) NodesSpanned(gpus []GPUID) int {
+	return countBlocks(gpus, c.topo.GPUsPerNode)
+}
+
+// RacksSpanned returns the number of distinct racks covered by the given
+// GPU set (extension for three-level locality; the decision trace
+// records it, MultiRack answers RacksSpanned > 1). Without rack grouping
+// every GPU shares rack 0.
+func (c *Cluster) RacksSpanned(gpus []GPUID) int {
+	if c.topo.NodesPerRack <= 0 {
+		return min(len(gpus), 1)
+	}
+	return countBlocks(gpus, c.topo.NodesPerRack*c.topo.GPUsPerNode)
+}
+
 // spansBlocks reports whether gpus fall in more than one of the aligned
 // ID blocks of the given size (a node's or a rack's GPUs are one block:
 // IDs are laid out node-major).
@@ -286,110 +307,26 @@ func spansBlocks(gpus []GPUID, size int) bool {
 	return false
 }
 
-// NodesSpanned returns the number of distinct nodes covered by the given
-// GPU set; the decision trace records it. The locality model asks only
-// whether it exceeds 1, which MultiNode answers in linear time. The count
-// is allocation-free: distinct nodes are tracked in a small stack buffer,
-// falling back to a distinct-scan, quadratic in the set's size, beyond
-// 16 nodes.
-func (c *Cluster) NodesSpanned(gpus []GPUID) int {
-	if len(gpus) == 0 {
-		return 0
-	}
-	var buf [16]NodeID
-	seen := buf[:0]
-	for _, g := range gpus {
-		n := c.NodeOf(g)
-		dup := false
-		for _, s := range seen {
-			if s == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			if len(seen) < cap(seen) {
-				seen = append(seen, n)
-			} else {
-				// More than 16 distinct nodes: count the rest without the
-				// buffer bound (still allocation-free, quadratic in the
-				// distinct-node count only).
-				return c.nodesSpannedSlow(gpus)
-			}
-		}
-	}
-	return len(seen)
-}
-
-// nodesSpannedSlow counts distinct nodes for very wide allocations by
-// comparing each GPU's node against all earlier GPUs' nodes.
-func (c *Cluster) nodesSpannedSlow(gpus []GPUID) int {
-	count := 0
-	for i, g := range gpus {
-		n := c.NodeOf(g)
-		dup := false
-		for _, h := range gpus[:i] {
-			if c.NodeOf(h) == n {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			count++
-		}
-	}
-	return count
-}
-
-// RacksSpanned returns the number of distinct racks covered by the given
-// GPU set (extension for three-level locality; the decision trace
-// records it, MultiRack answers RacksSpanned > 1). Allocation-free like
-// NodesSpanned.
-func (c *Cluster) RacksSpanned(gpus []GPUID) int {
-	if len(gpus) == 0 {
-		return 0
-	}
-	if c.topo.NodesPerRack <= 0 {
-		return 1
-	}
+// countBlocks returns the number of distinct aligned ID blocks of the
+// given size that gpus fall in, allocation-free: the first 16 distinct
+// blocks are tracked in a stack buffer, and past that a GPU whose block
+// is not in it is compared with every earlier GPU (quadratic in the
+// set's size, only for sets that wide).
+func countBlocks(gpus []GPUID, size int) int {
 	var buf [16]int
 	seen := buf[:0]
-	for _, g := range gpus {
-		r := c.RackOf(g)
-		dup := false
-		for _, s := range seen {
-			if s == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			if len(seen) == cap(seen) {
-				return c.racksSpannedSlow(gpus)
-			}
-			seen = append(seen, r)
-		}
-	}
-	return len(seen)
-}
-
-// racksSpannedSlow counts distinct racks for sets spanning more than 16
-// racks by comparing each GPU's rack against all earlier GPUs' racks
-// (still allocation-free, mirroring nodesSpannedSlow).
-func (c *Cluster) racksSpannedSlow(gpus []GPUID) int {
 	count := 0
 	for i, g := range gpus {
-		r := c.RackOf(g)
-		dup := false
-		for _, h := range gpus[:i] {
-			if c.RackOf(h) == r {
-				dup = true
-				break
-			}
+		b := int(g) / size
+		if slices.Contains(seen, b) {
+			continue
 		}
-		if !dup {
-			count++
+		if len(seen) < cap(seen) {
+			seen = append(seen, b)
+		} else if slices.ContainsFunc(gpus[:i], func(h GPUID) bool { return int(h)/size == b }) {
+			continue
 		}
+		count++
 	}
 	return count
 }

@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vprof"
 )
 
@@ -18,61 +15,53 @@ import (
 // bins (K), the placement-priority reordering, migration hysteresis, the
 // online re-profiling extension, and the three-level rack locality
 // extension.
+//
+// Every ablation runs figure cells. Its paper-default row is the plain
+// cell, keyed and cached like any figure's (the PM-First rows share
+// fig11's cells, the static-profile row table04's), and each variant
+// row is the same cells under an alteration that replaces only the
+// placer, which runCells runs uncached.
 
-// ablationTask wraps one hand-built ablation run as a pool task. The
-// tasks are uncached (empty keys): ablation placers are hand-built
-// closures whose configuration has no canonical hash, and caching a
-// mis-keyed run is exactly the hazard the content-addressed cache
-// exists to prevent. configure builds the sim.Config inside the worker,
-// so every run gets fresh placer state; the task carries its own engine
-// counters like every figure cell.
-func ablationTask(label string, configure func() sim.Config) runner.Task {
-	ctrs := &sim.Counters{}
-	return runner.Task{
-		Label: label,
-		Run: func() (*sim.Result, error) {
-			cfg := configure()
-			cfg.Counters = ctrs
-			return sim.Run(cfg)
-		},
-		Counters: func() *sim.Counters { return ctrs },
-	}
+// variant is one ablation row: the ablation's cells under alter, where
+// a nil alter is the plain cells, the paper's configuration.
+type variant struct {
+	name  string
+	alter alteration
 }
 
-// runSiaAblation fans one simulation per Sia trace out through the
-// shared pool and returns the per-trace results in trace order.
-func runSiaAblation(scale Scale, label string, configure func(idx int) sim.Config) ([]*sim.Result, error) {
-	sweep := runner.NewSweep(Pool())
-	for _, idx := range scale.SiaTraces {
-		sweep.AddTask(ablationTask(fmt.Sprintf("%s w%d", label, idx), func() sim.Config { return configure(idx) }))
-	}
-	return sweep.Run(scale.ctx())
-}
-
-// runSiaWithPlacer runs the Sia baseline configuration with an explicit
-// placer, averaged over the scale's traces.
-func runSiaWithPlacer(scale Scale, build func() sim.Placer) (float64, error) {
-	profile := LonghornProfile(SiaTopology().Size())
-	results, err := runSiaAblation(scale, "ablation", func(idx int) sim.Config {
-		return sim.Config{
-			Topology:            SiaTopology(),
-			Trace:               SiaTrace(idx),
-			Sched:               sched.FIFO{},
-			Placer:              build(),
-			TrueProfile:         profile,
-			Lacross:             1.5,
-			ModelLacross:        trace.LacrossByModel(),
-			MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
+// ablate runs the cells once per variant and adds a row per variant to
+// t: its name, the mean over the cells of their average JCT, then the
+// columns extra (when non-nil) derives from its results. It returns
+// each variant's mean JCT.
+func ablate(scale Scale, t *Table, cells []*scenario.Spec, variants []variant, extra func([]*sim.Result) []string) ([]float64, error) {
+	means := make([]float64, len(variants))
+	for i, v := range variants {
+		results, err := runCells(scale.ctx(), t.Name, cells, v.alter)
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", t.Name, v.name, err)
 		}
-	})
-	if err != nil {
-		return 0, err
+		jcts := make([]float64, len(results))
+		for j, res := range results {
+			jcts[j] = stats.Mean(res.JCTs())
+		}
+		means[i] = stats.Mean(jcts)
+		row := []string{v.name, Hours(means[i])}
+		if extra != nil {
+			row = append(row, extra(results)...)
+		}
+		t.AddRow(row...)
 	}
-	var jcts []float64
-	for _, res := range results {
-		jcts = append(jcts, stats.Mean(res.JCTs()))
+	return means, nil
+}
+
+// siaCells returns the Sia baseline cell of every trace of the scale for
+// pol under the named scheduler.
+func siaCells(scale Scale, pol Policy, schedName string) []*scenario.Spec {
+	specs := make([]*scenario.Spec, 0, len(scale.SiaTraces))
+	for _, idx := range scale.SiaTraces {
+		specs = append(specs, siaSpec(idx, pol, schedName))
 	}
-	return stats.Mean(jcts), nil
+	return specs
 }
 
 // AblationK sweeps the number of PM-score bins feeding PM-First, from
@@ -80,40 +69,23 @@ func runSiaWithPlacer(scale Scale, build func() sim.Placer) (float64, error) {
 // binning and exact per-GPU scores (§III-B's "very small K loses
 // information, very high K overestimates variability").
 func AblationK(scale Scale) (*Table, error) {
-	profile := LonghornProfile(SiaTopology().Size())
 	t := &Table{
 		Name:   "ablation_k",
 		Title:  "PM-First avg JCT (hours) vs PM-score bin count (Sia, FIFO)",
 		Header: []string{"binning", "avg JCT (h)"},
 	}
-	type variant struct {
-		name  string
-		build func() sim.Placer
-	}
-	variants := []variant{}
+	var variants []variant
 	for _, k := range []int{1, 2, 4, 8} {
-		k := k
-		variants = append(variants, variant{
-			name: fmt.Sprintf("fixed K=%d", k),
-			build: func() sim.Placer {
-				return core.NewPMFirst(vprof.BinProfileK(profile, k))
-			},
-		})
+		variants = append(variants, variant{fmt.Sprintf("fixed K=%d", k), func(b *scenario.Built, cfg *sim.Config) {
+			cfg.Placer = core.NewPMFirst(vprof.BinProfileK(b.Profile, k))
+		}})
 	}
 	variants = append(variants,
-		variant{"silhouette-selected", func() sim.Placer {
-			return core.NewPMFirst(scenario.Bins(profile))
-		}},
-		variant{"exact scores", func() sim.Placer {
-			return core.NewPMFirst(profile)
-		}},
+		variant{"silhouette-selected", nil},
+		variant{"exact scores", func(b *scenario.Built, cfg *sim.Config) { cfg.Placer = core.NewPMFirst(b.Profile) }},
 	)
-	for _, v := range variants {
-		jct, err := runSiaWithPlacer(scale, v.build)
-		if err != nil {
-			return nil, fmt.Errorf("ablation_k %s: %w", v.name, err)
-		}
-		t.AddRow(v.name, Hours(jct))
+	if _, err := ablate(scale, t, siaCells(scale, PMFirst, "fifo"), variants, nil); err != nil {
+		return nil, err
 	}
 	t.Note("K=1 collapses every GPU into one bin (variability-blind); exact scores are the upper bound on information")
 	return t, nil
@@ -122,81 +94,57 @@ func AblationK(scale Scale) (*Table, error) {
 // AblationPriority compares PM-First with and without the class-based
 // placement-priority reordering of the schedulable prefix (Fig. 4).
 func AblationPriority(scale Scale) (*Table, error) {
-	profile := LonghornProfile(SiaTopology().Size())
 	t := &Table{
 		Name:   "ablation_priority",
 		Title:  "Effect of class placement priority on PM-First (Sia, FIFO)",
 		Header: []string{"variant", "avg JCT (h)"},
 	}
-	withJCT, err := runSiaWithPlacer(scale, func() sim.Placer {
-		return core.NewPMFirst(scenario.Bins(profile))
-	})
+	jcts, err := ablate(scale, t, siaCells(scale, PMFirst, "fifo"), []variant{
+		{"class priority on (paper)", nil},
+		{"class priority off", func(b *scenario.Built, cfg *sim.Config) {
+			p := core.NewPMFirst(scenario.Bins(b.Profile))
+			p.NoClassPriority = true
+			cfg.Placer = p
+		}},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	withoutJCT, err := runSiaWithPlacer(scale, func() sim.Placer {
-		p := core.NewPMFirst(scenario.Bins(profile))
-		p.NoClassPriority = true
-		return p
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("class priority on (paper)", Hours(withJCT))
-	t.AddRow("class priority off", Hours(withoutJCT))
 	t.Note("priority-on lets class-A jobs pick well-performing GPUs first: %s JCT change when disabled",
-		Pct(stats.Improvement(withoutJCT, withJCT)))
+		Pct(stats.Improvement(jcts[1], jcts[0])))
 	return t, nil
 }
 
 // AblationHysteresis compares PAL with and without migration hysteresis
 // (re-using the previous allocation when it is not strictly worse).
 func AblationHysteresis(scale Scale) (*Table, error) {
-	profile := LonghornProfile(SiaTopology().Size())
 	t := &Table{
 		Name:   "ablation_hysteresis",
 		Title:  "Effect of migration hysteresis on PAL (Sia, LAS)",
 		Header: []string{"variant", "avg JCT (h)", "migrations/job"},
 	}
-	run := func(disable bool) (float64, float64, error) {
-		results, err := runSiaAblation(scale, "ablation_hysteresis", func(idx int) sim.Config {
-			p := core.NewPAL(scenario.Bins(profile), 1.5, trace.LacrossByModel())
-			p.NoHysteresis = disable
-			return sim.Config{
-				Topology:            SiaTopology(),
-				Trace:               SiaTrace(idx),
-				Sched:               sched.LAS{},
-				Placer:              p,
-				TrueProfile:         profile,
-				Lacross:             1.5,
-				ModelLacross:        trace.LacrossByModel(),
-				MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
-			}
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		var jcts, migs []float64
-		for _, res := range results {
-			jcts = append(jcts, stats.Mean(res.JCTs()))
+	migrationsPerJob := func(results []*sim.Result) []string {
+		migs := make([]float64, len(results))
+		for i, res := range results {
 			total := 0
 			for _, j := range res.Jobs {
 				total += j.Migrations
 			}
-			migs = append(migs, float64(total)/float64(len(res.Jobs)))
+			migs[i] = float64(total) / float64(len(res.Jobs))
 		}
-		return stats.Mean(jcts), stats.Mean(migs), nil
+		return []string{fmt.Sprintf("%.2f", stats.Mean(migs))}
 	}
-	onJCT, onMig, err := run(false)
+	_, err := ablate(scale, t, siaCells(scale, PALPolicy, "las"), []variant{
+		{"hysteresis on", nil},
+		{"hysteresis off", func(b *scenario.Built, cfg *sim.Config) {
+			p := core.NewPAL(scenario.Bins(b.Profile), cfg.Lacross, cfg.ModelLacross)
+			p.NoHysteresis = true
+			cfg.Placer = p
+		}},
+	}, migrationsPerJob)
 	if err != nil {
 		return nil, err
 	}
-	offJCT, offMig, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("hysteresis on", Hours(onJCT), fmt.Sprintf("%.2f", onMig))
-	t.AddRow("hysteresis off", Hours(offJCT), fmt.Sprintf("%.2f", offMig))
 	t.Note("hysteresis avoids checkpoint costs from equal-quality reshuffles")
 	return t, nil
 }
@@ -206,59 +154,27 @@ func AblationHysteresis(scale Scale) (*Table, error) {
 // node-0 scores from execution feedback, shrinking the cluster-to-sim gap
 // the paper attributes to static profiles.
 func AblationOnline(scale Scale) (*Table, error) {
-	// The cluster, trace, stale profile and its truth are the testbed
-	// cluster-mode cell's.
-	cell, err := buildCell(testbedSpec(PALPolicy, true))
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Name:   "ablation_online",
 		Title:  "Online PM-score re-profiling vs static stale profile (testbed cluster mode)",
 		Header: []string{"variant", "avg JCT (h)"},
 	}
-	base := scenario.Bins(cell.Profile)
-
-	// Both variants go through the pool (uncached: the online scorer is
-	// mutable per-run state) so cancellation reaches them; each task
-	// builds its own placer/observer inside the worker.
-	baseConfig := func() sim.Config {
-		return sim.Config{
-			Topology:            cell.Topo,
-			Trace:               cell.Trace,
-			Sched:               sched.LAS{},
-			TrueProfile:         cell.TrueProfile,
-			Lacross:             1.5,
-			ModelLacross:        trace.LacrossByModel(),
-			MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
-		}
-	}
-	sweep := runner.NewSweep(Pool())
-	// Static stale profile (the paper's configuration).
-	sweep.AddTask(ablationTask("ablation_online static", func() sim.Config {
-		cfg := baseConfig()
-		cfg.Placer = core.NewPAL(base, 1.5, trace.LacrossByModel())
-		return cfg
-	}))
-	// Online: the scorer observes realized slowdowns and corrects.
-	sweep.AddTask(ablationTask("ablation_online online", func() sim.Config {
-		online := core.NewOnlineScorer(base)
-		cfg := baseConfig()
-		cfg.Placer = core.NewPAL(online, 1.5, trace.LacrossByModel())
-		cfg.Observer = online
-		return cfg
-	}))
-	results, err := sweep.Run(scale.ctx())
+	// The static stale profile is the paper's configuration, table04's
+	// PAL cluster-mode cell; online, the scorer observes realized
+	// slowdowns and corrects.
+	jcts, err := ablate(scale, t, []*scenario.Spec{testbedSpec(PALPolicy, true)}, []variant{
+		{"PAL, static stale profile", nil},
+		{"PAL, online re-profiling", func(b *scenario.Built, cfg *sim.Config) {
+			scorer := core.NewOnlineScorer(scenario.Bins(b.Profile))
+			cfg.Placer = core.NewPAL(scorer, cfg.Lacross, cfg.ModelLacross)
+			cfg.Observer = scorer
+		}},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	staticJCT := stats.Mean(results[0].JCTs())
-	onlineJCT := stats.Mean(results[1].JCTs())
-	t.AddRow("PAL, static stale profile", Hours(staticJCT))
-	t.AddRow("PAL, online re-profiling", Hours(onlineJCT))
 	t.Note("online updates recover %s of JCT vs the stale static profile (paper's proposed fix for the cluster/sim gap)",
-		Pct(stats.Improvement(staticJCT, onlineJCT)))
+		Pct(stats.Improvement(jcts[0], jcts[1])))
 	return t, nil
 }
 
@@ -267,52 +183,30 @@ func AblationOnline(scale Scale) (*Table, error) {
 // can spill packed jobs into the rack instead of paying the full
 // cross-rack penalty.
 func AblationRack(scale Scale) (*Table, error) {
-	topo := SiaTopology()
-	topo.NodesPerRack = 4 // 4 racks x 4 nodes x 4 GPUs
-	profile := LonghornProfile(topo.Size())
 	const lrack, lacross = 1.15, 1.8
-
 	t := &Table{
 		Name:   "ablation_rack",
 		Title:  "Two-level vs three-level (rack) L x V matrix (racked Sia cluster)",
 		Header: []string{"variant", "avg JCT (h)"},
 	}
-	run := func(rack bool) (float64, error) {
-		results, err := runSiaAblation(scale, "ablation_rack", func(idx int) sim.Config {
-			p := core.NewPAL(scenario.Bins(profile), lacross, nil)
-			if rack {
-				p.EnableRackLevel(lrack)
-			}
-			return sim.Config{
-				Topology:            topo,
-				Trace:               SiaTrace(idx),
-				Sched:               sched.FIFO{},
-				Placer:              p,
-				TrueProfile:         profile,
-				Lacross:             lacross,
-				Lrack:               lrack,
-				MigrationPenaltySec: scenario.DefaultMigrationPenaltySec,
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-		var jcts []float64
-		for _, res := range results {
-			jcts = append(jcts, stats.Mean(res.JCTs()))
-		}
-		return stats.Mean(jcts), nil
+	// The Sia cluster in 4 racks x 4 nodes x 4 GPUs, whose spec-built
+	// PAL is the three-level one.
+	cells := make([]*scenario.Spec, 0, len(scale.SiaTraces))
+	for _, idx := range scale.SiaTraces {
+		spec := cellSpec(SiaClusterNodes, siaWorkload(idx), PALPolicy, "fifo", lacross, ExperimentSeed^uint64(idx))
+		spec.Cluster.NodesPerRack = 4
+		spec.Locality.Lrack = lrack
+		cells = append(cells, spec)
 	}
-	two, err := run(false)
+	_, err := ablate(scale, t, cells, []variant{
+		{"two-level (paper)", func(b *scenario.Built, cfg *sim.Config) {
+			cfg.Placer = core.NewPAL(scenario.Bins(b.Profile), cfg.Lacross, cfg.ModelLacross)
+		}},
+		{"three-level (rack extension)", nil},
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	three, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("two-level (paper)", Hours(two))
-	t.AddRow("three-level (rack extension)", Hours(three))
 	t.Note("both runs execute under the rack-aware cost model (Lrack=%.2f, Lacross=%.2f); only the placer's matrix differs", lrack, lacross)
 	return t, nil
 }

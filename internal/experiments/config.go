@@ -137,23 +137,30 @@ func SetPool(p *runner.Pool) *runner.Pool {
 	return sharedPool.Swap(p)
 }
 
+// alteration edits a built cell's sim.Config inside the worker, after
+// the spec built it: an ablation swaps the placer (and may attach an
+// observer), fig18 steps every round.
+type alteration func(b *scenario.Built, cfg *sim.Config)
+
 // runCells builds every figure cell and runs it through the shared
-// pool, keyed by scenario.Built.Key, returning the results in spec
-// order. label prefixes task names in errors and progress output; each
-// task is further named by its trace and its cell coordinates (policy,
-// scheduler, penalty). Every cell carries its own engine counters,
-// which the pool hands its probe for the cells it executes.
+// pool, returning the results in spec order; it is the one way an
+// experiment runs a simulation. label prefixes task names in errors and
+// progress output; each task is further named by its trace and its cell
+// coordinates (policy, scheduler, penalty). Every cell carries its own
+// engine counters, which the pool hands its probe for the cells it
+// executes.
 //
-// naive cells step every round (sim.Config.DisableFastForward) and run
-// uncached: the stepping regimes differ only in the wall-clock
-// PlaceTimes, which is all fig18 reads, so its results are not a pure
-// function of a key.
+// A nil alter runs each cell keyed by scenario.Built.Key, so a
+// configuration two figures ask for simulates once. A non-nil alter is
+// applied to every cell's config, and those cells run uncached: their
+// key would describe the spec, not the alteration, and caching them
+// would alias the plain cell.
 //
 // A truncated run (MaxRounds hit) is promoted to an error: figure and
 // table runners aggregate blindly, and partial metrics must never flow
 // into a published table. The scenario sweep, which has a "truncated"
 // column, is the surface that reports truncation as data.
-func runCells(ctx context.Context, label string, specs []*scenario.Spec, naive bool) ([]*sim.Result, error) {
+func runCells(ctx context.Context, label string, specs []*scenario.Spec, alter alteration) ([]*sim.Result, error) {
 	sweep := runner.NewSweep(Pool())
 	for _, spec := range specs {
 		b, err := buildCell(spec)
@@ -164,7 +171,7 @@ func runCells(ctx context.Context, label string, specs []*scenario.Spec, naive b
 		b.Counters = ctrs
 		cell := fmt.Sprintf("%s %s", b.Trace.Name, spec.Name)
 		key := ""
-		if !naive {
+		if alter == nil {
 			key = b.Key()
 		}
 		sweep.AddTask(runner.Task{
@@ -175,7 +182,9 @@ func runCells(ctx context.Context, label string, specs []*scenario.Spec, naive b
 				if err != nil {
 					return nil, err
 				}
-				cfg.DisableFastForward = naive
+				if alter != nil {
+					alter(b, &cfg)
+				}
 				res, err := sim.Run(cfg)
 				if err == nil && res.Truncated {
 					return nil, fmt.Errorf("%s: truncated at MaxRounds with %d unfinished jobs",
@@ -194,7 +203,7 @@ func runCells(ctx context.Context, label string, specs []*scenario.Spec, naive b
 // building and running each spec in a loop. It normalizes the specs in
 // place.
 func RunCells(ctx context.Context, label string, specs []*scenario.Spec) ([]*sim.Result, error) {
-	return runCells(ctx, label, specs, false)
+	return runCells(ctx, label, specs, nil)
 }
 
 // Scale controls experiment sizes so unit tests can exercise the full

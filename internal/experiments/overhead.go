@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -20,15 +21,10 @@ func Fig18(scale Scale) (*Table, error) {
 		Header: []string{"cluster size", "median", "p99", "max", "epochs"},
 	}
 	sizes := []int{64, 128, 256}
-	// The runs go through the pool like every other experiment, which
-	// bounds them under -workers and makes them cancellable — but they
-	// are deliberately uncached: PlaceTimes is a wall-clock measurement,
-	// so the result is not a pure function of the configuration and
-	// storing it under a content-addressed key would violate the cache's
-	// contract. fig18 is the one experiment whose table varies run to
-	// run (and with concurrent neighbors); its claim is a shape ("far
-	// below the 300 s epoch"), not an absolute.
-	results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, sizes), true)
+	// fig18 is the one experiment whose table varies run to run (and
+	// with concurrent neighbors): its claim is a shape ("far below the
+	// 300 s epoch"), not an absolute.
+	results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, sizes), naiveStepping)
 	if err != nil {
 		return nil, fmt.Errorf("fig18: %w", err)
 	}
@@ -48,10 +44,18 @@ func Fig18(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// fig18Specs builds one PAL/FIFO Synergy run per cluster size. The runs
-// step naively (runCells' naive mode): on the fast path PAL skips
-// placement at fixpoints, which would silently turn the table's "per
-// epoch" into "per placement call".
+// naiveStepping makes a cell step every round: on the fast path PAL
+// skips placement at fixpoints, which would silently turn fig18's "per
+// epoch" into "per placement call". Being an alteration, it also keeps
+// the cells uncached: PlaceTimes is a wall-clock measurement, so the
+// result is not a pure function of the configuration and storing it
+// under a content-addressed key would break the cache's contract.
+func naiveStepping(_ *scenario.Built, cfg *sim.Config) {
+	cfg.DisableFastForward = true
+}
+
+// fig18Specs builds one PAL/FIFO Synergy run per cluster size; Fig18
+// runs them under naiveStepping.
 func fig18Specs(scale Scale, sizes []int) []*scenario.Spec {
 	specs := make([]*scenario.Spec, 0, len(sizes))
 	for _, size := range sizes {

@@ -23,7 +23,7 @@ func TestFig18TimesEveryEpoch(t *testing.T) {
 	var naive *sim.Result
 	withPool(t, 1, func() {
 		Pool().SetProbe(probe)
-		results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, []int{64}), true)
+		results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, []int{64}), naiveStepping)
 		if err != nil {
 			t.Fatal(err)
 		}

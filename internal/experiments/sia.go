@@ -25,14 +25,20 @@ func SiaBaselineSpecs(scale Scale) []*scenario.Spec {
 	specs := make([]*scenario.Spec, 0, len(scale.SiaTraces)*int(numPolicies))
 	for _, idx := range scale.SiaTraces {
 		for _, pol := range AllPolicies() {
-			// 1.5 is the fallback for models missing from the per-model
-			// table.
-			spec := cellSpec(SiaClusterNodes, siaWorkload(idx), pol, "fifo", 1.5, ExperimentSeed^uint64(idx))
-			spec.Locality.PerModel = true
-			specs = append(specs, spec)
+			specs = append(specs, siaSpec(idx, pol, "fifo"))
 		}
 	}
 	return specs
+}
+
+// siaSpec returns the Sia baseline cell of workload idx for pol under
+// the named scheduler: the 64-GPU cluster with per-model locality
+// penalties, seeded per workload.
+func siaSpec(idx int, pol Policy, schedName string) *scenario.Spec {
+	// 1.5 is the fallback for models missing from the per-model table.
+	spec := cellSpec(SiaClusterNodes, siaWorkload(idx), pol, schedName, 1.5, ExperimentSeed^uint64(idx))
+	spec.Locality.PerModel = true
+	return spec
 }
 
 // siaWorkload selects Sia-Philly workload idx at default parameters

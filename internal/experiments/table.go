@@ -2,9 +2,10 @@
 // evaluation (§V). Each runner builds its simulation cells as scenario
 // specs (internal/scenario), runs them through the shared runner pool
 // keyed by scenario.Built.Key, and returns a Table whose rows mirror the
-// series the paper plots. The ablations beyond the paper hand-build
-// their engine configurations and run uncached. The same runners back
-// both `palsweep -experiments` and the root-level benchmark harness.
+// series the paper plots. The ablations beyond the paper run figure
+// cells too: each variant row alters its cells' engine configuration
+// (another placer) and runs uncached. The same runners back both
+// `palsweep -experiments` and the root-level benchmark harness.
 package experiments
 
 import (

@@ -72,9 +72,9 @@ const ResultFormatVersion = "v4"
 const resultFormat = "pal-result/" + ResultFormatVersion
 
 // archivedJob flattens one sim.Job (spec + final mutable state) into the
-// archive schema. Allocations are recorded as plain ints; nil means the
-// job held no GPUs when the run ended (always the case for completed
-// runs, not necessarily for truncated ones).
+// archive schema. Allocations are recorded as GPU IDs, plain ints on
+// the wire; nil means the job held no GPUs when the run ended (always
+// the case for completed runs, not necessarily for truncated ones).
 type archivedJob struct {
 	ID      int     `json:"id"`
 	Model   string  `json:"model"`
@@ -83,16 +83,16 @@ type archivedJob struct {
 	Demand  int     `json:"demand"`
 	Work    float64 `json:"work"`
 
-	Remaining   float64 `json:"remaining"`
-	Alloc       []int   `json:"alloc"`
-	Attained    float64 `json:"attained"`
-	Started     bool    `json:"started"`
-	FirstRun    float64 `json:"first_run"`
-	Finish      float64 `json:"finish"`
-	Done        bool    `json:"done"`
-	Preemptions int     `json:"preemptions"`
-	Migrations  int     `json:"migrations"`
-	PrevAlloc   []int   `json:"prev_alloc"`
+	Remaining   float64         `json:"remaining"`
+	Alloc       []cluster.GPUID `json:"alloc"`
+	Attained    float64         `json:"attained"`
+	Started     bool            `json:"started"`
+	FirstRun    float64         `json:"first_run"`
+	Finish      float64         `json:"finish"`
+	Done        bool            `json:"done"`
+	Preemptions int             `json:"preemptions"`
+	Migrations  int             `json:"migrations"`
+	PrevAlloc   []cluster.GPUID `json:"prev_alloc"`
 }
 
 // resultCore is the archive's core value. Measured holds indices into
@@ -116,30 +116,6 @@ type resultCore struct {
 
 	Truncated  bool `json:"truncated"`
 	Unfinished int  `json:"unfinished"`
-}
-
-// gpusToInts converts an allocation for archiving, preserving nil.
-func gpusToInts(a []cluster.GPUID) []int {
-	if a == nil {
-		return nil
-	}
-	out := make([]int, len(a))
-	for i, g := range a {
-		out[i] = int(g)
-	}
-	return out
-}
-
-// intsToGPUs is the inverse of gpusToInts.
-func intsToGPUs(a []int) []cluster.GPUID {
-	if a == nil {
-		return nil
-	}
-	out := make([]cluster.GPUID, len(a))
-	for i, g := range a {
-		out[i] = cluster.GPUID(g)
-	}
-	return out
 }
 
 // section frames one payload section in the core: the section's length
@@ -243,7 +219,7 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 				Demand:      j.Spec.Demand,
 				Work:        j.Spec.Work,
 				Remaining:   j.Remaining,
-				Alloc:       gpusToInts(j.Alloc),
+				Alloc:       j.Alloc,
 				Attained:    j.Attained,
 				Started:     j.Started,
 				FirstRun:    j.FirstRun,
@@ -251,7 +227,7 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 				Done:        j.Done,
 				Preemptions: j.Preemptions,
 				Migrations:  j.Migrations,
-				PrevAlloc:   gpusToInts(j.PrevAlloc),
+				PrevAlloc:   j.PrevAlloc,
 			}
 		}
 		if res.Measured != nil {
@@ -394,7 +370,7 @@ func (arch *resultCore) result() (*sim.Result, error) {
 					Work:    aj.Work,
 				},
 				Remaining:   aj.Remaining,
-				Alloc:       intsToGPUs(aj.Alloc),
+				Alloc:       aj.Alloc,
 				Attained:    aj.Attained,
 				Started:     aj.Started,
 				FirstRun:    aj.FirstRun,
@@ -402,7 +378,7 @@ func (arch *resultCore) result() (*sim.Result, error) {
 				Done:        aj.Done,
 				Preemptions: aj.Preemptions,
 				Migrations:  aj.Migrations,
-				PrevAlloc:   intsToGPUs(aj.PrevAlloc),
+				PrevAlloc:   aj.PrevAlloc,
 			}
 		}
 	}

@@ -106,11 +106,18 @@ func (s *Spec) Build() (*Built, error) {
 	}
 	// The engine and the placers index the profile by job class, so a
 	// (file-sourced) job outside the profile's classes must fail here,
-	// not panic mid-run.
+	// not panic mid-run. Under admit-all a job larger than the cluster
+	// is admitted but can never be placed, so a strict FIFO prefix
+	// blocks behind it until MaxRounds; admit-fits rejects it on
+	// arrival.
 	for _, j := range tr.Jobs {
 		if j.Class < 0 || int(j.Class) >= prof.NumClasses() {
 			return nil, fmt.Errorf("scenario %s: workload job %d has class %d, want 0..%d (profile %q has %d classes)",
 				s.Name, j.ID, int(j.Class), prof.NumClasses()-1, prof.Name(), prof.NumClasses())
+		}
+		if s.Admission == "admit-all" && j.Demand > topo.Size() {
+			return nil, fmt.Errorf("scenario %s: workload job %d demands %d GPUs, the cluster has %d (admit-all never rejects it; use admit-fits)",
+				s.Name, j.ID, j.Demand, topo.Size())
 		}
 	}
 	truth, err := s.staleTruth(prof, topo.Size())

@@ -3,6 +3,8 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -44,6 +46,48 @@ func TestBuildRejectsJobClassOutsideProfile(t *testing.T) {
 		}
 		if b != nil {
 			t.Errorf("%s: Build returned a scenario with its error", placer)
+		}
+	}
+}
+
+// TestBuildRejectsOversizedJobUnderAdmitAll is the regression test for
+// a job that demands more GPUs than the cluster has: under admit-all it
+// was admitted, could never be placed, and FIFO blocked every later job
+// behind it until MaxRounds (a 1,000,000-round run that completed
+// nothing). Build must name the job, its demand and the cluster size;
+// under admit-fits the job is rejected on arrival, so the spec builds.
+func TestBuildRejectsOversizedJobUnderAdmitAll(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oversized.json")
+	trace := `{"name": "oversized", "jobs": [
+  {"id": 0, "model": "resnet50", "class": 0, "arrival_sec": 0, "demand": 500, "work_sec": 3600},
+  {"id": 1, "model": "resnet50", "class": 0, "arrival_sec": 30, "demand": 2, "work_sec": 1800}
+]}`
+	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, admission := range []string{"admit-all", "admit-fits"} {
+		spec, err := Parse([]byte(fmt.Sprintf(`{
+	"name": "oversized",
+	"cluster": {"nodes": 4},
+	"admission": %q,
+	"workload": {"source": "file", "path": %q},
+	"policy": {"name": "pal"}
+}`, admission, path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = spec.Build()
+		if admission == "admit-fits" {
+			if err != nil {
+				t.Errorf("admit-fits: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatal("admit-all: Build accepted a 500-GPU job on a 16-GPU cluster")
+		}
+		if want := "job 0 demands 500 GPUs, the cluster has 16"; !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not state %q", err, want)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 )
@@ -47,16 +48,16 @@ type JobState struct {
 	Work    float64 `json:"work"`
 
 	// Mutable engine state (sim.Job's exported fields).
-	Remaining   float64 `json:"remaining"`
-	Alloc       []int   `json:"alloc"`
-	Attained    float64 `json:"attained"`
-	Started     bool    `json:"started,omitempty"`
-	FirstRun    float64 `json:"first_run"`
-	Finish      float64 `json:"finish"`
-	Done        bool    `json:"done,omitempty"`
-	Preemptions int     `json:"preemptions,omitempty"`
-	Migrations  int     `json:"migrations,omitempty"`
-	PrevAlloc   []int   `json:"prev_alloc"`
+	Remaining   float64         `json:"remaining"`
+	Alloc       []cluster.GPUID `json:"alloc"`
+	Attained    float64         `json:"attained"`
+	Started     bool            `json:"started,omitempty"`
+	FirstRun    float64         `json:"first_run"`
+	Finish      float64         `json:"finish"`
+	Done        bool            `json:"done,omitempty"`
+	Preemptions int             `json:"preemptions,omitempty"`
+	Migrations  int             `json:"migrations,omitempty"`
+	PrevAlloc   []cluster.GPUID `json:"prev_alloc"`
 }
 
 // Snapshot is the complete engine state at a horizon. All fields are
@@ -161,7 +162,7 @@ func (e *engine) snapshot() (*Snapshot, error) {
 			Demand:      j.Spec.Demand,
 			Work:        j.Spec.Work,
 			Remaining:   j.Remaining,
-			Alloc:       gpusToInts(j.Alloc),
+			Alloc:       slices.Clone(j.Alloc),
 			Attained:    j.Attained,
 			Started:     j.Started,
 			FirstRun:    j.FirstRun,
@@ -169,7 +170,7 @@ func (e *engine) snapshot() (*Snapshot, error) {
 			Done:        j.Done,
 			Preemptions: j.Preemptions,
 			Migrations:  j.Migrations,
-			PrevAlloc:   gpusToInts(j.PrevAlloc),
+			PrevAlloc:   slices.Clone(j.PrevAlloc),
 		}
 	}
 	var err error
@@ -255,7 +256,7 @@ func (e *engine) restore(s *Snapshot) error {
 				i, js.ID, js.Model, js.Class, js.Arrival, js.Demand, js.Work)
 		}
 		j.Remaining = js.Remaining
-		j.Alloc = intsToGPUs(js.Alloc)
+		j.Alloc = slices.Clone(js.Alloc)
 		j.Attained = js.Attained
 		j.Started = js.Started
 		j.FirstRun = js.FirstRun
@@ -263,7 +264,7 @@ func (e *engine) restore(s *Snapshot) error {
 		j.Done = js.Done
 		j.Preemptions = js.Preemptions
 		j.Migrations = js.Migrations
-		j.PrevAlloc = intsToGPUs(js.PrevAlloc)
+		j.PrevAlloc = slices.Clone(js.PrevAlloc)
 		if j.Alloc != nil {
 			if j.Done {
 				return fmt.Errorf("sim: snapshot job %d is done but still allocated", js.ID)
@@ -342,28 +343,4 @@ func (e *engine) restore(s *Snapshot) error {
 		e.ctr.ResumedRounds += int64(s.Rounds)
 	}
 	return nil
-}
-
-// gpusToInts converts an allocation to plain ints, preserving nil.
-func gpusToInts(gpus []cluster.GPUID) []int {
-	if gpus == nil {
-		return nil
-	}
-	out := make([]int, len(gpus))
-	for i, g := range gpus {
-		out[i] = int(g)
-	}
-	return out
-}
-
-// intsToGPUs is the inverse of gpusToInts, preserving nil.
-func intsToGPUs(ints []int) []cluster.GPUID {
-	if ints == nil {
-		return nil
-	}
-	out := make([]cluster.GPUID, len(ints))
-	for i, g := range ints {
-		out[i] = cluster.GPUID(g)
-	}
-	return out
 }
