@@ -15,9 +15,14 @@
 // FreeOnNode, and the busy-node skip inside FreeGPUs — cost O(1) per
 // node instead of rescanning the whole cluster. FreeOnRack sums its
 // rack's node counts; nothing on the hot path asks it, so no per-rack
-// index is kept. Placers choose allocations through the read-only View
-// handle and hold their round's tentative picks in scratch of their
-// own; only the engine writes the cluster.
+// index is kept. A per-GPU node table answers NodeOf with a load
+// instead of a division, for the per-GPU bookkeeping in Claim, Release
+// and Allocate and for the placers' own counts. Placers choose
+// allocations through the read-only View handle and hold their round's
+// tentative picks in scratch of their own; only the engine writes the
+// cluster. A non-sticky round re-places every job it keeps running, so
+// the engine frees the whole cluster with one Reset rather than one
+// Release per job.
 package cluster
 
 import (
@@ -73,6 +78,7 @@ type Cluster struct {
 	free  []bool // free[g] reports whether GPU g is unallocated
 	owner []int  // owner[g] is the job ID holding GPU g, or -1
 	nfree int
+	node  []NodeID // node[g] is the node hosting GPU g (static)
 
 	// Occupancy index, updated on every Allocate/Release/Claim.
 	freeNode []int // freeNode[n] counts free GPUs on node n
@@ -91,11 +97,13 @@ func New(topo Topology) *Cluster {
 		free:     make([]bool, n),
 		owner:    make([]int, n),
 		nfree:    n,
+		node:     make([]NodeID, n),
 		freeNode: make([]int, topo.NumNodes),
 	}
 	for i := range c.free {
 		c.free[i] = true
 		c.owner[i] = -1
+		c.node[i] = NodeID(i / topo.GPUsPerNode)
 	}
 	for n := range c.freeNode {
 		c.freeNode[n] = topo.GPUsPerNode
@@ -119,10 +127,8 @@ func (c *Cluster) GPUsPerNode() int { return c.topo.GPUsPerNode }
 // configured).
 func (c *Cluster) NumRacks() int { return c.topo.NumRacks() }
 
-// NodeOf returns the node hosting GPU g.
-func (c *Cluster) NodeOf(g GPUID) NodeID {
-	return NodeID(int(g) / c.topo.GPUsPerNode)
-}
+// NodeOf returns the node hosting GPU g, read from the node table.
+func (c *Cluster) NodeOf(g GPUID) NodeID { return c.node[g] }
 
 // RackOf returns the rack hosting GPU g. With no rack grouping configured
 // every GPU is in rack 0.
@@ -213,7 +219,7 @@ func (c *Cluster) Allocate(jobID int, gpus []GPUID) {
 		c.free[g] = false
 		c.owner[g] = jobID
 		c.nfree--
-		c.freeNode[c.NodeOf(g)]--
+		c.freeNode[c.node[g]]--
 	}
 }
 
@@ -233,7 +239,7 @@ func (c *Cluster) Claim(jobID int, gpus []GPUID) int {
 		c.free[g] = false
 		c.owner[g] = jobID
 		c.nfree--
-		c.freeNode[c.NodeOf(g)]--
+		c.freeNode[c.node[g]]--
 	}
 	return -1
 }
@@ -250,16 +256,25 @@ func (c *Cluster) Release(gpus []GPUID) {
 		c.free[g] = true
 		c.owner[g] = -1
 		c.nfree++
-		c.freeNode[c.NodeOf(g)]++
+		c.freeNode[c.node[g]]++
 	}
 }
 
 // MultiNode reports whether the GPU set spans more than one node — the
 // locality model's only question (it charges L_across exactly then). It
-// compares every GPU with the first GPU's node ID range: O(len(gpus)),
-// no division per GPU, and equal to NodesSpanned(gpus) > 1.
+// compares every GPU's node-table entry with the first GPU's:
+// O(len(gpus)), no division, and equal to NodesSpanned(gpus) > 1.
 func (c *Cluster) MultiNode(gpus []GPUID) bool {
-	return spansBlocks(gpus, c.topo.GPUsPerNode)
+	if len(gpus) == 0 {
+		return false
+	}
+	n := c.node[gpus[0]]
+	for _, g := range gpus[1:] {
+		if c.node[g] != n {
+			return true
+		}
+	}
+	return false
 }
 
 // MultiRack reports whether the GPU set spans more than one rack, in
@@ -332,20 +347,32 @@ func countBlocks(gpus []GPUID, size int) int {
 }
 
 // Reset frees every GPU, returning the cluster to its initial state.
+// The engine calls it once per non-sticky placement round, so it fills
+// the arrays with doubling copies, which run as memmove instead of one
+// store per GPU.
 func (c *Cluster) Reset() {
-	for i := range c.free {
-		c.free[i] = true
-		c.owner[i] = -1
-	}
+	fill(c.free, true)
+	fill(c.owner, -1)
 	c.nfree = len(c.free)
-	for n := range c.freeNode {
-		c.freeNode[n] = c.topo.GPUsPerNode
+	fill(c.freeNode, c.topo.GPUsPerNode)
+}
+
+// fill sets every element of s to v.
+func fill[T any](s []T, v T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for k := 1; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
 	}
 }
 
 // CheckInvariants verifies internal consistency: the total free count and
 // the per-node occupancy index both match a from-scratch
-// recount of the free bitmap, and owners are -1 exactly on free GPUs. It
+// recount of the free bitmap, and owners are -1 exactly on free GPUs.
+// The recount derives each GPU's node from its ID, not from the node
+// table the index updates read, so a wrong table shows here. It
 // is used by tests and the engine's end-of-run audit and returns an error
 // describing the first violation found.
 func (c *Cluster) CheckInvariants() error {
@@ -354,7 +381,7 @@ func (c *Cluster) CheckInvariants() error {
 	for g, f := range c.free {
 		if f {
 			count++
-			nodeCount[c.NodeOf(GPUID(g))]++
+			nodeCount[g/c.topo.GPUsPerNode]++
 			if c.owner[g] != -1 {
 				return fmt.Errorf("cluster: free GPU %d has owner %d", g, c.owner[g])
 			}

@@ -100,7 +100,7 @@ func TestOccupancyIndexesMatchRecount(t *testing.T) {
 					want = limit
 				}
 				free := c.FreeGPUs()
-				stream.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+				rng.Shuffle(stream, free)
 				gpus := append([]GPUID(nil), free[:want]...)
 				c.Allocate(nextJob, gpus)
 				held[nextJob] = gpus
@@ -192,7 +192,7 @@ func TestMultiSpanMatchesSpanned(t *testing.T) {
 		}
 		check(all)
 		for step := 0; step < 500; step++ {
-			stream.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			rng.Shuffle(stream, all)
 			var gpus []GPUID
 			switch step % 3 {
 			case 0: // scattered: often wider than 16 nodes

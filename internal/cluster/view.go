@@ -34,6 +34,9 @@ func (v View) GPUsPerNode() int { return v.c.topo.GPUsPerNode }
 // NumRacks returns the number of racks (1 without rack grouping).
 func (v View) NumRacks() int { return v.c.NumRacks() }
 
+// NodeOf returns the node hosting GPU g.
+func (v View) NodeOf(g GPUID) NodeID { return v.c.node[g] }
+
 // RackOf returns the rack hosting GPU g.
 func (v View) RackOf(g GPUID) int { return v.c.RackOf(g) }
 

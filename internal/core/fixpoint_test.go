@@ -73,7 +73,7 @@ func TestPlaceRoundFixpointOrderIndependent(t *testing.T) {
 			reached++
 			for k := 0; k < 6; k++ {
 				need := slices.Clone(jobs)
-				r.Shuffle(len(need), func(a, b int) { need[a], need[b] = need[b], need[a] })
+				rng.Shuffle(r, need)
 				out := p.PlaceRound(c, need, 0)
 				for _, j := range jobs {
 					if !sameSet(j.PrevAlloc, out[j.Spec.ID]) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -15,11 +17,18 @@ import (
 // re-sorting the free list every round. This is what keeps per-epoch
 // placement cost low on large clusters (Fig. 18).
 type scoreOrder struct {
-	scorer vprof.Scorer
 	// byClass[c] lists every GPU ascending by Score(c, g).
 	byClass [][]cluster.GPUID
-	// rank[c][g] is GPU g's position in byClass[c].
-	rank [][]int32
+	// score[c][g] is Score(c, g), read by the filtered walks without an
+	// interface call per GPU.
+	score [][]float64
+	// words is the length of one class's availability bitset (see
+	// reservation), and bit[g*numClasses+c] is GPU g's bit in class c's:
+	// bit c*words*64 + i of the classes' bitsets laid end to end, where
+	// i is g's position in byClass[c]. One GPU's bits sit side by side,
+	// so a hold or unhold touches one short run of the table.
+	words int
+	bit   []uint32
 	// nodeByClass[c][n] lists node n's GPUs ascending by Score(c, g).
 	nodeByClass [][][]cluster.GPUID
 }
@@ -36,9 +45,10 @@ type scoreOrder struct {
 // cluster while staying fully deterministic.
 func newScoreOrder(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *scoreOrder {
 	o := &scoreOrder{
-		scorer:      scorer,
 		byClass:     make([][]cluster.GPUID, numClasses),
-		rank:        make([][]int32, numClasses),
+		score:       make([][]float64, numClasses),
+		words:       (n + 63) / 64,
+		bit:         make([]uint32, n*numClasses),
 		nodeByClass: make([][][]cluster.GPUID, numClasses),
 	}
 	tie := make([]uint64, n)
@@ -46,9 +56,9 @@ func newScoreOrder(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *scoreOr
 		tie[g] = mix64(uint64(g))
 	}
 	less := func(class vprof.Class) func(a, b cluster.GPUID) bool {
+		score := o.score[class]
 		return func(a, b cluster.GPUID) bool {
-			sa := scorer.Score(class, int(a))
-			sb := scorer.Score(class, int(b))
+			sa, sb := score[a], score[b]
 			if sa != sb {
 				return sa < sb
 			}
@@ -61,6 +71,11 @@ func newScoreOrder(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *scoreOr
 	numNodes := n / gpusPerNode
 	for c := 0; c < numClasses; c++ {
 		class := vprof.Class(c)
+		score := make([]float64, n)
+		for g := range score {
+			score[g] = scorer.Score(class, g)
+		}
+		o.score[c] = score
 		cmp := less(class)
 		all := make([]cluster.GPUID, n)
 		for g := range all {
@@ -68,11 +83,9 @@ func newScoreOrder(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *scoreOr
 		}
 		sort.Slice(all, func(a, b int) bool { return cmp(all[a], all[b]) })
 		o.byClass[c] = all
-		rank := make([]int32, n)
 		for i, g := range all {
-			rank[g] = int32(i)
+			o.bit[int(g)*numClasses+c] = uint32(c*o.words*64 + i)
 		}
-		o.rank[c] = rank
 
 		nodes := make([][]cluster.GPUID, numNodes)
 		for nIdx := 0; nIdx < numNodes; nIdx++ {
@@ -128,18 +141,19 @@ func (oc *orderCache) get(scorer vprof.Scorer, numClasses, n, gpusPerNode int) *
 
 // reservation is a placement round's free set as the hysteresis loop
 // sees it: the cluster's free GPUs minus those the round holds for its
-// jobs. One generation stamp per GPU answers availability — start stamps
-// the GPUs the cluster has busy, hold stamps a job's GPUs, unhold clears
-// them — so the loop reserves without writing the cluster, and per-node
-// counts net of the holds answer FreeOnNode. The embedded View answers
-// the topology questions; IsFree, FreeOnNode and NumFree are the
-// round's.
+// jobs. One generation stamp per GPU answers availability by GPU ID —
+// start stamps the GPUs the cluster has busy, hold stamps a job's GPUs,
+// unhold clears them — so the loop reserves without writing the
+// cluster, and per-node counts net of the holds answer FreeOnNode. The
+// embedded View answers the topology questions; IsFree, FreeOnNode and
+// NumFree are the round's.
 //
-// The score-order walks start at a per-class cursor: every GPU before
-// byClass[class][cur[class]] is unavailable. A walk moves the cursor
-// past the unavailable run it starts on, holds only take GPUs away, and
-// unhold lowers the cursor to each returned GPU's rank — so a crowded
-// cluster's walks skip its busy best GPUs in O(1).
+// The score-order walks read one availability bitset per class, indexed
+// by score rank: bit i of class c's bitset is set when byClass[c][i] is
+// available. hold and unhold clear or set one bit per class for each
+// GPU, and a walk visits only the set bits, in rank order, with
+// bits.TrailingZeros64 — so a pick costs O(words + demand) however many
+// of the best GPUs are busy or held.
 type reservation struct {
 	cluster.View
 	order *scoreOrder
@@ -147,7 +161,9 @@ type reservation struct {
 	gen   uint32
 	free  []int // free[n]: node n's available GPUs
 	nfree int
-	cur   []int // per-class cursor into order.byClass
+	// avail holds the classes' bitsets end to end: class c's is
+	// avail[c*words : (c+1)*words], with words = order.words.
+	avail []uint64
 }
 
 // start begins a round over the cluster's current free state and the
@@ -163,6 +179,17 @@ func (r *reservation) start(v cluster.View, o *scoreOrder) {
 		clear(r.stamp)
 		r.gen = 1
 	}
+	// Every GPU starts available; the busy ones are cleared below.
+	r.avail = slices.Grow(r.avail[:0], len(o.byClass)*o.words)[:len(o.byClass)*o.words]
+	for c := range o.byClass {
+		set := r.avail[c*o.words : (c+1)*o.words]
+		for w := range set {
+			set[w] = ^uint64(0)
+		}
+		if tail := v.Size() % 64; tail != 0 {
+			set[len(set)-1] = 1<<tail - 1
+		}
+	}
 	per := v.GPUsPerNode()
 	r.free = slices.Grow(r.free[:0], v.NumNodes())[:v.NumNodes()]
 	for n := range r.free {
@@ -174,12 +201,31 @@ func (r *reservation) start(v cluster.View, o *scoreOrder) {
 		for g := cluster.GPUID(n * per); g < cluster.GPUID((n+1)*per); g++ {
 			if !v.IsFree(g) {
 				r.stamp[g] = r.gen
+				r.clearAvail(g)
 			}
 		}
 	}
 	r.nfree = v.NumFree()
-	r.cur = slices.Grow(r.cur[:0], len(o.byClass))[:len(o.byClass)]
-	clear(r.cur)
+}
+
+// bitsOf returns GPU g's bit in each class's availability bitset.
+func (r *reservation) bitsOf(g cluster.GPUID) []uint32 {
+	k := len(r.order.byClass)
+	return r.order.bit[int(g)*k : int(g)*k+k]
+}
+
+// clearAvail clears GPU g's bit in every class's bitset.
+func (r *reservation) clearAvail(g cluster.GPUID) {
+	for _, b := range r.bitsOf(g) {
+		r.avail[b>>6] &^= 1 << (b & 63)
+	}
+}
+
+// setAvail sets GPU g's bit in every class's bitset.
+func (r *reservation) setAvail(g cluster.GPUID) {
+	for _, b := range r.bitsOf(g) {
+		r.avail[b>>6] |= 1 << (b & 63)
+	}
 }
 
 // IsFree reports whether GPU g is available to the round's next pick.
@@ -193,38 +239,37 @@ func (r *reservation) NumFree() int { return r.nfree }
 
 // hold takes available GPUs out of the round's free set.
 func (r *reservation) hold(gpus []cluster.GPUID) {
-	per := r.GPUsPerNode()
 	for _, g := range gpus {
 		r.stamp[g] = r.gen
-		r.free[int(g)/per]--
+		r.free[r.NodeOf(g)]--
+		r.clearAvail(g)
 	}
 	r.nfree -= len(gpus)
 }
 
-// unhold returns held GPUs to the round's free set, lowering each
-// class's cursor to the best of them.
+// unhold returns held GPUs to the round's free set.
 func (r *reservation) unhold(gpus []cluster.GPUID) {
-	per := r.GPUsPerNode()
 	for _, g := range gpus {
 		r.stamp[g] = 0 // no round's generation is 0
-		r.free[int(g)/per]++
-		for c, rank := range r.order.rank {
-			r.cur[c] = min(r.cur[c], int(rank[g]))
-		}
+		r.free[r.NodeOf(g)]++
+		r.setAvail(g)
 	}
 	r.nfree += len(gpus)
 }
 
-// from returns class's score order from its cursor on, first moving the
-// cursor past the unavailable GPUs it rests on.
-func (r *reservation) from(class vprof.Class) []cluster.GPUID {
-	order := r.order.byClass[class]
-	i := r.cur[class]
-	for i < len(order) && r.stamp[order[i]] == r.gen {
-		i++
+// available yields class's available GPUs in score order: the set bits
+// of its availability bitset, lowest rank first.
+func (r *reservation) available(class vprof.Class) iter.Seq[cluster.GPUID] {
+	return func(yield func(cluster.GPUID) bool) {
+		order, w := r.order.byClass[class], r.order.words
+		for i, word := range r.avail[int(class)*w : (int(class)+1)*w] {
+			for ; word != 0; word &= word - 1 {
+				if !yield(order[i<<6|bits.TrailingZeros64(word)]) {
+					return
+				}
+			}
+		}
 	}
-	r.cur[class] = i
-	return order[i:]
 }
 
 // takeBest writes into dst[:0] the first demand available GPUs in class
@@ -233,10 +278,7 @@ func (r *reservation) from(class vprof.Class) []cluster.GPUID {
 // can keep it for the next pick, and whether demand GPUs were found.
 func (r *reservation) takeBest(dst []cluster.GPUID, class vprof.Class, demand int) ([]cluster.GPUID, bool) {
 	out := dst[:0]
-	for _, g := range r.from(class) {
-		if !r.IsFree(g) {
-			continue
-		}
+	for g := range r.available(class) {
 		out = append(out, g)
 		if len(out) == demand {
 			return out, true
@@ -246,16 +288,14 @@ func (r *reservation) takeBest(dst []cluster.GPUID, class vprof.Class, demand in
 }
 
 // takeBestUnder is takeBest restricted to GPUs with score <= v. The class
-// order is ascending by score, so the walk stops at the first GPU over v
-// (and the GPUs the cursor skips score no higher than the ones it walks).
+// order is ascending by score, so the walk stops at the first available
+// GPU over v.
 func (r *reservation) takeBestUnder(dst []cluster.GPUID, class vprof.Class, demand int, v float64) ([]cluster.GPUID, bool) {
 	out := dst[:0]
-	for _, g := range r.from(class) {
-		if r.order.scorer.Score(class, int(g)) > v {
+	score := r.order.score[class]
+	for g := range r.available(class) {
+		if score[g] > v {
 			break
-		}
-		if !r.IsFree(g) {
-			continue
 		}
 		out = append(out, g)
 		if len(out) == demand {
@@ -271,8 +311,9 @@ func (r *reservation) takeBestUnder(dst []cluster.GPUID, class vprof.Class, dema
 // score.
 func (r *reservation) takeNodeUnder(dst []cluster.GPUID, class vprof.Class, node, demand int, v float64) (out []cluster.GPUID, maxV float64, ok bool) {
 	out = dst[:0]
+	score := r.order.score[class]
 	for _, g := range r.order.nodeByClass[class][node] {
-		s := r.order.scorer.Score(class, int(g))
+		s := score[g]
 		if s > v {
 			break
 		}

@@ -248,12 +248,10 @@ func (p *PAL) rackUnder(c *reservation, class vprof.Class, d int, v float64) []c
 	for r := range buckets {
 		buckets[r] = buckets[r][:0]
 	}
-	for _, g := range c.from(class) {
-		if p.scorer.Score(class, int(g)) > v {
+	score := c.order.score[class]
+	for g := range c.available(class) {
+		if score[g] > v {
 			break
-		}
-		if !c.IsFree(g) {
-			continue
 		}
 		r := c.RackOf(g)
 		buckets[r] = append(buckets[r], g)

@@ -17,7 +17,7 @@ import (
 // refPlaceRound is the hysteresis loop reserving through the cluster:
 // it holds and returns GPUs with Allocate/Release on a clone of c, and
 // every fresh pick reads a reservation started anew from the clone's
-// state — no holds, no cursor history. The placers' loop must return
+// state — no holds carried between picks. The placers' loop must return
 // exactly its map; the two differ only in how the round's holds are
 // kept.
 func refPlaceRound(
@@ -79,7 +79,7 @@ func (f *versionedFake) Version() uint64 { return f.version }
 
 func (f *versionedFake) shuffle(r *rng.RNG) {
 	for _, s := range f.scores {
-		r.Shuffle(len(s), func(a, b int) { s[a], s[b] = s[b], s[a] })
+		rng.Shuffle(r, s)
 	}
 	f.version++
 }
@@ -96,14 +96,19 @@ type reserveCase struct {
 }
 
 // TestReservationMatchesClusterReference: PAL and PM-First reserve in a
-// placer-local stamp array behind score-order cursors, and must return
-// exactly what the loop reserving through the cluster returns — over
-// random busy sets, PrevAllocs that are stale, short or overlap another
-// job's, multi-round sequences with engine-style PrevAlloc copies, a
-// wrap of the stamp generation, and every ablation switch.
+// placer-local stamp array and per-class score-rank bitsets, and must
+// return exactly what the loop reserving through the cluster returns —
+// over random busy sets, PrevAllocs that are stale, short or overlap
+// another job's, multi-round sequences with engine-style PrevAlloc
+// copies, a wrap of the stamp generation, and every ablation switch.
+// The 68-GPU clusters need two bitset words per class, the second one
+// partial, so the walks cross a word boundary and must stop at the end
+// of the last word.
 func TestReservationMatchesClusterReference(t *testing.T) {
 	flat := cluster.Topology{NumNodes: 6, GPUsPerNode: 4}
 	racked := cluster.Topology{NumNodes: 8, GPUsPerNode: 2, NodesPerRack: 3}
+	wide := cluster.Topology{NumNodes: 17, GPUsPerNode: 4}
+	wideRacked := cluster.Topology{NumNodes: 34, GPUsPerNode: 2, NodesPerRack: 5}
 	cases := []reserveCase{
 		{name: "pm-first", topo: flat},
 		{name: "pm-first/no-hysteresis", topo: flat, opts: placeOpts{noHysteresis: true}},
@@ -113,6 +118,11 @@ func TestReservationMatchesClusterReference(t *testing.T) {
 		{name: "pal/no-hysteresis", topo: flat, pal: true, opts: placeOpts{noHysteresis: true}},
 		{name: "pal/rack", topo: racked, pal: true, rack: true},
 		{name: "pal/versioned", topo: racked, pal: true, version: true},
+		{name: "pm-first/multi-word", topo: wide},
+		{name: "pm-first/multi-word/no-class-priority", topo: wide, opts: placeOpts{noClassPriority: true}},
+		{name: "pal/multi-word", topo: wide, pal: true},
+		{name: "pal/multi-word/rack", topo: wideRacked, pal: true, rack: true},
+		{name: "pal/multi-word/versioned", topo: wideRacked, pal: true, version: true},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,7 +247,7 @@ func checkReservationTrial(t *testing.T, tc reserveCase, r *rng.RNG, label strin
 			h.res.gen = math.MaxUint32 - 1
 		}
 		need := slices.Clone(jobs)
-		r.Shuffle(len(need), func(a, b int) { need[a], need[b] = need[b], need[a] })
+		rng.Shuffle(r, need)
 
 		got := maps.Clone(p.PlaceRound(c, need, 0))
 		for id, alloc := range got {

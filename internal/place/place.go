@@ -207,7 +207,7 @@ func (s *packScratch) packJob(dst []cluster.GPUID, c cluster.View, demand int, r
 	// shuffled nodes one free count at a time, from full down, which is
 	// the order a stable sort by descending free count would give.
 	if r != nil {
-		r.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		rng.Shuffle(r, nodes)
 	}
 	want := len(dst) + demand
 	for f := s.per; f > 0 && len(dst) < want; f-- {
@@ -236,7 +236,7 @@ func (s *packScratch) take(dst []cluster.GPUID, c cluster.View, node cluster.Nod
 	}
 	s.gpus = free
 	if r != nil {
-		r.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+		rng.Shuffle(r, free)
 	}
 	n = min(n, len(free))
 	for _, g := range free[:n] {
@@ -287,7 +287,7 @@ func (r *Random) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map[
 	// shuffle's outcome, and so every recorded result, depends on it.
 	free := c.AppendFreeGPUs(r.free[:0])
 	r.free = free
-	r.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	rng.Shuffle(r.rng, free)
 	idx := 0
 	for _, j := range need {
 		next := idx + j.Spec.Demand

@@ -146,12 +146,15 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Shuffle pseudo-randomly permutes the first n elements using the provided
-// swap function (Fisher–Yates).
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
+// Shuffle pseudo-randomly permutes s in place (Fisher–Yates), drawing
+// one Intn(i+1) per position i from len(s)-1 down to 1. It is a
+// function rather than a method because Go methods cannot take type
+// parameters; the direct swap is what keeps the placers' per-round
+// shuffles free of a closure call per element.
+func Shuffle[T any](r *RNG, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		swap(i, j)
+		s[i], s[j] = s[j], s[i]
 	}
 }
 
@@ -161,7 +164,7 @@ func (r *RNG) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+	Shuffle(r, p)
 	return p
 }
 

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -253,12 +254,53 @@ func TestShuffleKeepsElements(t *testing.T) {
 	r := New(31)
 	xs := []int{1, 2, 3, 4, 5, 6, 7}
 	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	Shuffle(r, xs)
 	for _, v := range xs {
 		sum += v
 	}
 	if sum != 28 {
 		t.Errorf("shuffle changed elements: %v", xs)
+	}
+}
+
+// TestShuffleGolden pins Shuffle's permutations and the stream
+// position it leaves: Packed and Random shuffle every round, so a
+// changed draw order would move every recorded non-sticky result. The
+// values were recorded from the earlier swap-callback Shuffle(n, swap),
+// which this function replaced draw for draw.
+func TestShuffleGolden(t *testing.T) {
+	golden := []struct {
+		seed  uint64
+		perm  []int
+		state uint64
+	}{
+		{1, []int{0}, 1},
+		{1, []int{0, 1}, 11400714819323198486},
+		{1, []int{1, 0, 3, 4, 2}, 8709371129873690709},
+		{1, []int{9, 6, 48, 22, 56, 52, 58, 18, 0, 44, 10, 42, 35, 4, 51, 14, 54, 25, 57, 17, 47, 40, 24, 63, 16, 49, 33, 28, 55, 7, 13, 12, 37, 41, 34, 62, 59, 19, 1, 11, 5, 20, 3, 2, 39, 31, 38, 30, 8, 53, 61, 23, 32, 21, 43, 15, 29, 50, 45, 26, 27, 60, 46, 36}, 17268758816398543148},
+		{2, []int{0}, 2},
+		{2, []int{0, 1}, 11400714819323198487},
+		{2, []int{0, 3, 1, 4, 2}, 8709371129873690710},
+		{2, []int{27, 12, 1, 11, 21, 38, 25, 4, 15, 24, 54, 39, 44, 6, 53, 43, 58, 45, 31, 41, 55, 33, 3, 32, 5, 52, 35, 7, 30, 26, 34, 8, 63, 29, 10, 0, 56, 50, 51, 61, 13, 16, 22, 2, 62, 49, 17, 48, 9, 60, 19, 28, 23, 59, 40, 14, 57, 42, 20, 18, 46, 36, 47, 37}, 17268758816398543149},
+		{3, []int{0}, 3},
+		{3, []int{1, 0}, 11400714819323198488},
+		{3, []int{3, 4, 1, 2, 0}, 8709371129873690711},
+		{3, []int{47, 62, 20, 22, 42, 21, 29, 1, 32, 43, 5, 19, 61, 54, 2, 52, 0, 16, 10, 41, 56, 15, 11, 3, 25, 9, 18, 13, 31, 59, 55, 6, 33, 49, 30, 23, 46, 8, 34, 51, 45, 28, 40, 36, 26, 57, 60, 14, 39, 35, 17, 24, 53, 58, 48, 27, 50, 63, 37, 12, 4, 38, 44, 7}, 17268758816398543150},
+	}
+	for _, g := range golden {
+		p := make([]int, len(g.perm))
+		for i := range p {
+			p[i] = i
+		}
+		r := New(g.seed)
+		Shuffle(r, p)
+		if !slices.Equal(p, g.perm) || r.State() != g.state {
+			t.Errorf("seed %d, length %d: got %v (state %d), want %v (state %d)",
+				g.seed, len(p), p, r.State(), g.perm, g.state)
+		}
+		if q := New(g.seed).Perm(len(p)); !slices.Equal(q, g.perm) {
+			t.Errorf("seed %d: Perm(%d) = %v, want %v", g.seed, len(p), q, g.perm)
+		}
 	}
 }
 

@@ -69,7 +69,9 @@ type Counters struct {
 	// Scheduling churn and allocator traffic: preemptions deschedule a
 	// running job, migrations change a running job's allocation,
 	// AllocCalls counts the allocations the engine commits
-	// (cluster.Claim), ReleaseCalls the ones it releases.
+	// (cluster.Claim), ReleaseCalls the ones it releases (a non-sticky
+	// round releases all of its allocations with one cluster.Reset, and
+	// counts each).
 	Preemptions  int64 `json:"preemptions,omitempty"`
 	Migrations   int64 `json:"migrations,omitempty"`
 	AllocCalls   int64 `json:"alloc_calls,omitempty"`

@@ -158,7 +158,7 @@ func (p *chaosPlacer) Sticky() bool { return p.r.Float64() < 0 } // always false
 func (p *chaosPlacer) PlaceRound(c *cluster.Cluster, need []*Job, _ float64) map[int][]cluster.GPUID {
 	out := make(map[int][]cluster.GPUID, len(need))
 	free := c.FreeGPUs()
-	p.r.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	rng.Shuffle(p.r, free)
 	idx := 0
 	for _, j := range need {
 		out[j.Spec.ID] = append([]cluster.GPUID(nil), free[idx:idx+j.Spec.Demand]...)
@@ -174,7 +174,7 @@ type chaosSched struct{ r *rng.RNG }
 func (chaosSched) Name() string { return "chaos-sched" }
 func (s chaosSched) Order(jobs []*Job, _ float64) []*Job {
 	out := append([]*Job(nil), jobs...)
-	s.r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	rng.Shuffle(s.r, out)
 	return out
 }
 

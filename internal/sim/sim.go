@@ -34,7 +34,8 @@ type Job struct {
 	// re-placed job's Alloc becomes its PrevAlloc, and the placement
 	// after that copies the new pick into the same array. A reader that
 	// keeps the GPUs past the callback or round in which it read them
-	// copies the slice.
+	// copies the slice. The engine caches the allocation's slowdown
+	// beside it (sd), so only the engine assigns Alloc.
 	Alloc []cluster.GPUID
 	// Attained is the accumulated service in GPU-seconds (wall seconds
 	// running × demand), the quantity Tiresias's LAS discretizes.
@@ -61,6 +62,13 @@ type Job struct {
 	// reads it during PlaceRound and never retains it (see Placer).
 	PrevAlloc []cluster.GPUID
 
+	// sd caches Equation 1's slowdown for Alloc: place sets it when the
+	// job receives a new or migrated allocation, a kept allocation keeps
+	// it, and it is zero whenever Alloc is nil. advance, bulkAdvance and
+	// observe read it instead of re-evaluating the allocation every
+	// round; it equals slowdown(j) bit for bit, because the slowdown is
+	// a function of the allocation's GPU set alone.
+	sd float64
 	// migrated marks that the allocation changed this round, charging
 	// the migration penalty during advance.
 	migrated bool
@@ -525,7 +533,7 @@ type engine struct {
 	// Scratch buffers reused across rounds so the steady-state loop
 	// allocates nothing: metrics observations, the placement need list
 	// with the allocation storage each need job retires (see place), and
-	// the bulk-advance partition/ceiling/slowdown workspaces.
+	// the bulk-advance partition/ceiling workspaces.
 	obsJobs  []*Job
 	obsSds   []float64
 	needBuf  []*Job
@@ -533,7 +541,6 @@ type engine struct {
 	runBuf   []*Job
 	waitBuf  []*Job
 	ceilBuf  []float64
-	sdsBuf   []float64
 
 	// Decision-trace scratch: the per-round placement/preemption
 	// decisions collected by place() for the decision sink, and a
@@ -565,9 +572,9 @@ func (e *engine) haltsAt(r int) bool { return e.haltAt > 0 && r >= e.haltAt }
 
 // observe hands one span to the metrics sink, with the running set
 // canonicalized to job-ID order (see RoundObservation.Running). running
-// may be in any order; slowdowns are recomputed here — they are pure
-// functions of each job's unchanged allocation, so recomputing yields
-// bit-identical values on both the naive and fast-forwarded paths.
+// may be in any order; each slowdown is the job's cached Job.sd, a pure
+// function of its unchanged allocation, so the naive and fast-forwarded
+// paths hand over bit-identical values.
 func (e *engine) observe(start float64, rounds int, running []*Job, waiting int) {
 	if e.cfg.Metrics == nil || rounds <= 0 {
 		return
@@ -579,7 +586,7 @@ func (e *engine) observe(start float64, rounds int, running []*Job, waiting int)
 	}
 	e.obsSds = e.obsSds[:len(e.obsJobs)]
 	for i, j := range e.obsJobs {
-		e.obsSds[i] = e.slowdown(j)
+		e.obsSds[i] = j.sd
 	}
 	e.cfg.Metrics.ObserveRounds(RoundObservation{
 		Start:     start,
@@ -969,10 +976,10 @@ func (e *engine) allActiveRunning() bool {
 //     this is what lets dense, saturated traces advance in bulk.
 //
 // Each skipped round applies exactly the arithmetic advance would have
-// (Remaining -= RoundSec/slowdown, Attained += RoundSec×demand), in the
-// same per-round addition order, so results
-// are byte-identical to naive iteration. Waiting jobs are untouched,
-// exactly as a naive round would leave them. The whole span reaches the
+// (Remaining -= RoundSec/slowdown, Attained += RoundSec×demand, with
+// each job's cached Job.sd as the slowdown), in the same per-round
+// addition order, so results are byte-identical to naive iteration.
+// Waiting jobs are untouched, exactly as a naive round would leave them. The whole span reaches the
 // metrics sink as one observation (every per-round quantity is frozen
 // for its duration). Other non-sticky placers re-place — and may re-roll
 // their RNG — every round, which is observable behaviour, so they never
@@ -1020,8 +1027,7 @@ func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 		ceilings = e.ceilBuf[:len(running)]
 		ps.AttainedCeilings(running, waiting, ceilings)
 		// Order horizon already reached (e.g. the just-executed advance
-		// moved a runner onto a waiter's key): nothing to skip, and the
-		// per-job slowdowns need not be evaluated.
+		// moved a runner onto a waiter's key): nothing to skip.
 		for i, j := range running {
 			if j.Attained >= ceilings[i] {
 				return now, rounds
@@ -1030,19 +1036,11 @@ func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 	}
 
 	round := cfg.RoundSec
-	if cap(e.sdsBuf) < len(running) {
-		e.sdsBuf = make([]float64, len(running))
-	}
-	sds := e.sdsBuf[:len(running)]
-	for i, j := range running {
-		sds[i] = e.slowdown(j)
-	}
-
 	spanStart, spanFrom := now, rounds
 	for rounds < cfg.MaxRounds && nextArr > now && !e.haltsAt(rounds) {
 		repeats := true
 		for i, j := range running {
-			if j.Remaining*sds[i] <= round {
+			if j.Remaining*j.sd <= round {
 				repeats = false // completion horizon: this round finishes a job
 				break
 			}
@@ -1054,8 +1052,8 @@ func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 		if !repeats {
 			break
 		}
-		for i, j := range running {
-			j.Remaining -= round / sds[i]
+		for _, j := range running {
+			j.Remaining -= round / j.sd
 			j.Attained += round * float64(j.Spec.Demand)
 		}
 		now += round
@@ -1126,17 +1124,26 @@ func schedulablePrefix(ordered []*Job, clusterSize int) []*Job {
 // So a non-sticky steady state allocates nothing per job, and the array
 // the job's new PrevAlloc uses, which migration detection and the
 // encoded results read, is never written.
+//
+// Under a non-sticky placer every job holding GPUs is either preempted
+// or re-placed this round, so the round frees the whole cluster with
+// one Cluster.Reset instead of one Release per job. A sticky round
+// releases only the preempted jobs' GPUs.
 func (e *engine) place(prefix []*Job, now float64) error {
 	e.fixpoint = e.fixpointGate
+	sticky := e.cfg.Placer.Sticky()
 	for _, j := range prefix {
 		j.inPrefix = true
 	}
 	// Preempt running jobs that fell out of the schedulable set.
 	for _, j := range e.active {
 		if j.Alloc != nil && !j.inPrefix {
-			e.cluster.Release(j.Alloc)
+			if sticky {
+				e.cluster.Release(j.Alloc)
+			}
 			j.PrevAlloc = j.Alloc
 			j.Alloc = nil
+			j.sd = 0
 			j.Preemptions++
 			if e.ctr != nil {
 				e.ctr.Preemptions++
@@ -1149,7 +1156,6 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		}
 	}
 
-	sticky := e.cfg.Placer.Sticky()
 	need, spare := e.needBuf[:0], e.spareBuf[:0]
 	for _, j := range prefix {
 		j.inPrefix = false
@@ -1158,10 +1164,11 @@ func (e *engine) place(prefix []*Job, now float64) error {
 			if sticky {
 				continue // sticky jobs keep their GPUs
 			}
+			// The job keeps its cached slowdown until the pick shows
+			// whether its GPUs changed.
 			j.wasRunning = true
 			retired = j.PrevAlloc
 			j.PrevAlloc = j.Alloc
-			e.cluster.Release(j.Alloc)
 			j.Alloc = nil
 			if e.ctr != nil {
 				e.ctr.ReleaseCalls++
@@ -1169,6 +1176,9 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		}
 		need = append(need, j)
 		spare = append(spare, retired)
+	}
+	if !sticky {
+		e.cluster.Reset()
 	}
 	e.needBuf = need[:0]
 	// The retired arrays are about to become job state again; drop the
@@ -1208,8 +1218,10 @@ func (e *engine) place(prefix []*Job, now float64) error {
 		wasRunning := j.wasRunning
 		j.wasRunning = false
 		migrated := wasRunning && !sameGPUs(j.PrevAlloc, alloc)
+		j.Alloc = alloc
 		if !wasRunning || migrated {
 			e.fixpoint = false
+			j.sd = e.slowdown(j)
 		}
 		if migrated {
 			j.Migrations++
@@ -1218,7 +1230,6 @@ func (e *engine) place(prefix []*Job, now float64) error {
 			}
 			j.migrated = true
 		}
-		j.Alloc = alloc
 		started := false
 		if !j.Started {
 			j.Started = true
@@ -1266,11 +1277,15 @@ func (e *engine) claimError(j *Job, alloc []cluster.GPUID, bad int) error {
 // sameGPUs reports set equality of two allocations: equal lengths and
 // every GPU of b present in a (the engine validates allocations
 // duplicate-free before they reach here, so containment plus length is
-// equality). Allocations are small (one job's demand), so a quadratic
-// scan beats building a map.
+// equality). A kept job's pick is its PrevAlloc itself, so an
+// element-wise match answers first; otherwise allocations are small
+// (one job's demand), and a quadratic scan beats building a map.
 func sameGPUs(a, b []cluster.GPUID) bool {
 	if len(a) != len(b) {
 		return false
+	}
+	if slices.Equal(a, b) {
+		return true
 	}
 	for _, g := range b {
 		found := false
@@ -1339,7 +1354,7 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 			round -= overhead
 			j.migrated = false
 		}
-		sd := e.slowdown(j)
+		sd := j.sd
 		if e.cfg.Observer != nil {
 			perGPU := make([]float64, len(j.Alloc))
 			for i, g := range j.Alloc {
@@ -1356,6 +1371,7 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 			j.Finish = now + overhead + wallToFinish
 			e.cluster.Release(j.Alloc)
 			j.Alloc = nil
+			j.sd = 0
 			finished++
 			if e.ctr != nil {
 				e.ctr.ReleaseCalls++
@@ -1394,6 +1410,10 @@ func (e *engine) result(start, end float64, rounds int) (*Result, error) {
 	}
 	lastFinish := start
 	for _, j := range e.jobs {
+		// A truncated run's survivors still hold GPUs; dropping their
+		// cached slowdowns leaves the result equal, field for field, to
+		// its decoded archive.
+		j.sd = 0
 		if j.Done && j.Finish > lastFinish {
 			lastFinish = j.Finish
 		}

@@ -278,6 +278,7 @@ func (e *engine) restore(s *Snapshot) error {
 				}
 			}
 			e.cluster.Allocate(j.Spec.ID, j.Alloc)
+			j.sd = e.slowdown(j)
 		}
 		if !j.Done {
 			e.active = append(e.active, j)
