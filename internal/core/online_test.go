@@ -186,8 +186,8 @@ func TestPMFirstNoClassPriorityAblation(t *testing.T) {
 	// the better GPUs.
 	jobs := []*sim.Job{mkJob(0, 2, vprof.ClassB), mkJob(1, 2, vprof.ClassA)}
 	out := p.PlaceRound(c, jobs, 0)
-	maxB := maxScore(f, vprof.ClassB, out[0])
-	maxA := maxScore(f, vprof.ClassA, out[1])
+	maxB := maxScore(scoreRow(f, vprof.ClassB, 16), out[0])
+	maxA := maxScore(scoreRow(f, vprof.ClassA, 16), out[1])
 	if maxB >= maxA {
 		t.Errorf("with priority off, scheduling order should win: B max %v, A max %v", maxB, maxA)
 	}

@@ -143,17 +143,19 @@ func (p *PAL) matrixFor(j *sim.Job) *LVMatrix {
 // PlaceRound implements sim.Placer.
 func (p *PAL) PlaceRound(c *cluster.Cluster, need []*sim.Job, now float64) map[int][]cluster.GPUID {
 	v := c.View()
-	res := p.hyst.start(v, p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode()))
+	o := p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode())
+	res := p.hyst.start(v, o)
 	return p.hyst.place(need, placeOpts{noHysteresis: p.NoHysteresis},
 		func(j *sim.Job) []cluster.GPUID { return p.placeJob(res, j) },
-		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(v, j, gpus) })
+		func(j *sim.Job, gpus []cluster.GPUID) float64 { return p.lvProduct(v, o.score[j.Spec.Class], j, gpus) })
 }
 
 // lvProduct evaluates the combined locality × variability slowdown of an
 // allocation for the job under the policy's (possibly per-model) penalty,
 // mirroring the engine's Equation-1 locality model including the rack
-// level when enabled.
-func (p *PAL) lvProduct(c cluster.View, j *sim.Job, gpus []cluster.GPUID) float64 {
+// level when enabled. score is the job's class row of the round's score
+// table.
+func (p *PAL) lvProduct(c cluster.View, score []float64, j *sim.Job, gpus []cluster.GPUID) float64 {
 	l := 1.0
 	if c.MultiNode(gpus) {
 		l = p.lacross
@@ -166,7 +168,7 @@ func (p *PAL) lvProduct(c cluster.View, j *sim.Job, gpus []cluster.GPUID) float6
 			l = min(p.lrack, l)
 		}
 	}
-	return l * maxScore(p.scorer, j.Spec.Class, gpus)
+	return l * maxScore(score, gpus)
 }
 
 // placeJob implements Algorithm 2 for one job against the round's

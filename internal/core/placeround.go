@@ -197,11 +197,12 @@ func fixpointStable(scorer vprof.Scorer, opts placeOpts) bool {
 	return !opts.noHysteresis && !versioned
 }
 
-// maxScore returns the worst PM score in the allocation for the class.
-func maxScore(s vprof.Scorer, class vprof.Class, gpus []cluster.GPUID) float64 {
+// maxScore returns the worst PM score in the allocation, reading one
+// class's row of the round's score table (scoreOrder.score).
+func maxScore(score []float64, gpus []cluster.GPUID) float64 {
 	m := 0.0
 	for _, g := range gpus {
-		if v := s.Score(class, int(g)); v > m {
+		if v := score[g]; v > m {
 			m = v
 		}
 	}

@@ -58,7 +58,8 @@ func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map
 	v := c.View()
 	// The precomputed score orders are rebuilt when a dynamic scorer's
 	// version moves.
-	res := p.hyst.start(v, p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode()))
+	o := p.cache.get(p.scorer, p.scorer.NumClasses(), v.Size(), v.GPUsPerNode())
+	res := p.hyst.start(v, o)
 	return p.hyst.place(need, p.opts(),
 		func(j *sim.Job) []cluster.GPUID {
 			var ok bool
@@ -70,7 +71,7 @@ func (p *PMFirst) PlaceRound(c *cluster.Cluster, need []*sim.Job, _ float64) map
 			return p.pick
 		},
 		func(j *sim.Job, gpus []cluster.GPUID) float64 {
-			return maxScore(p.scorer, j.Spec.Class, gpus)
+			return maxScore(o.score[j.Spec.Class], gpus)
 		})
 }
 

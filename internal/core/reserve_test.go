@@ -66,6 +66,17 @@ func refPlaceRound(
 	return out
 }
 
+// scoreRow reads one class's scores from the scorer, one call per GPU:
+// the reference for the row of the round's score table that the placers'
+// quality tests read.
+func scoreRow(s vprof.Scorer, class vprof.Class, n int) []float64 {
+	row := make([]float64, n)
+	for g := range row {
+		row[g] = s.Score(class, g)
+	}
+	return row
+}
+
 // versionedFake is a fakeBinned whose scores move at run time: shuffle
 // permutes each class's scores across the GPUs (so the bins, and PAL's
 // matrices, stay valid) and bumps the version the placers' order cache
@@ -101,9 +112,10 @@ type reserveCase struct {
 // over random busy sets, PrevAllocs that are stale, short or overlap
 // another job's, multi-round sequences with engine-style PrevAlloc
 // copies, a wrap of the stamp generation, and every ablation switch.
-// The 68-GPU clusters need two bitset words per class, the second one
-// partial, so the walks cross a word boundary and must stop at the end
-// of the last word.
+// The reference's keep-or-move test reads the scorer, not the placers'
+// score table. The 68-GPU clusters need two bitset words per class, the
+// second one partial, so the walks cross a word boundary and must stop
+// at the end of the last word.
 func TestReservationMatchesClusterReference(t *testing.T) {
 	flat := cluster.Topology{NumNodes: 6, GPUsPerNode: 4}
 	racked := cluster.Topology{NumNodes: 8, GPUsPerNode: 2, NodesPerRack: 3}
@@ -167,7 +179,9 @@ func checkReservationTrial(t *testing.T, tc reserveCase, r *rng.RNG, label strin
 		p, h, cache = pal, &pal.hyst, &pal.cache
 		fresh = pal.placeJob
 		topo := cluster.New(tc.topo).View()
-		quality = func(j *sim.Job, gpus []cluster.GPUID) float64 { return pal.lvProduct(topo, j, gpus) }
+		quality = func(j *sim.Job, gpus []cluster.GPUID) float64 {
+			return pal.lvProduct(topo, scoreRow(scorer, j.Spec.Class, n), j, gpus)
+		}
 	} else {
 		pm := NewPMFirst(scorer)
 		pm.NoHysteresis = tc.opts.noHysteresis
@@ -181,7 +195,7 @@ func checkReservationTrial(t *testing.T, tc reserveCase, r *rng.RNG, label strin
 			return got
 		}
 		quality = func(j *sim.Job, gpus []cluster.GPUID) float64 {
-			return maxScore(scorer, j.Spec.Class, gpus)
+			return maxScore(scoreRow(scorer, j.Spec.Class, n), gpus)
 		}
 	}
 

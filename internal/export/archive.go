@@ -15,7 +15,9 @@ import (
 
 // encodeArchive writes v as one line of compact JSON. encoding/json
 // emits struct fields in declaration order and floats in their
-// shortest round-trip form, so equal values encode to equal bytes.
+// shortest round-trip form, so equal values encode to equal bytes. It
+// writes snapshot archives only: result archives go through the
+// hand-written appenders (append.go), which write the bytes it would.
 func encodeArchive(w io.Writer, v any, what string) error {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		return fmt.Errorf("export: encode %s: %w", what, err)

@@ -12,7 +12,9 @@ import (
 // value the encoder writes back, decoding again to the same value and
 // re-encoding to the same bytes. FuzzDecodeResult also runs the core
 // decoder differentially: it must accept whatever the full decoder
-// accepts, returning the same result without payloads. Run one with
+// accepts, returning the same result without payloads; and the
+// re-encoding must equal the encoding/json reference encoder's bytes.
+// Run one with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/export
 
@@ -32,6 +34,10 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatal("core decode differs from the full decode without payloads")
 		}
 		checkFixedPoint(t, res, EncodeResult, UnmarshalResult)
+		got := encoded(t, func(w io.Writer) error { return EncodeResult(w, res) })
+		if want := encoded(t, func(w io.Writer) error { return referenceEncodeResult(w, res) }); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeResult differs from the encoding/json reference:\n%s\n%s", got, want)
+		}
 	})
 }
 

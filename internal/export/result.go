@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/decision"
@@ -51,6 +52,15 @@ import (
 // UnmarshalResult decodes everything; UnmarshalResultCore decodes the
 // core, checks the framing and the section hashes, and leaves the
 // payloads unparsed, so both reject a damaged frame or section.
+//
+// The schema is the JSON encoding/json gives the archive types below and
+// the metrics and decision payload types, under their struct tags. The
+// decoders are encoding/json's; the encoder is not: it appends the same
+// bytes through hand-written, reflection-free appenders (append.go) into
+// one reused buffer, hashing each section as it goes.
+// TestAppendersMatchEncodingJSON and FuzzDecodeResult hold every
+// appender to encoding/json's bytes, so a field added to an archived
+// type fails them until its appender writes it.
 //
 // Bumping the codec (any change to the archive schema or its semantics)
 // means bumping ResultFormatVersion. Whitespace inside the core is not
@@ -125,16 +135,6 @@ type section struct {
 	SHA256 string `json:"sha256"`
 }
 
-// marshalSection encodes v as one compact payload section and frames it.
-func marshalSection(v any, what string) (*section, []byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, nil, fmt.Errorf("export: encode %s section: %w", what, err)
-	}
-	sum := sha256.Sum256(data)
-	return &section{Bytes: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}, data, nil
-}
-
 // cutSection splits the section framed by ref off the front of rest,
 // checking its length and hash. A nil ref is an absent section.
 func cutSection(rest []byte, ref *section, what string) (data, after []byte, err error) {
@@ -177,26 +177,108 @@ func decodeSection[T any](data []byte, what string) (*T, error) {
 // carrying a metrics sink that does not expose a payload (anything
 // other than a metrics.Collector or metrics.ArchivedSink) — or a
 // decision sink that does not expose a trace — cannot be archived
-// faithfully and is an error rather than a silent drop.
+// faithfully and is an error rather than a silent drop, as is a
+// non-finite float anywhere in the archive. On error nothing is
+// written.
 func EncodeResult(w io.Writer, res *sim.Result) error {
-	if res == nil {
-		return fmt.Errorf("export: nil result")
+	return withArchive(res, func(core, sections []byte) error {
+		if _, err := w.Write(core); err != nil {
+			return fmt.Errorf("export: encode result: %w", err)
+		}
+		if _, err := w.Write(sections); err != nil {
+			return fmt.Errorf("export: encode result: %w", err)
+		}
+		return nil
+	})
+}
+
+// MarshalResult returns the archive EncodeResult writes for res, in one
+// slice of exactly its length.
+func MarshalResult(res *sim.Result) ([]byte, error) {
+	var out []byte
+	err := withArchive(res, func(core, sections []byte) error {
+		out = append(append(make([]byte, 0, len(core)+len(sections)), core...), sections...)
+		return nil
+	})
+	return out, err
+}
+
+// encodeBufs holds the buffers archives are assembled in, so a sweep's
+// encodes stop regrowing one from scratch per result.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// withArchive encodes res in a pooled buffer and hands use its core
+// line and its sections, which use must not retain.
+func withArchive(res *sim.Result, use func(core, sections []byte) error) error {
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	data, coreAt, err := appendResult((*bp)[:0], res)
+	*bp = data[:0]
+	if err != nil {
+		return err
 	}
-	var payload *metrics.Payload
+	return use(data[coreAt:], data[:coreAt])
+}
+
+// appendResult appends res's archive to b with its two parts swapped:
+// first the sections, hashed as they are appended, then the core line
+// that frames them, which starts at the returned offset.
+func appendResult(b []byte, res *sim.Result) (data []byte, coreAt int, err error) {
+	core, payload, decisions, err := newResultCore(res)
+	if err != nil {
+		return b, 0, err
+	}
+	e := jsonBuf{b: b}
+	if payload != nil {
+		if core.Metrics, err = e.frame("metrics", func() { e.payload(payload) }); err != nil {
+			return e.b, 0, err
+		}
+	}
+	if decisions != nil {
+		if core.Decisions, err = e.frame("decisions", func() { e.trace(decisions) }); err != nil {
+			return e.b, 0, err
+		}
+	}
+	coreAt = len(e.b)
+	e.resultCore(&core)
+	e.b = append(e.b, '\n')
+	if e.err != nil {
+		return e.b, 0, fmt.Errorf("export: encode result: %w", e.err)
+	}
+	return e.b, coreAt, nil
+}
+
+// frame appends one payload section through add and frames the bytes it
+// appended.
+func (e *jsonBuf) frame(what string, add func()) (*section, error) {
+	start := len(e.b)
+	add()
+	if e.err != nil {
+		return nil, fmt.Errorf("export: encode %s section: %w", what, e.err)
+	}
+	sum := sha256.Sum256(e.b[start:])
+	return &section{Bytes: int64(len(e.b) - start), SHA256: hex.EncodeToString(sum[:])}, nil
+}
+
+// newResultCore flattens res into its archive core, sections not yet
+// framed, and extracts the payloads the sections will hold.
+func newResultCore(res *sim.Result) (core resultCore, payload *metrics.Payload, decisions *decision.Trace, err error) {
+	if res == nil {
+		return core, nil, nil, fmt.Errorf("export: nil result")
+	}
 	if res.Metrics != nil {
 		payload = metrics.FromResult(res)
 		if payload == nil {
-			return fmt.Errorf("export: result carries a metrics sink (%T) with no extractable payload", res.Metrics)
+			return core, nil, nil, fmt.Errorf("export: result carries a metrics sink (%T) with no extractable payload", res.Metrics)
 		}
 	}
-	var decisions *decision.Trace
 	if res.Decisions != nil {
 		decisions = decision.FromResult(res)
 		if decisions == nil {
-			return fmt.Errorf("export: result carries a decision sink (%T) with no extractable trace", res.Decisions)
+			return core, nil, nil, fmt.Errorf("export: result carries a decision sink (%T) with no extractable trace", res.Decisions)
 		}
 	}
-	arch := resultCore{
+	core = resultCore{
 		Format:                resultFormat,
 		Makespan:              res.Makespan,
 		Utilization:           res.Utilization,
@@ -207,11 +289,11 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 		Unfinished:            res.Unfinished,
 	}
 	if res.Jobs != nil {
-		arch.Jobs = make([]archivedJob, len(res.Jobs))
+		core.Jobs = make([]archivedJob, len(res.Jobs))
 		index := make(map[*sim.Job]int, len(res.Jobs))
 		for i, j := range res.Jobs {
 			index[j] = i
-			arch.Jobs[i] = archivedJob{
+			core.Jobs[i] = archivedJob{
 				ID:          j.Spec.ID,
 				Model:       j.Spec.Model,
 				Class:       int(j.Spec.Class),
@@ -231,42 +313,19 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 			}
 		}
 		if res.Measured != nil {
-			arch.Measured = make([]int, len(res.Measured))
+			core.Measured = make([]int, len(res.Measured))
 			for i, j := range res.Measured {
 				idx, ok := index[j]
 				if !ok {
-					return fmt.Errorf("export: measured job %d is not in Jobs", j.Spec.ID)
+					return core, nil, nil, fmt.Errorf("export: measured job %d is not in Jobs", j.Spec.ID)
 				}
-				arch.Measured[i] = idx
+				core.Measured[i] = idx
 			}
 		}
 	} else if res.Measured != nil {
-		return fmt.Errorf("export: result has Measured jobs but no Jobs")
+		return core, nil, nil, fmt.Errorf("export: result has Measured jobs but no Jobs")
 	}
-	var sections [][]byte
-	if payload != nil {
-		ref, data, err := marshalSection(payload, "metrics")
-		if err != nil {
-			return err
-		}
-		arch.Metrics, sections = ref, append(sections, data)
-	}
-	if decisions != nil {
-		ref, data, err := marshalSection(decisions, "decisions")
-		if err != nil {
-			return err
-		}
-		arch.Decisions, sections = ref, append(sections, data)
-	}
-	if err := encodeArchive(w, &arch, "result"); err != nil {
-		return err
-	}
-	for _, data := range sections {
-		if _, err := w.Write(data); err != nil {
-			return fmt.Errorf("export: encode result: %w", err)
-		}
-	}
-	return nil
+	return core, payload, decisions, nil
 }
 
 // DecodeResult reads an archive written by EncodeResult back into a

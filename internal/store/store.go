@@ -193,11 +193,11 @@ func (s *Store) Put(key string, res *sim.Result) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q (want 64 hex digits)", key)
 	}
-	var buf bytes.Buffer
-	if err := export.EncodeResult(&buf, res); err != nil {
+	data, err := export.MarshalResult(res)
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return s.putBytes(key, buf.Bytes())
+	return s.putBytes(key, data)
 }
 
 // putBytes is the codec-agnostic body of Put: it publishes already

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -839,5 +842,58 @@ func TestStoreIndexTornLineTolerated(t *testing.T) {
 	}
 	if problems, err := st.Verify(); err != nil || len(problems) != 0 {
 		t.Fatalf("verify after heal: problems=%v err=%v", problems, err)
+	}
+}
+
+// TestStorePutNonFiniteWritesNothing: a result the codec refuses — a
+// NaN or ±Inf in the core, the metrics payload or the decision trace —
+// fails Put before the store is touched, leaving neither an object nor
+// a temp file; the clean result then stores normally.
+func TestStorePutNonFiniteWritesNothing(t *testing.T) {
+	key, live := runSpec(t, `{"name": "tiny-sinks", "cluster": {"nodes": 2},
+		"workload": {"source": "synthetic", "num_jobs": 12, "jobs_per_hour": 30},
+		"policy": {"name": "packed-sticky"},
+		"metrics": {"enabled": true}, "decisions": {"enabled": true}}`)
+	data, err := export.MarshalResult(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, poison := range map[string]func(*sim.Result){
+		"core":      func(r *sim.Result) { r.Makespan = math.NaN() },
+		"job":       func(r *sim.Result) { r.Jobs[0].Attained = math.Inf(1) },
+		"metrics":   func(r *sim.Result) { metrics.FromResult(r).Series[0].Values[0] = math.Inf(-1) },
+		"decisions": func(r *sim.Result) { decision.FromResult(r).Records[0].Start = math.NaN() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := export.UnmarshalResult(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poison(res)
+			if err := st.Put(key, res); err == nil || !strings.Contains(err.Error(), "unsupported value") {
+				t.Fatalf("Put of a non-finite result: err = %v", err)
+			}
+			var files []string
+			err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				if err == nil && !d.IsDir() {
+					files = append(files, path)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) > 0 || st.Has(key) {
+				t.Fatalf("failed Put left files behind: %v", files)
+			}
+			if err := st.Put(key, live); err != nil || !st.Has(key) {
+				t.Fatalf("clean Put after a refused one: %v", err)
+			}
+		})
 	}
 }
