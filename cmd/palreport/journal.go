@@ -115,10 +115,7 @@ func journalShardsTable(procs []*journal.Process) *experiments.Table {
 // incremental-ordering fast paths engaged, and how many prefix rounds
 // snapshot resumes started past — the cross-shard aggregation of
 // sim.Counters. Processes whose journals predate the counters field (or
-// whose runs carried none) render "-" instead of fabricated zeros. Like
-// the shards table, each complete process's summary total is
-// cross-checked against the sum of its task events: a "counters
-// diverge" note is a bug report.
+// whose runs carried none) render "-" instead of fabricated zeros.
 func journalEngineTable(procs []*journal.Process) *experiments.Table {
 	t := &experiments.Table{
 		Name:  "journal_engine",
@@ -155,23 +152,6 @@ func journalEngineTable(procs []*journal.Process) *experiments.Table {
 		if ok {
 			counted++
 			tot.Add(c)
-			// The summary total is the writer's accumulation over the same
-			// spans the task events record, so the two must agree exactly
-			// whenever both exist (all-int64 structs compare with ==).
-			if p.Summary != nil && p.Summary.Engine != nil {
-				var evSum sim.Counters
-				saw := false
-				for i := range p.Tasks {
-					if tc := p.Tasks[i].Counters; tc != nil {
-						evSum.Add(tc)
-						saw = true
-					}
-				}
-				if saw && evSum != *p.Summary.Engine {
-					t.Note("%s: counters diverge: task events sum to %d rounds, summary says %d",
-						p.Name(), evSum.TotalRounds(), p.Summary.Engine.TotalRounds())
-				}
-			}
 		}
 		row(p.Name(), c, ok)
 	}

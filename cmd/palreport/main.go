@@ -330,10 +330,8 @@ func summaryTable(payloads []*metrics.Payload) *experiments.Table {
 		if p.Truncated {
 			truncated = fmt.Sprintf("yes (%d unfinished)", p.Unfinished)
 		}
-		// A statistic over no job is not a zero: "-" when nothing was
-		// measured.
 		var avg, p50, p90, p99, wait any = "-", "-", "-", "-", "-"
-		if a.Measured > 0 {
+		if a.HasJCT() {
 			avg, p50, p90, p99, wait = a.AvgJCT, a.P50JCT, a.P90JCT, a.P99JCT, a.MeanWait
 		}
 		t.AddRowf(p.Name, p.Policy, p.Sched, a.Measured, avg, p50,
@@ -368,7 +366,7 @@ func comparisonTable(payloads []*metrics.Payload, base *metrics.Payload) *experi
 		// An improvement of or over a run that measured nothing is
 		// undefined, not 100% or -Inf.
 		var avg, p50, p99, wait any = "-", "-", "-", "-"
-		if a.Measured > 0 && b.Measured > 0 {
+		if a.HasJCT() && b.HasJCT() {
 			avg = 100 * stats.Improvement(b.AvgJCT, a.AvgJCT)
 			p50 = 100 * stats.Improvement(b.P50JCT, a.P50JCT)
 			p99 = 100 * stats.Improvement(b.P99JCT, a.P99JCT)
@@ -377,7 +375,7 @@ func comparisonTable(payloads []*metrics.Payload, base *metrics.Payload) *experi
 		t.AddRowf(p.Name, p.Policy, avg, p50, p99, wait, 100*(meanUtil(p)-meanUtil(base)))
 	}
 	avg, p99 := "-", "-"
-	if b.Measured > 0 {
+	if b.HasJCT() {
 		avg, p99 = fmt.Sprintf("%.1f s", b.AvgJCT), fmt.Sprintf("%.1f s", b.P99JCT)
 	}
 	t.Note("baseline: %s (%s/%s), avg JCT %s, p99 %s", base.Name, base.Policy, base.Sched, avg, p99)

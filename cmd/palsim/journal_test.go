@@ -101,9 +101,6 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	if len(p.Tasks) != 1 || p.Tasks[0].Counters == nil || *p.Tasks[0].Counters != ranCounters {
 		t.Error("task event does not carry the run's counters")
 	}
-	if p.Summary.Engine == nil || *p.Summary.Engine != ranCounters {
-		t.Error("summary engine total does not equal the task event's counters")
-	}
 	if got, want := ec.TotalRounds(), int64(res.Rounds); got != want {
 		t.Errorf("engine counters report %d rounds, result reports %d", got, want)
 	}
@@ -136,7 +133,7 @@ func TestSingleRunJournalReconciles(t *testing.T) {
 	if _, ok := p.EngineCounters(); ok {
 		t.Error("store-hit journal reports engine counters; no engine stepped here")
 	}
-	if p.Summary == nil || p.Summary.Engine != nil {
-		t.Error("store-hit summary should carry no engine total")
+	if p.Summary == nil {
+		t.Error("warm-run journal has no summary record")
 	}
 }

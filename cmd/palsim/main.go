@@ -60,7 +60,6 @@ import (
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -276,35 +275,33 @@ func run(sess *cli.Session, built *scenario.Built) (*sim.Result, *sim.Counters, 
 	return results[0], ctrs, nil
 }
 
-// printMetrics renders the aggregate metric block, plus the GPUs-in-use
-// deciles when the run carries a metrics payload. A statistic over no
-// job is not a zero: the JCT and wait lines print "-" when no measured
-// job completed, and the makespan line when no job completed at all.
+// printMetrics renders the aggregate metric block, "-" for an undefined
+// statistic, plus the GPUs-in-use deciles when the run carries a
+// metrics payload.
 func printMetrics(w io.Writer, header string, res *sim.Result) {
-	jcts := res.JCTs()
-	waits := res.Waits()
+	a := metrics.Summarize(res)
 	fmt.Fprintln(w, header)
 	if res.Truncated {
 		fmt.Fprintf(w, "  TRUNCATED at %d rounds: %d jobs unfinished; metrics cover completed jobs only\n",
 			res.Rounds, res.Unfinished)
 	}
-	if len(jcts) > 0 {
-		fmt.Fprintf(w, "  avg JCT      %10.1f s (%.2f h)\n", stats.Mean(jcts), stats.Mean(jcts)/3600)
-		fmt.Fprintf(w, "  p50 JCT      %10.1f s\n", stats.Percentile(jcts, 50))
-		fmt.Fprintf(w, "  p99 JCT      %10.1f s\n", stats.Percentile(jcts, 99))
-		fmt.Fprintf(w, "  mean wait    %10.1f s\n", stats.Mean(waits))
+	if a.HasJCT() {
+		fmt.Fprintf(w, "  avg JCT      %10.1f s (%.2f h)\n", a.AvgJCT, a.AvgJCT/3600)
+		fmt.Fprintf(w, "  p50 JCT      %10.1f s\n", a.P50JCT)
+		fmt.Fprintf(w, "  p99 JCT      %10.1f s\n", a.P99JCT)
+		fmt.Fprintf(w, "  mean wait    %10.1f s\n", a.MeanWait)
 	} else {
 		for _, label := range []string{"avg JCT", "p50 JCT", "p99 JCT", "mean wait"} {
 			fmt.Fprintf(w, "  %-12s %10s\n", label, "-")
 		}
 	}
-	if res.Unfinished < len(res.Jobs) {
-		fmt.Fprintf(w, "  makespan     %10.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
+	if a.HasMakespan(res.Unfinished) {
+		fmt.Fprintf(w, "  makespan     %10.1f s (%.2f h)\n", a.Makespan, a.Makespan/3600)
 	} else {
 		fmt.Fprintf(w, "  %-12s %10s\n", "makespan", "-")
 	}
-	fmt.Fprintf(w, "  utilization  %10.2f%%\n", 100*res.Utilization)
-	fmt.Fprintf(w, "  rounds       %10d\n", res.Rounds)
+	fmt.Fprintf(w, "  utilization  %10.2f%%\n", 100*a.Utilization)
+	fmt.Fprintf(w, "  rounds       %10d\n", a.Rounds)
 	if metrics.FromResult(res) != nil {
 		deciles, err := experiments.InUseDeciles(res)
 		if err != nil {

@@ -33,7 +33,6 @@ import (
 	"repro/internal/export"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -191,26 +190,24 @@ func cmdInfo(args []string) {
 		}
 		fmt.Printf("decisions    %d records covering %d rounds%s\n", len(tr.Records), tr.Rounds, truncated)
 	}
-	jcts := res.JCTs()
-	fmt.Printf("jobs         %d (%d measured)\n", len(res.Jobs), len(res.Measured))
-	fmt.Printf("rounds       %d\n", res.Rounds)
+	a := metrics.Summarize(res)
+	fmt.Printf("jobs         %d (%d measured)\n", a.Jobs, a.Measured)
+	fmt.Printf("rounds       %d\n", a.Rounds)
 	if res.Truncated {
 		fmt.Printf("TRUNCATED    %d jobs unfinished; metrics cover completed jobs only\n", res.Unfinished)
 	}
-	// A statistic over no job is not a zero: "-" when no measured job
-	// completed, and for the makespan when none completed.
-	if len(jcts) > 0 {
-		fmt.Printf("avg JCT      %.1f s\n", stats.Mean(jcts))
-		fmt.Printf("p99 JCT      %.1f s\n", stats.Percentile(jcts, 99))
+	if a.HasJCT() {
+		fmt.Printf("avg JCT      %.1f s\n", a.AvgJCT)
+		fmt.Printf("p99 JCT      %.1f s\n", a.P99JCT)
 	} else {
 		fmt.Printf("avg JCT      -\np99 JCT      -\n")
 	}
-	if res.Unfinished < len(res.Jobs) {
-		fmt.Printf("makespan     %.1f s (%.2f h)\n", res.Makespan, res.Makespan/3600)
+	if a.HasMakespan(res.Unfinished) {
+		fmt.Printf("makespan     %.1f s (%.2f h)\n", a.Makespan, a.Makespan/3600)
 	} else {
 		fmt.Printf("makespan     -\n")
 	}
-	fmt.Printf("utilization  %.2f%%\n", 100*res.Utilization)
+	fmt.Printf("utilization  %.2f%%\n", 100*a.Utilization)
 }
 
 func cmdVerify(args []string) {
@@ -284,18 +281,17 @@ func cmdExport(args []string) {
 		if p := metrics.FromResult(res); p != nil {
 			name, policy, sched = p.Name, p.Policy, p.Sched
 		}
-		jcts := res.JCTs()
+		a := metrics.Summarize(res)
 		truncated := ""
 		if res.Truncated {
 			truncated = fmt.Sprintf("yes (%d unfinished)", res.Unfinished)
 		}
-		var avg, p50, p99, wait any = "-", "-", "-", "-" // nothing measured
-		if len(jcts) > 0 {
-			avg, p50, p99 = stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99)
-			wait = stats.Mean(res.Waits())
+		var avg, p50, p99, wait any = "-", "-", "-", "-"
+		if a.HasJCT() {
+			avg, p50, p99, wait = a.AvgJCT, a.P50JCT, a.P99JCT, a.MeanWait
 		}
-		table.AddRowf(key[:16], name, policy, sched, len(res.Jobs), len(res.Measured),
-			avg, p50, p99, wait, 100*res.Utilization, res.Rounds, truncated)
+		table.AddRowf(key[:16], name, policy, sched, a.Jobs, a.Measured,
+			avg, p50, p99, wait, 100*a.Utilization, a.Rounds, truncated)
 	}
 	if err := export.WriteTable(table, *format, ""); err != nil {
 		fatal(err)

@@ -186,24 +186,12 @@ func TestProbeDoesNotPerturbSweep(t *testing.T) {
 
 		// Engine-counter reconciliation (the stepping-engagement table's
 		// raw material): every task here executed, so the journal must
-		// carry counters; the summary total must equal the sum of the
-		// task-event counters; and the process's total stepped rounds
-		// must equal the sum of its results' Rounds exactly — fresh runs,
-		// no snapshot resumes.
+		// carry counters, and the process's total stepped rounds must
+		// equal the sum of its results' Rounds exactly — fresh runs, no
+		// snapshot resumes.
 		ec, ok := p.EngineCounters()
 		if !ok || ec == nil {
 			t.Fatalf("%s: journal carries no engine counters", p.Name())
-		}
-		if p.Summary.Engine == nil {
-			t.Fatalf("%s: summary.Engine not filled by the writer", p.Name())
-		}
-		var evSum sim.Counters
-		for i := range p.Tasks {
-			evSum.Add(p.Tasks[i].Counters)
-		}
-		if evSum != *p.Summary.Engine {
-			t.Errorf("%s: summary engine counters %+v diverge from task-event sum %+v",
-				p.Name(), *p.Summary.Engine, evSum)
 		}
 		if got, want := ec.TotalRounds(), roundsFor[p.Header.Shard]; got != want {
 			t.Errorf("%s: engine counters report %d rounds, results report %d",

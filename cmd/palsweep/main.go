@@ -100,10 +100,10 @@ import (
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/export"
+	"repro/internal/metrics"
 	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // groups name convenient experiment subsets.
@@ -439,24 +439,21 @@ func scenarioTable(cells []scenarioCell, results []*sim.Result, metricsDir strin
 			}
 			archived++
 		}
-		jcts := res.JCTs()
+		a := metrics.Summarize(res)
 		truncated := ""
 		if res.Truncated {
 			truncated = fmt.Sprintf("yes (%d unfinished)", res.Unfinished)
 		}
-		// A statistic over no job is not a zero: "-" when no measured
-		// job completed, and for the makespan when none completed.
 		var avg, p50, p99, wait, makespan any = "-", "-", "-", "-", "-"
-		if len(jcts) > 0 {
-			avg, p50, p99 = stats.Mean(jcts), stats.Percentile(jcts, 50), stats.Percentile(jcts, 99)
-			wait = stats.Mean(res.Waits())
+		if a.HasJCT() {
+			avg, p50, p99, wait = a.AvgJCT, a.P50JCT, a.P99JCT, a.MeanWait
 		}
-		if res.Unfinished < len(res.Jobs) {
-			makespan = res.Makespan / 3600
+		if a.HasMakespan(res.Unfinished) {
+			makespan = a.Makespan / 3600
 		}
 		table.AddRowf(b.Spec.Name, b.Trace.Name, len(b.Trace.Jobs), b.Topo.Size(),
 			b.Spec.Policy.Name, b.Spec.Sched.Name,
-			avg, p50, p99, wait, makespan, 100*res.Utilization, res.Rounds, truncated)
+			avg, p50, p99, wait, makespan, 100*a.Utilization, a.Rounds, truncated)
 		table.Note("%s: key %s (%s)", b.Spec.Name, b.Key()[:16], c.path)
 	}
 	return table, archived, nil

@@ -31,7 +31,10 @@ func main() {
 	// A 64-GPU cluster whose node-0 Class-A profile understates reality
 	// by 3x: the scheduler sees "view", jobs experience "truth".
 	view := vprof.GenerateTestbed(7)
-	truth := vprof.PerturbStaleGPUs(view, vprof.ClassA, []int{0, 1}, 1.0/3.0)
+	truth, err := vprof.PerturbStaleGPUs(view, vprof.ClassA, []int{0, 1}, 1.0/3.0)
+	if err != nil {
+		panic(err)
+	}
 	binned := vprof.BinProfile(view)
 
 	params := trace.DefaultSiaPhillyParams()

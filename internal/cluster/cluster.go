@@ -13,9 +13,8 @@
 // maintain a free-GPU count per node alongside the flat bitmap, so the
 // occupancy queries the placement policies issue every round — NumFree,
 // FreeOnNode, and the busy-node skip inside FreeGPUs — cost O(1) per
-// node instead of rescanning the whole cluster. FreeOnRack sums its
-// rack's node counts; nothing on the hot path asks it, so no per-rack
-// index is kept. A per-GPU node table answers NodeOf with a load
+// node instead of rescanning the whole cluster; no per-rack index is
+// kept. A per-GPU node table answers NodeOf with a load
 // instead of a division, for the per-GPU bookkeeping in Claim, Release
 // and Allocate and for the placers' own counts. Placers choose
 // allocations through the read-only View handle and hold their round's
@@ -189,20 +188,6 @@ func (c *Cluster) AppendFreeGPUs(out []GPUID) []GPUID {
 // FreeOnNode returns the number of free GPUs on node n, answered from the
 // incremental index.
 func (c *Cluster) FreeOnNode(n NodeID) int { return c.freeNode[n] }
-
-// FreeOnRack returns the number of free GPUs in rack r: the sum of its
-// nodes' counts in the per-node index.
-func (c *Cluster) FreeOnRack(r int) int {
-	lo, hi := 0, c.topo.NumNodes
-	if per := c.topo.NodesPerRack; per > 0 {
-		lo, hi = r*per, min((r+1)*per, hi)
-	}
-	n := 0
-	for _, f := range c.freeNode[lo:hi] {
-		n += f
-	}
-	return n
-}
 
 // Allocate marks the given GPUs as owned by job jobID. It panics if any
 // GPU is already allocated: placement policies must only hand out free

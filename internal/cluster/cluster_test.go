@@ -179,8 +179,8 @@ func TestClaim(t *testing.T) {
 			t.Errorf("GPU %d: free %v, owner %d after the claim, want job 3", g, c.IsFree(g), c.Owner(g))
 		}
 	}
-	if c.NumFree() != before.nfree-len(want) || c.FreeOnNode(0) != 2 || c.FreeOnRack(1) != 5 {
-		t.Errorf("counts after the claim: %d free, node 0 %d, rack 1 %d", c.NumFree(), c.FreeOnNode(0), c.FreeOnRack(1))
+	if c.NumFree() != before.nfree-len(want) || c.FreeOnNode(0) != 2 {
+		t.Errorf("counts after the claim: %d free, node 0 %d", c.NumFree(), c.FreeOnNode(0))
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

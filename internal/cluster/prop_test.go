@@ -8,40 +8,33 @@ import (
 
 // Property test for the incremental occupancy indexes: random
 // Allocate/Release sequences over a spread of topologies must keep
-// NumFree, FreeOnNode, FreeOnRack and FreeGPUs consistent with a
+// NumFree, FreeOnNode and FreeGPUs consistent with a
 // from-scratch recount of the bitmap after every operation, and
 // CheckInvariants must agree. Randomness derives from rng.Split
 // sub-streams so every failure is reproducible from the printed seed.
 
-// recount is the reference: per-node and per-rack free counts recomputed
-// from the bitmap alone.
-func recount(c *Cluster) (total int, node []int, rack []int) {
+// recount is the reference: per-node free counts recomputed from the
+// bitmap alone.
+func recount(c *Cluster) (total int, node []int) {
 	node = make([]int, c.NumNodes())
-	rack = make([]int, c.NumRacks())
 	for g := 0; g < c.Size(); g++ {
 		if c.IsFree(GPUID(g)) {
 			total++
 			node[c.NodeOf(GPUID(g))]++
-			rack[c.RackOf(GPUID(g))]++
 		}
 	}
-	return total, node, rack
+	return total, node
 }
 
 func checkAgainstRecount(t *testing.T, c *Cluster, step int) {
 	t.Helper()
-	total, node, rack := recount(c)
+	total, node := recount(c)
 	if c.NumFree() != total {
 		t.Fatalf("step %d: NumFree=%d, recount=%d", step, c.NumFree(), total)
 	}
 	for n := range node {
 		if got := c.FreeOnNode(NodeID(n)); got != node[n] {
 			t.Fatalf("step %d: FreeOnNode(%d)=%d, recount=%d", step, n, got, node[n])
-		}
-	}
-	for r := range rack {
-		if got := c.FreeOnRack(r); got != rack[r] {
-			t.Fatalf("step %d: FreeOnRack(%d)=%d, recount=%d", step, r, got, rack[r])
 		}
 	}
 	free := c.FreeGPUs()

@@ -13,8 +13,8 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // TableCSV writes a Table as CSV: header row, then data rows. Notes are
@@ -149,9 +149,7 @@ func WriteTable(t *experiments.Table, format, outDir string) error {
 // resultJSON is the archival shape of one simulation result. Truncation
 // is part of the archival record: a run that stopped at the MaxRounds
 // cap reports metrics over completed jobs only, and an archived result
-// must say so. A statistic over no job is null, as the text outputs
-// print "-": the JCT and wait fields when nothing was measured, the
-// makespan when no job completed.
+// must say so. An undefined statistic (metrics.Aggregates) is null.
 type resultJSON struct {
 	Jobs        int      `json:"jobs"`
 	Measured    int      `json:"measured"`
@@ -168,23 +166,20 @@ type resultJSON struct {
 
 // ResultJSON writes the aggregate metrics of a simulation result.
 func ResultJSON(w io.Writer, res *sim.Result) error {
-	num := func(v float64) *float64 { return &v }
+	a := metrics.Summarize(res)
 	out := resultJSON{
-		Jobs:        len(res.Jobs),
-		Measured:    len(res.Measured),
-		Utilization: res.Utilization,
-		Rounds:      res.Rounds,
+		Jobs:        a.Jobs,
+		Measured:    a.Measured,
+		Utilization: a.Utilization,
+		Rounds:      a.Rounds,
 		Truncated:   res.Truncated,
 		Unfinished:  res.Unfinished,
 	}
-	if jcts := res.JCTs(); len(jcts) > 0 {
-		out.AvgJCT = num(stats.Mean(jcts))
-		out.P50JCT = num(stats.Percentile(jcts, 50))
-		out.P99JCT = num(stats.Percentile(jcts, 99))
-		out.MeanWait = num(stats.Mean(res.Waits()))
+	if a.HasJCT() {
+		out.AvgJCT, out.P50JCT, out.P99JCT, out.MeanWait = &a.AvgJCT, &a.P50JCT, &a.P99JCT, &a.MeanWait
 	}
-	if res.Unfinished < len(res.Jobs) {
-		out.Makespan = num(res.Makespan)
+	if a.HasMakespan(res.Unfinished) {
+		out.Makespan = &a.Makespan
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

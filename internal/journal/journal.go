@@ -12,10 +12,12 @@
 // time), one task record per completed runner task (fed by
 // runner.Probe), and a final summary record carrying the pool and
 // cache counters, store-probe latency/size histograms and Go runtime
-// memory statistics. Appends are single-write, advisory-flocked and
-// crash-tolerant: a process that dies mid-sweep leaves a valid journal
-// with no summary (the reader reports it as incomplete), and a torn
-// trailing line is skipped on load, mirroring the store index.
+// memory statistics. Engine counters ride the task records only: a
+// process's engine totals come from summing its task events
+// (Process.EngineCounters). Appends are single-write, advisory-flocked
+// and crash-tolerant: a process that dies mid-sweep leaves a valid
+// journal with no summary (the reader reports it as incomplete), and a
+// torn trailing line is skipped on load, mirroring the store index.
 //
 // The read side (Load, LoadDir, plus the aggregation helpers on
 // Process) reconstructs a cross-shard timeline from N journal files;
@@ -131,11 +133,6 @@ type Summary struct {
 	GCRemoved      int      `json:"gc_removed,omitempty"`
 	VerifyProblems int      `json:"verify_problems,omitempty"`
 	Mem            MemStats `json:"mem"`
-	// Engine sums the engine introspection counters across every task
-	// this process executed (Writer.Close fills it from the task events
-	// it observed when the caller leaves it nil). Nil in pre-counter
-	// journals and in processes whose runs carried no counters.
-	Engine *sim.Counters `json:"engine,omitempty"`
 }
 
 // MergeOps folds b into a bin-wise and returns the merged aggregate

@@ -64,16 +64,13 @@ func (p *Process) Counts() TierCounts {
 	return c
 }
 
-// EngineCounters returns the process's summed engine introspection
-// counters: the summary's Engine total when present, else a sum over
-// the task events (the crashed-process fallback). ok is false when
-// neither exists — a journal written before the counters field, or a
-// sweep whose runs carried no counters — so reports render "-" instead
-// of fabricating zeros.
+// EngineCounters returns the process's engine introspection counters,
+// summed over its task events: the one source of engine totals, so a
+// crashed process's journal reads the same way as a complete one. ok
+// is false when no task carries counters — a journal written before
+// the counters field, or a sweep whose runs carried none — so reports
+// render "-" instead of fabricating zeros.
 func (p *Process) EngineCounters() (*sim.Counters, bool) {
-	if p.Summary != nil && p.Summary.Engine != nil {
-		return p.Summary.Engine, true
-	}
 	var sum *sim.Counters
 	for i := range p.Tasks {
 		if c := p.Tasks[i].Counters; c != nil {

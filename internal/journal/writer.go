@@ -24,9 +24,6 @@ type Writer struct {
 	f    *os.File
 	path string
 	err  error // first append failure; later appends are skipped
-	// engine accumulates the task spans' engine counters under mu, so
-	// Close can fill Summary.Engine without the CLI re-summing events.
-	engine *sim.Counters
 }
 
 // Create opens a fresh journal file in dir — named
@@ -102,14 +99,6 @@ func (w *Writer) ObserveTask(sp runner.TaskSpan) {
 	if sp.Err != nil {
 		ev.Error = sp.Err.Error()
 	}
-	if sp.Counters != nil {
-		w.mu.Lock()
-		if w.engine == nil {
-			w.engine = &sim.Counters{}
-		}
-		w.engine.Add(sp.Counters)
-		w.mu.Unlock()
-	}
 	_ = w.append(ev) // degraded, surfaced by Close
 }
 
@@ -119,11 +108,6 @@ func (w *Writer) ObserveTask(sp runner.TaskSpan) {
 func (w *Writer) Close(sum Summary) error {
 	sum.Type = TypeSummary
 	sum.EndMS = time.Now().UnixMilli()
-	if sum.Engine == nil {
-		w.mu.Lock()
-		sum.Engine = w.engine
-		w.mu.Unlock()
-	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	const mb = 1 << 20

@@ -335,24 +335,9 @@ func (c *Collector) buildPayload(res *sim.Result) *Payload {
 		p.Jobs = append(p.Jobs, rec)
 	}
 
-	jcts := res.JCTs()
-	waits := res.Waits()
-	p.JCTHist = histOf(jcts, c.cfg.HistBins)
-	p.WaitHist = histOf(waits, c.cfg.HistBins)
-	p.Aggregates = Aggregates{
-		Jobs:                  len(res.Jobs),
-		Measured:              len(res.Measured),
-		AvgJCT:                stats.Mean(jcts),
-		P50JCT:                stats.Percentile(jcts, 50),
-		P90JCT:                stats.Percentile(jcts, 90),
-		P99JCT:                stats.Percentile(jcts, 99),
-		MeanWait:              stats.Mean(waits),
-		P99Wait:               stats.Percentile(waits, 99),
-		Makespan:              res.Makespan,
-		Utilization:           res.Utilization,
-		ProductiveUtilization: res.ProductiveUtilization,
-		Rounds:                res.Rounds,
-	}
+	p.JCTHist = histOf(res.JCTs(), c.cfg.HistBins)
+	p.WaitHist = histOf(res.Waits(), c.cfg.HistBins)
+	p.Aggregates = Summarize(res)
 	return p
 }
 

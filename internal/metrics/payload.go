@@ -112,24 +112,6 @@ type JobRecord struct {
 	Measured bool `json:"measured,omitempty"`
 }
 
-// Aggregates are the run-level metrics over measured, completed jobs —
-// the same quantities export.ResultJSON reports, duplicated here so an
-// archived payload stands alone.
-type Aggregates struct {
-	Jobs                  int     `json:"jobs"`
-	Measured              int     `json:"measured"`
-	AvgJCT                float64 `json:"avg_jct_sec"`
-	P50JCT                float64 `json:"p50_jct_sec"`
-	P90JCT                float64 `json:"p90_jct_sec"`
-	P99JCT                float64 `json:"p99_jct_sec"`
-	MeanWait              float64 `json:"mean_wait_sec"`
-	P99Wait               float64 `json:"p99_wait_sec"`
-	Makespan              float64 `json:"makespan_sec"`
-	Utilization           float64 `json:"utilization"`
-	ProductiveUtilization float64 `json:"productive_utilization"`
-	Rounds                int     `json:"rounds"`
-}
-
 // Save writes the payload as indented JSON.
 func (p *Payload) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -143,19 +143,14 @@ func (s *Spec) staleTruth(prof *vprof.Profile, clusterGPUs int) (*vprof.Profile,
 		return nil, fmt.Errorf("scenario %s: profile stale gpus %d, want 1..%d (the cluster's size)",
 			s.Name, st.GPUs, clusterGPUs)
 	}
-	// The same arithmetic as vprof.PerturbStaleGPUs with 1/Factor (the
-	// true scores are Factor times the profiled ones before they
-	// renormalize to their median), but a factor that over- or
-	// underflows the scores is an error here, not a panic or a NaN.
-	perClass := make([][]float64, prof.NumClasses())
-	for c := range perClass {
-		perClass[c] = prof.ClassScores(vprof.Class(c))
+	// The true scores are Factor times the profiled ones before they
+	// renormalize to their median; a factor that over- or underflows
+	// the scores is an error, not a NaN.
+	gpus := make([]int, st.GPUs)
+	for g := range gpus {
+		gpus[g] = g
 	}
-	inv := 1 / st.Factor
-	for g := 0; g < st.GPUs; g++ {
-		perClass[st.Class][g] /= inv
-	}
-	truth, err := vprof.NewProfile(prof.Name()+"-stale", perClass)
+	truth, err := vprof.PerturbStaleGPUs(prof, vprof.Class(st.Class), gpus, 1/st.Factor)
 	if err == nil {
 		err = usableScores(truth)
 	}

@@ -100,9 +100,6 @@ func (j *Job) Wait() float64 {
 	return w
 }
 
-// FirstRunDelay returns the time from arrival to first receiving GPUs.
-func (j *Job) FirstRunDelay() float64 { return j.FirstRun - j.Spec.Arrival }
-
 // Scheduler orders active jobs each round by scheduling priority (job
 // selection). Implementations must return a permutation of jobs; the
 // engine schedules the longest prefix that fits the cluster.

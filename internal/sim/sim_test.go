@@ -634,7 +634,7 @@ func TestJobLifecycleState(t *testing.T) {
 
 func TestFirstRunDelayVsWait(t *testing.T) {
 	// Job 1 runs immediately under SRTF-like priority, then the long job
-	// 0 resumes; job 0's Wait (total queued) exceeds its FirstRunDelay.
+	// 0 resumes; job 0's Wait (total queued) exceeds its first-run delay.
 	cfg := baseConfig(t, []trace.JobSpec{
 		{ID: 0, Arrival: 0, Demand: 8, Work: 3000},
 		{ID: 1, Arrival: 300, Demand: 8, Work: 900},
@@ -645,8 +645,8 @@ func TestFirstRunDelayVsWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	j0 := res.Jobs[0]
-	if j0.FirstRunDelay() != 0 {
-		t.Errorf("job 0 first-run delay = %v, want 0", j0.FirstRunDelay())
+	if d := j0.FirstRun - j0.Spec.Arrival; d != 0 {
+		t.Errorf("job 0 first-run delay = %v, want 0", d)
 	}
 	if j0.Wait() <= 0 {
 		t.Errorf("job 0 total wait = %v, want > 0 (suspension counted)", j0.Wait())

@@ -19,37 +19,6 @@ type CI struct {
 	Level float64
 }
 
-// BootstrapCI estimates a confidence interval for statistic(sample) by
-// percentile bootstrap with the given number of resamples. Returns a
-// degenerate interval for empty input.
-func BootstrapCI(sample []float64, statistic func([]float64) float64,
-	resamples int, level float64, seed uint64) CI {
-	if len(sample) == 0 || resamples <= 0 {
-		return CI{Level: level}
-	}
-	r := rng.New(seed)
-	buf := make([]float64, len(sample))
-	estimates := make([]float64, resamples)
-	for i := range estimates {
-		for j := range buf {
-			buf[j] = sample[r.Intn(len(sample))]
-		}
-		estimates[i] = statistic(buf)
-	}
-	sort.Float64s(estimates)
-	alpha := (1 - level) / 2
-	return CI{
-		Low:   percentileSorted(estimates, alpha*100),
-		High:  percentileSorted(estimates, (1-alpha)*100),
-		Level: level,
-	}
-}
-
-// BootstrapMeanCI is BootstrapCI with the arithmetic mean.
-func BootstrapMeanCI(sample []float64, resamples int, level float64, seed uint64) CI {
-	return BootstrapCI(sample, Mean, resamples, level, seed)
-}
-
 // BootstrapImprovementCI resamples paired (base, ours) observations and
 // returns the interval of Improvement(mean(base), mean(ours)) — the
 // uncertainty of an avg-JCT improvement claim over the jobs of one trace.
@@ -82,6 +51,3 @@ func BootstrapImprovementCI(base, ours []float64, resamples int, level float64, 
 
 // Contains reports whether v lies inside the interval.
 func (ci CI) Contains(v float64) bool { return v >= ci.Low && v <= ci.High }
-
-// Width returns the interval width.
-func (ci CI) Width() float64 { return ci.High - ci.Low }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -46,18 +47,16 @@ func (s *Store) GC(p GCPolicy) (GCReport, error) {
 	if err != nil {
 		return report, err
 	}
-	// Snapshots share the policy and the root: reclaim trees orphaned by
-	// a snapshot-codec bump, then compact the live snapshot tree exactly
-	// like the result tree.
-	report = addReports(report, s.sweepOrphanedSnapVersions())
-	if s.hasSnapTree() {
-		snapReport, err := s.snapTree().gcTree(p, now)
-		report = addReports(report, snapReport)
-		if err != nil {
-			return report, err
-		}
+	// Snapshots share the policy and the root: the live snapshot tree
+	// compacts exactly like the result tree. Without one there is
+	// nothing to compact, but a snapshot-codec bump may still have
+	// orphaned older trees.
+	snap := s.snapTree()
+	if !s.hasSnapTree() {
+		return addReports(report, snap.sweepOrphanedVersions()), nil
 	}
-	return report, nil
+	snapReport, err := snap.gcTree(p, now)
+	return addReports(report, snapReport), err
 }
 
 // addReports merges two compaction summaries.
@@ -192,17 +191,25 @@ func (s *Store) sweepTempFiles(now time.Time) {
 	}
 }
 
-// sweepOrphanedVersions removes object trees of STRICTLY OLDER codec
-// versions: a codec bump re-roots the store at a new version directory,
-// and the superseded tree can never be read again by any current or
-// future codebase — GC is the documented point at which it is
-// reclaimed. Newer trees are left alone (a stale binary must never wipe
-// the store of an upgraded one running beside it), as is anything not
-// matching the store's own version naming (v<digits>), so unrelated
-// files a user keeps next to the store survive.
+// sweepOrphanedVersions removes the sibling trees of STRICTLY OLDER
+// codec versions under this tree's own name prefix ("v<n>" for results,
+// "snap-v<n>" for snapshots): a codec bump re-roots the tree at a new
+// version directory, and the superseded tree can never be read again
+// by any current or future codebase — GC is the documented point at
+// which it is reclaimed. Newer trees are left alone (a stale binary
+// must never wipe the store of an upgraded one running beside it), as
+// is anything not matching the tree's version naming, so the other
+// kind's trees and unrelated files a user keeps next to the store
+// survive.
 func (s *Store) sweepOrphanedVersions() GCReport {
 	var report GCReport
-	current, ok := versionNum(filepath.Base(s.dir))
+	base := filepath.Base(s.dir)
+	i := strings.LastIndexByte(base, 'v')
+	if i < 0 {
+		return report
+	}
+	prefix := base[:i]
+	current, ok := versionNum(base[i:])
 	if !ok {
 		return report
 	}
@@ -211,8 +218,11 @@ func (s *Store) sweepOrphanedVersions() GCReport {
 		return report
 	}
 	for _, e := range entries {
-		n, ok := versionNum(e.Name())
-		if !e.IsDir() || !ok || n >= current {
+		name, found := strings.CutPrefix(e.Name(), prefix)
+		if !found || !e.IsDir() {
+			continue
+		}
+		if n, ok := versionNum(name); !ok || n >= current {
 			continue
 		}
 		old := filepath.Join(s.root, e.Name())

@@ -9,9 +9,9 @@ package store
 // The tree reuses the whole object/index/lock machinery of the result
 // tree (a snapshot handle is just a second Store value rooted at the
 // same directory), but is deliberately named "snap-v<n>", NOT "v<n>":
-// the result tree's orphaned-version sweep reclaims only "v<digits>"
-// siblings, so snapshots are invisible to it — they have their own
-// orphan sweep keyed on the snapshot codec version. Result listings
+// the orphaned-version sweep reclaims only siblings under a tree's own
+// name prefix, so the result tree's sweep never sees snapshot trees,
+// and the snapshot tree's reclaims older "snap-v<digits>" ones. Result listings
 // (Keys/Infos) likewise never see snapshot objects, because they scan
 // only the result tree; palstore reports the two kinds side by side via
 // SnapshotKeys/SnapshotInfos.
@@ -25,8 +25,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/export"
 	"repro/internal/sim"
@@ -111,11 +109,6 @@ func (s *Store) loadSnapshot(key string, touch bool) (*sim.Snapshot, bool, error
 	return snap, true, nil
 }
 
-// HasSnapshot reports whether a snapshot for key exists.
-func (s *Store) HasSnapshot(key string) bool {
-	return s.hasSnapTree() && s.snapTree().Has(key)
-}
-
 // SnapshotKeys returns every stored snapshot key, sorted. A store with
 // no snapshot tree has none.
 func (s *Store) SnapshotKeys() ([]string, error) {
@@ -132,39 +125,4 @@ func (s *Store) SnapshotInfos() ([]ObjectInfo, error) {
 		return nil, nil
 	}
 	return s.snapTree().Infos()
-}
-
-// sweepOrphanedSnapVersions removes snapshot trees of strictly older
-// snapshot-codec versions, mirroring sweepOrphanedVersions for the
-// result trees. Called by GC on the result handle.
-func (s *Store) sweepOrphanedSnapVersions() GCReport {
-	var report GCReport
-	current, ok := versionNum(strings.TrimPrefix(snapVersionDir, snapVersionPrefix))
-	if !ok {
-		return report
-	}
-	entries, err := os.ReadDir(s.root)
-	if err != nil {
-		return report
-	}
-	for _, e := range entries {
-		name, found := strings.CutPrefix(e.Name(), snapVersionPrefix)
-		if !e.IsDir() || !found {
-			continue
-		}
-		n, ok := versionNum(name)
-		if !ok || n >= current {
-			continue
-		}
-		old := filepath.Join(s.root, e.Name())
-		filepath.Walk(old, func(_ string, info os.FileInfo, err error) error {
-			if err == nil && info.Mode().IsRegular() && filepath.Ext(info.Name()) == objectExt {
-				report.Removed++
-				report.FreedBytes += info.Size()
-			}
-			return nil
-		})
-		os.RemoveAll(old)
-	}
-	return report
 }

@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -46,6 +48,16 @@ func captureSpec(t *testing.T, horizon int) (*sim.Snapshot, *sim.Result) {
 	return snap, straight
 }
 
+// hasSnapshot reports whether st lists a snapshot under key.
+func hasSnapshot(t *testing.T, st *Store, key string) bool {
+	t.Helper()
+	keys, err := st.SnapshotKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Contains(keys, key)
+}
+
 // TestSnapshotStoreRoundTrip: a snapshot persisted and loaded back must
 // deep-equal the captured one, re-encode to identical bytes, and resume
 // into a result byte-identical to the straight-through run — the store
@@ -57,13 +69,13 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 	}
 	snap, straight := captureSpec(t, 5)
 	key := key64(1)
-	if st.HasSnapshot(key) {
+	if hasSnapshot(t, st, key) {
 		t.Fatal("snapshot present before put")
 	}
 	if err := st.PutSnapshot(key, snap); err != nil {
 		t.Fatal(err)
 	}
-	if !st.HasSnapshot(key) {
+	if !hasSnapshot(t, st, key) {
 		t.Fatal("snapshot missing after put")
 	}
 	loaded, ok, err := st.GetSnapshot(key)
@@ -215,7 +227,7 @@ func TestGCCoversSnapshots(t *testing.T) {
 	if rep.Kept != 2 || rep.Removed != 0 {
 		t.Fatalf("zero-policy gc kept %d removed %d, want 2/0", rep.Kept, rep.Removed)
 	}
-	if !st.HasSnapshot(key64(9)) {
+	if !hasSnapshot(t, st, key64(9)) {
 		t.Fatal("zero-policy gc evicted the snapshot")
 	}
 	// Everything is stale relative to a far-future reference time.
@@ -226,7 +238,57 @@ func TestGCCoversSnapshots(t *testing.T) {
 	if rep.Removed != 2 {
 		t.Fatalf("age gc removed %d, want both objects", rep.Removed)
 	}
-	if st.HasSnapshot(key64(9)) || st.Has(key) {
+	if hasSnapshot(t, st, key64(9)) || st.Has(key) {
 		t.Fatal("age gc left stale objects behind")
+	}
+}
+
+// TestGCRemovesOrphanedSnapshotVersions: a snapshot-codec bump re-roots
+// the snapshot tree; GC reclaims the older snapshot tree, with or
+// without a live one beside it, and leaves newer snapshot trees and the
+// result trees alone.
+func TestGCRemovesOrphanedSnapshotVersions(t *testing.T) {
+	for _, live := range []bool{false, true} {
+		dir := t.TempDir()
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live {
+			snap, _ := captureSpec(t, 4)
+			if err := st.PutSnapshot(key64(9), snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oldObj := filepath.Join(dir, "snap-v0", "objects", "ab")
+		if err := os.MkdirAll(oldObj, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(oldObj, key64(1)+".json"), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		newer := filepath.Join(dir, "snap-v999", "objects")
+		if err := os.MkdirAll(newer, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := st.GC(GCPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "snap-v0")); !os.IsNotExist(err) {
+			t.Errorf("live=%v: orphaned snap-v0 tree survived GC", live)
+		}
+		if _, err := os.Stat(newer); err != nil {
+			t.Errorf("live=%v: a newer snapshot codec's tree was removed", live)
+		}
+		if _, err := os.Stat(filepath.Join(dir, filepath.Base(st.Dir()))); err != nil {
+			t.Errorf("live=%v: the result tree was removed", live)
+		}
+		if rep.Removed != 1 {
+			t.Errorf("live=%v: report.Removed = %d, want 1 orphaned object", live, rep.Removed)
+		}
+		if live && !hasSnapshot(t, st, key64(9)) {
+			t.Error("the live snapshot was removed")
+		}
 	}
 }

@@ -205,6 +205,18 @@ func (s *Store) Put(key string, res *sim.Result) error {
 // contract documented on Put. The caller has validated the key.
 func (s *Store) putBytes(key string, data []byte) error {
 	sum := sha256.Sum256(data)
+	// record is the put record for data, stamped when it is appended.
+	record := func() indexRecord {
+		now := time.Now().UnixNano()
+		return indexRecord{
+			Op:         opPut,
+			Key:        key,
+			Size:       int64(len(data)),
+			SHA256:     hex.EncodeToString(sum[:]),
+			UnixNano:   now,
+			AccessNano: now,
+		}
+	}
 	if existing, err := os.ReadFile(s.objectPath(key)); err == nil && bytes.Equal(existing, data) {
 		// The object is already durable and identical. Normally only a
 		// recency touch is due — but if the index lost this key's put
@@ -212,15 +224,7 @@ func (s *Store) putBytes(key string, data []byte) error {
 		// metadata we just computed, restoring Verify's hash check.
 		if idx, err := s.loadIndex(); err == nil {
 			if e := idx[key]; e == nil || e.SHA256 == "" {
-				now := time.Now()
-				_ = s.appendIndex(indexRecord{
-					Op:         opPut,
-					Key:        key,
-					Size:       int64(len(data)),
-					SHA256:     hex.EncodeToString(sum[:]),
-					UnixNano:   now.UnixNano(),
-					AccessNano: now.UnixNano(),
-				})
+				_ = s.appendIndex(record())
 				return nil
 			}
 		}
@@ -265,19 +269,10 @@ func (s *Store) putBytes(key string, data []byte) error {
 	if err := os.Rename(tmp.Name(), s.objectPath(key)); err != nil {
 		return cleanup(err)
 	}
-	now := time.Now()
-	rec := indexRecord{
-		Op:         opPut,
-		Key:        key,
-		Size:       int64(len(data)),
-		SHA256:     hex.EncodeToString(sum[:]),
-		UnixNano:   now.UnixNano(),
-		AccessNano: now.UnixNano(),
-	}
 	// The object is durable at this point; a failed metadata append only
 	// costs GC precision (the entry is reconstructed from file metadata),
 	// so the error is deliberately dropped.
-	_ = s.appendIndex(rec)
+	_ = s.appendIndex(record())
 	return nil
 }
 

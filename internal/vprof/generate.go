@@ -162,29 +162,19 @@ func GenerateTestbed(seed uint64) *Profile {
 	return Generate(TestbedShape(), 64, seed)
 }
 
-// PerturbStale returns a copy of p in which the *profiled* scores of the
-// GPUs on the given nodes understate reality for the given class: the
-// returned profile divides those GPUs' scores by factor (>1), modelling
-// the stale node-0 Class-A profile the paper discovered in its testbed run
+// PerturbStaleGPUs returns a copy of p in which the listed GPUs'
+// scores for class c are divided by factor (GPUs outside the profile
+// are ignored), re-normalized to its median. It models the stale
+// node-0 Class-A profile the paper discovered in its testbed run
 // (§V-A: profiled scores ~8x lower than the penalties jobs actually
-// experienced). The engine uses the perturbed profile for *placement
-// decisions* while charging the true profile for *execution*.
-func PerturbStale(p *Profile, c Class, gpusPerNode int, nodes []int, factor float64) *Profile {
-	var gpus []int
-	for _, n := range nodes {
-		for i := 0; i < gpusPerNode; i++ {
-			gpus = append(gpus, n*gpusPerNode+i)
-		}
-	}
-	return PerturbStaleGPUs(p, c, gpus, factor)
-}
-
-// PerturbStaleGPUs is PerturbStale at GPU granularity: the listed GPUs'
-// scores for class c are divided by factor (GPUs outside the profile are
-// ignored). The result is re-normalized to its median.
-func PerturbStaleGPUs(p *Profile, c Class, gpus []int, factor float64) *Profile {
-	if factor <= 0 {
-		panic("vprof: PerturbStale factor must be positive")
+// experienced): the engine places by one profile and charges execution
+// by the other, so a factor below 1 turns a profile into the truth
+// behind it and a factor above 1 into a stale view of it. A
+// non-positive factor, or one that leaves scores no profile can hold,
+// is an error.
+func PerturbStaleGPUs(p *Profile, c Class, gpus []int, factor float64) (*Profile, error) {
+	if !(factor > 0) {
+		return nil, fmt.Errorf("vprof: stale factor %g, want > 0", factor)
 	}
 	perClass := make([][]float64, p.classes)
 	for cc := 0; cc < p.classes; cc++ {
@@ -195,9 +185,5 @@ func PerturbStaleGPUs(p *Profile, c Class, gpus []int, factor float64) *Profile 
 			perClass[int(c)][g] /= factor
 		}
 	}
-	out, err := NewProfile(p.name+"-stale", perClass)
-	if err != nil {
-		panic(err)
-	}
-	return out
+	return NewProfile(p.name+"-stale", perClass)
 }

@@ -16,7 +16,6 @@ package vprof
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/kmeans"
 	"repro/internal/stats"
@@ -233,11 +232,3 @@ var (
 	_ Scorer       = (*Binned)(nil)
 	_ BinnedScorer = (*Binned)(nil)
 )
-
-// SortedScores returns the scores of class c sorted ascending, for
-// reporting profile shapes (Figs. 6-8).
-func SortedScores(p *Profile, c Class) []float64 {
-	s := p.ClassScores(c)
-	sort.Float64s(s)
-	return s
-}

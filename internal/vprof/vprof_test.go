@@ -145,7 +145,10 @@ func TestSubsample(t *testing.T) {
 func TestPerturbStale(t *testing.T) {
 	p := GenerateTestbed(13)
 	// Inflate node 0's Class A truth by 4x (i.e. the view divides by 1/4).
-	truth := PerturbStale(p, ClassA, 4, []int{0}, 0.25)
+	truth, err := PerturbStaleGPUs(p, ClassA, []int{0, 1, 2, 3}, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for g := 0; g < 4; g++ {
 		ratio := truth.Score(ClassA, g) / p.Score(ClassA, g)
 		// Renormalization shifts the median slightly; the ratio must be
@@ -166,13 +169,10 @@ func TestPerturbStale(t *testing.T) {
 	}
 }
 
-func TestPerturbStalePanicsOnBadFactor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("factor 0 did not panic")
-		}
-	}()
-	PerturbStale(GenerateTestbed(1), ClassA, 4, []int{0}, 0)
+func TestPerturbStaleBadFactor(t *testing.T) {
+	if _, err := PerturbStaleGPUs(GenerateTestbed(1), ClassA, []int{0, 1, 2, 3}, 0); err == nil {
+		t.Fatal("factor 0 did not error")
+	}
 }
 
 func TestBinProfile(t *testing.T) {
@@ -226,16 +226,6 @@ func TestBinnedScoreNearExactProperty(t *testing.T) {
 	}
 }
 
-func TestSortedScores(t *testing.T) {
-	p := GenerateLonghorn(64, 31)
-	s := SortedScores(p, ClassA)
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			t.Fatal("SortedScores not ascending")
-		}
-	}
-}
-
 func TestGeneratePanicsOnBadCount(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -277,7 +267,10 @@ func TestBinProfileK(t *testing.T) {
 
 func TestPerturbStaleGPUs(t *testing.T) {
 	p := GenerateTestbed(17)
-	truth := PerturbStaleGPUs(p, ClassA, []int{2, 5}, 0.5) // doubles 2 and 5
+	truth, err := PerturbStaleGPUs(p, ClassA, []int{2, 5}, 0.5) // doubles 2 and 5
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, g := range []int{2, 5} {
 		ratio := truth.Score(ClassA, g) / p.Score(ClassA, g)
 		if ratio < 1.8 || ratio > 2.2 {
@@ -285,5 +278,7 @@ func TestPerturbStaleGPUs(t *testing.T) {
 		}
 	}
 	// Out-of-range GPUs are ignored, not a crash.
-	_ = PerturbStaleGPUs(p, ClassA, []int{-1, 9999}, 0.5)
+	if _, err := PerturbStaleGPUs(p, ClassA, []int{-1, 9999}, 0.5); err != nil {
+		t.Fatal(err)
+	}
 }
