@@ -41,33 +41,6 @@ func TestRunByNameUnknown(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuickScale runs the full registry at QuickScale and
-// sanity-checks every table: non-empty rows, header-width consistency,
-// renderable.
-func TestAllExperimentsQuickScale(t *testing.T) {
-	scale := QuickScale()
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			table, err := RunByName(name, scale)
-			if err != nil {
-				t.Fatalf("%s failed: %v", name, err)
-			}
-			if len(table.Rows) == 0 {
-				t.Fatalf("%s produced no rows", name)
-			}
-			for _, row := range table.Rows {
-				if len(row) != len(table.Header) {
-					t.Errorf("%s row width %d != header %d", name, len(row), len(table.Header))
-				}
-			}
-			if s := table.String(); !strings.Contains(s, table.Name) {
-				t.Errorf("%s render missing name", name)
-			}
-		})
-	}
-}
-
 // TestFig11PALWins checks the headline qualitative result at quick scale:
 // PAL and PM-First beat every baseline in geomean, and PAL beats
 // PM-First.

@@ -1,0 +1,125 @@
+package experiments_test
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/export"
+	"repro/internal/runner"
+	"repro/internal/store"
+)
+
+var update = flag.Bool("update", false, "rewrite the quick-scale table goldens under testdata/")
+
+// TestAllExperimentsQuickScale runs the full registry at QuickScale and
+// holds every table to its golden CSV under testdata/ (header, rows,
+// then one "# note" row per note, as palsweep -format csv writes it).
+// fig18's timings are wall-clock, so its golden pins the epoch counts
+// only. Both runs' caches sit on one fresh store. Each experiment runs
+// cold first, filling the store, then again on a second cache holding
+// no result the experiment's cold run computed, so every cached cell of
+// that run is a result decoded from the store, and its table must equal
+// the golden too. Rewrite the goldens with
+//
+//	go test ./internal/experiments -run TestAllExperimentsQuickScale -update
+func TestAllExperimentsQuickScale(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, warm := runner.NewResultCache(0), runner.NewResultCache(0)
+	cold.SetBackend(st)
+	warm.SetBackend(st)
+	coldPool, warmPool := runner.NewPool(0, cold), runner.NewPool(0, warm)
+	defer experiments.SetPool(experiments.SetPool(coldPool))
+	scale := experiments.QuickScale()
+	for _, name := range experiments.Names() {
+		t.Run(name, func(t *testing.T) {
+			experiments.SetPool(coldPool)
+			table, err := experiments.RunByName(name, scale)
+			if err != nil {
+				t.Fatalf("%s failed: %v", name, err)
+			}
+			checkTable(t, table)
+			checkGolden(t, table, *update)
+			t.Run("store", func(t *testing.T) {
+				experiments.SetPool(warmPool)
+				table, err := experiments.RunByName(name, scale)
+				if err != nil {
+					t.Fatalf("%s from the store failed: %v", name, err)
+				}
+				checkGolden(t, table, false)
+			})
+		})
+	}
+	if cs := cold.Stats(); cs.StoreErrors != 0 {
+		t.Errorf("cold runs: %d store errors", cs.StoreErrors)
+	}
+	if ws := warm.Stats(); ws.StoreErrors != 0 || ws.Misses != 0 || ws.StoreHits == 0 {
+		t.Errorf("store runs simulated %d cached cells, read %d from the store with %d errors; want 0, some and 0",
+			ws.Misses, ws.StoreHits, ws.StoreErrors)
+	}
+}
+
+// checkTable sanity-checks a table: rows, header-width consistency,
+// renderable.
+func checkTable(t *testing.T, table *experiments.Table) {
+	t.Helper()
+	if len(table.Rows) == 0 {
+		t.Fatalf("%s produced no rows", table.Name)
+	}
+	for _, row := range table.Rows {
+		if len(row) != len(table.Header) {
+			t.Errorf("%s row width %d != header %d", table.Name, len(row), len(table.Header))
+		}
+	}
+	if s := table.String(); !strings.Contains(s, table.Name) {
+		t.Errorf("%s render missing name", table.Name)
+	}
+}
+
+// checkGolden compares the table's pinned CSV with its golden file, or
+// rewrites the file.
+func checkGolden(t *testing.T, table *experiments.Table, rewrite bool) {
+	t.Helper()
+	var got bytes.Buffer
+	if err := export.TableCSV(&got, pinned(table)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", table.Name+".csv")
+	if rewrite {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test -run TestAllExperimentsQuickScale -update writes it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s differs from %s (-update rewrites it):\n%s", table.Name, path, got.Bytes())
+	}
+}
+
+// pinned returns the part of a table a golden pins: all of it, except
+// that fig18 keeps only its cluster sizes and epoch counts, and no note.
+func pinned(table *experiments.Table) *experiments.Table {
+	if table.Name != "fig18" {
+		return table
+	}
+	cols := []int{slices.Index(table.Header, "cluster size"), slices.Index(table.Header, "epochs")}
+	out := &experiments.Table{Name: table.Name, Title: table.Title}
+	for _, c := range cols {
+		out.Header = append(out.Header, table.Header[c])
+	}
+	for _, row := range table.Rows {
+		out.Rows = append(out.Rows, []string{row[cols[0]], row[cols[1]]})
+	}
+	return out
+}

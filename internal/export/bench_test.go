@@ -14,13 +14,30 @@ const gridCellSpec = `{"name": "codec-bench", "cluster": {"nodes": 8, "gpus_per_
 	"policy": {"name": "packed-sticky"}, "sched": {"name": "las"},
 	"metrics": {"enabled": true}, "decisions": {"enabled": true}}`
 
-// BenchmarkResultCodec times the result codec on one stored object, in
-// MB/s of archive bytes and allocations per op: encode, the full decode
-// and the core decode. Run with
+// figureCellSpec is one cell shaped like the paper figures' reads: a
+// 500-job Synergy trace on the 256-GPU cluster and no sinks, so the
+// archive is all core and nearly all of the core is jobs.
+const figureCellSpec = `{"name": "codec-figure", "cluster": {"nodes": 64},
+	"workload": {"source": "synergy", "jobs_per_hour": 8, "num_jobs": 500},
+	"policy": {"name": "pal"}, "sched": {"name": "fifo"}, "locality": {"lacross": 1.7}}`
+
+// BenchmarkResultCodec times the result codec on two stored objects, a
+// grid-store cell and a figure cell, in MB/s of archive bytes and
+// allocations per op: encode, the full decode and the core decode. Run
+// with
 //
 //	go test -run '^$' -bench BenchmarkResultCodec -benchmem ./internal/export
 func BenchmarkResultCodec(b *testing.B) {
-	res, err := buildCell(b, gridCellSpec).Run()
+	for _, cell := range []struct{ name, spec string }{
+		{"grid", gridCellSpec},
+		{"figure", figureCellSpec},
+	} {
+		b.Run(cell.name, func(b *testing.B) { benchmarkCodec(b, cell.spec) })
+	}
+}
+
+func benchmarkCodec(b *testing.B, spec string) {
+	res, err := buildCell(b, spec).Run()
 	if err != nil {
 		b.Fatal(err)
 	}

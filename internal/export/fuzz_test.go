@@ -10,10 +10,17 @@ import (
 // Decoder fuzz targets. An archive comes from disk, so its decoder may
 // only return an error, never panic; and whatever it accepts must be a
 // value the encoder writes back, decoding again to the same value and
-// re-encoding to the same bytes. FuzzDecodeResult also runs the core
-// decoder differentially: it must accept whatever the full decoder
-// accepts, returning the same result without payloads; and the
-// re-encoding must equal the encoding/json reference encoder's bytes.
+// re-encoding to the same bytes. FuzzDecodeResult also runs the decoders
+// differentially:
+//
+//   - whatever UnmarshalResult accepts, the encoding/json reference
+//     decoder (referenceUnmarshalResult) accepts, to a deep-equal result;
+//   - whatever the reference accepts re-encodes to an archive that
+//     UnmarshalResult accepts, compact and with its core indented;
+//   - the core decoder accepts whatever the full decoder accepts,
+//     returning the same result without payloads;
+//   - the re-encoding equals the encoding/json reference encoder's bytes.
+//
 // Run one with
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeResult$' -fuzztime 10s ./internal/export
@@ -21,9 +28,29 @@ import (
 func FuzzDecodeResult(f *testing.F) {
 	f.Add(encoded(f, func(w io.Writer) error { return EncodeResult(w, sampleResult()) }))
 	f.Add(encoded(f, func(w io.Writer) error { return EncodeResult(w, archivableResult()) }))
+	for _, seed := range decoderSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		core, coreErr := UnmarshalResultCore(data)
 		res, err := UnmarshalResult(data)
+		ref, refErr := referenceUnmarshalResult(data)
+		if err == nil && refErr != nil {
+			t.Fatalf("decoder accepted an archive the encoding/json reference rejects: %v", refErr)
+		}
+		if err == nil && !reflect.DeepEqual(res, ref) {
+			t.Fatal("decoder and encoding/json reference decode differently")
+		}
+		if refErr == nil {
+			again := encoded(t, func(w io.Writer) error { return EncodeResult(w, ref) })
+			for _, twin := range [][]byte{again, indentCore(t, again)} {
+				if got, err := UnmarshalResult(twin); err != nil {
+					t.Fatalf("decoder rejected a re-encoded archive: %v\n%s", err, twin)
+				} else if !reflect.DeepEqual(got, ref) {
+					t.Fatalf("re-encoded archive decodes differently:\n%s", twin)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -14,8 +14,6 @@ import (
 	"repro/internal/decision"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/vprof"
 )
 
 // Canonical result codec: the deterministic, compact JSON round-trip of
@@ -55,12 +53,16 @@ import (
 //
 // The schema is the JSON encoding/json gives the archive types below and
 // the metrics and decision payload types, under their struct tags. The
-// decoders are encoding/json's; the encoder is not: it appends the same
-// bytes through hand-written, reflection-free appenders (append.go) into
-// one reused buffer, hashing each section as it goes.
-// TestAppendersMatchEncodingJSON and FuzzDecodeResult hold every
+// encoder appends those bytes through hand-written, reflection-free
+// appenders (append.go) into one reused buffer, hashing each section as
+// it goes. TestAppendersMatchEncodingJSON and FuzzDecodeResult hold every
 // appender to encoding/json's bytes, so a field added to an archived
-// type fails them until its appender writes it.
+// type fails them until its appender writes it. The core, which every
+// read decodes, has a hand-written decoder too (decode.go) that reads it
+// straight into a *sim.Result; FuzzDecodeResult holds it to
+// encoding/json's decode of resultCore, which the tests keep as the
+// reference. The payload sections, read only by full decodes, stay
+// encoding/json's.
 //
 // Bumping the codec (any change to the archive schema or its semantics)
 // means bumping ResultFormatVersion. Whitespace inside the core is not
@@ -349,21 +351,30 @@ func UnmarshalResult(data []byte) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := attachPayloads(res, metricsData, decisionsData); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// attachPayloads decodes the raw payload sections onto res as archived
+// sinks; a nil section attaches nothing.
+func attachPayloads(res *sim.Result, metricsData, decisionsData []byte) error {
 	if metricsData != nil {
 		payload, err := decodeSection[metrics.Payload](metricsData, "metrics")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Metrics = metrics.NewArchivedSink(payload)
 	}
 	if decisionsData != nil {
 		tr, err := decodeSection[decision.Trace](decisionsData, "decisions")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Decisions = decision.NewArchivedSink(tr)
 	}
-	return res, nil
+	return nil
 }
 
 // UnmarshalResultCore decodes only the archive's core, for readers that
@@ -377,81 +388,20 @@ func UnmarshalResultCore(data []byte) (*sim.Result, error) {
 	return res, err
 }
 
-// unmarshalCore decodes the core, then checks the framing after it: one
-// newline, then exactly the declared sections, each matching its hash.
-// It returns the result without payloads and the raw section bytes.
-func unmarshalCore(data []byte) (res *sim.Result, metricsData, decisionsData []byte, err error) {
-	var arch resultCore
-	end, err := decodeArchive(data, &arch, &arch.Format, resultFormat, "result")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if res, err = arch.result(); err != nil {
-		return nil, nil, nil, err
-	}
-	rest := data[end:]
+// cutSections checks the framing after a core: one newline, then
+// exactly the sections the core frames, each matching its hash.
+func cutSections(rest []byte, metricsRef, decisionsRef *section) (metricsData, decisionsData []byte, err error) {
 	if len(rest) == 0 || rest[0] != '\n' {
-		return nil, nil, nil, fmt.Errorf("export: result archive: core not followed by a newline")
+		return nil, nil, fmt.Errorf("export: result archive: core not followed by a newline")
 	}
-	if metricsData, rest, err = cutSection(rest[1:], arch.Metrics, "metrics"); err != nil {
-		return nil, nil, nil, err
+	if metricsData, rest, err = cutSection(rest[1:], metricsRef, "metrics"); err != nil {
+		return nil, nil, err
 	}
-	if decisionsData, rest, err = cutSection(rest, arch.Decisions, "decisions"); err != nil {
-		return nil, nil, nil, err
+	if decisionsData, rest, err = cutSection(rest, decisionsRef, "decisions"); err != nil {
+		return nil, nil, err
 	}
 	if len(rest) != 0 {
-		return nil, nil, nil, fmt.Errorf("export: result archive: %d bytes of trailing data after the last section", len(rest))
+		return nil, nil, fmt.Errorf("export: result archive: %d bytes of trailing data after the last section", len(rest))
 	}
-	return res, metricsData, decisionsData, nil
-}
-
-// result rebuilds the payload-free *sim.Result the core describes.
-func (arch *resultCore) result() (*sim.Result, error) {
-	res := &sim.Result{
-		Makespan:              arch.Makespan,
-		Utilization:           arch.Utilization,
-		ProductiveUtilization: arch.ProductiveUtilization,
-		Rounds:                arch.Rounds,
-		PlaceTimes:            arch.PlaceTimes,
-		Truncated:             arch.Truncated,
-		Unfinished:            arch.Unfinished,
-	}
-	if arch.Jobs != nil {
-		res.Jobs = make([]*sim.Job, len(arch.Jobs))
-		for i, aj := range arch.Jobs {
-			res.Jobs[i] = &sim.Job{
-				Spec: trace.JobSpec{
-					ID:      aj.ID,
-					Model:   aj.Model,
-					Class:   vprof.Class(aj.Class),
-					Arrival: aj.Arrival,
-					Demand:  aj.Demand,
-					Work:    aj.Work,
-				},
-				Remaining:   aj.Remaining,
-				Alloc:       aj.Alloc,
-				Attained:    aj.Attained,
-				Started:     aj.Started,
-				FirstRun:    aj.FirstRun,
-				Finish:      aj.Finish,
-				Done:        aj.Done,
-				Preemptions: aj.Preemptions,
-				Migrations:  aj.Migrations,
-				PrevAlloc:   aj.PrevAlloc,
-			}
-		}
-	}
-	if arch.Measured != nil {
-		if arch.Jobs == nil {
-			return nil, fmt.Errorf("export: result archive: measured jobs but no jobs")
-		}
-		res.Measured = make([]*sim.Job, len(arch.Measured))
-		for i, idx := range arch.Measured {
-			if idx < 0 || idx >= len(res.Jobs) {
-				return nil, fmt.Errorf("export: result archive: measured index %d out of range (have %d jobs)", idx, len(res.Jobs))
-			}
-			res.Measured[i] = res.Jobs[idx]
-		}
-	}
-	return res, nil
+	return metricsData, decisionsData, nil
 }

@@ -192,14 +192,15 @@ func (s *Spec) buildTrace() (*trace.Trace, error) {
 	case "synthetic":
 		return trace.Synth(s.synthParams())
 	case "file":
-		f, err := os.Open(w.Path)
+		path := s.filePath(w.Path)
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: workload: %w", s.Name, err)
 		}
 		defer f.Close()
 		tr, err := trace.Load(f)
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: workload %s: %w", s.Name, w.Path, err)
+			return nil, fmt.Errorf("scenario %s: workload %s: %w", s.Name, path, err)
 		}
 		return tr, nil
 	}
@@ -267,14 +268,15 @@ func (s *Spec) buildProfile(gpus int) (*vprof.Profile, error) {
 		}
 		return prof, nil
 	}
-	f, err := os.Open(p.Path)
+	path := s.filePath(p.Path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: profile: %w", s.Name, err)
 	}
 	defer f.Close()
 	prof, err := vprof.Load(f)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: profile %s: %w", s.Name, p.Path, err)
+		return nil, fmt.Errorf("scenario %s: profile %s: %w", s.Name, path, err)
 	}
 	return prof, nil
 }

@@ -34,6 +34,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/decision"
@@ -75,6 +76,12 @@ type Spec struct {
 	// ExpandGrid yields one ordinary per-cell spec per combination of the
 	// listed axis values. Grid-bearing specs cannot Build directly.
 	Grid *GridSpec `json:"grid,omitempty"`
+
+	// dir is the directory of the file LoadFile read the spec from, the
+	// base its relative file paths resolve against; empty for a parsed
+	// spec. It is not part of the spec's canonical form: Built.Key hashes
+	// the files' contents, wherever they were found.
+	dir string
 }
 
 // ClusterSpec describes the simulated cluster's topology.
@@ -99,7 +106,9 @@ type ProfileSpec struct {
 	// cluster experiences the exact profile Fig. 11 runs on and a
 	// testbed scenario the exact Fig. 8 profile.
 	Seed uint64 `json:"seed,omitempty"`
-	// Path of the profile JSON (source "file" only).
+	// Path of the profile JSON (source "file" only). A relative path
+	// resolves against the directory of the spec file (LoadFile), or
+	// against the working directory for a spec that Parse read.
 	Path string `json:"path,omitempty"`
 	// Stale, when present, mis-profiles the cluster: the engine charges
 	// jobs the perturbed scores it describes, while the placers bin and
@@ -161,7 +170,8 @@ type WorkloadSpec struct {
 	MaxWorkSec    float64   `json:"max_work_sec,omitempty"`
 
 	// file: a trace previously saved with trace.Trace.Save — the replay
-	// half of the generate → save → replay round trip.
+	// half of the generate → save → replay round trip. A relative path
+	// resolves as ProfileSpec.Path does.
 	Path string `json:"path,omitempty"`
 }
 
@@ -301,7 +311,9 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// LoadFile parses the spec in the named file.
+// LoadFile parses the spec in the named file. The spec's relative file
+// paths (workload.path, profile.path) resolve against the file's
+// directory.
 func LoadFile(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -311,7 +323,17 @@ func LoadFile(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}
+	s.dir = filepath.Dir(path)
 	return s, nil
+}
+
+// filePath resolves one of the spec's file paths: a relative one is
+// relative to the spec file's directory, when the spec came from a file.
+func (s *Spec) filePath(path string) string {
+	if s.dir == "" || filepath.IsAbs(path) {
+		return path
+	}
+	return filepath.Join(s.dir, path)
 }
 
 // Normalize applies the documented defaults in place. Parse calls it
