@@ -74,7 +74,7 @@ type AppMetrics struct {
 func (a AppMetrics) DRAMUtil() float64 {
 	var num, den float64
 	for _, k := range a.Kernels {
-		num += k.Runtime * k.DRAMBW * 10
+		num += float64(k.Runtime * k.DRAMBW * 10)
 		den += k.Runtime
 	}
 	if den == 0 {
@@ -89,8 +89,8 @@ func (a AppMetrics) DRAMUtil() float64 {
 func (a AppMetrics) FUUtil(fu FuncUnit) float64 {
 	var num, den float64
 	for _, k := range a.Kernels {
-		num += k.Runtime * k.FUUtil[fu]
-		den += k.Runtime * 10
+		num += float64(k.Runtime * k.FUUtil[fu])
+		den += float64(k.Runtime * 10)
 	}
 	if den == 0 {
 		return 0
@@ -208,7 +208,7 @@ func (c *Classification) ClassifyNew(app AppMetrics) vprof.Class {
 	for i, ctr := range c.Centers {
 		dx := fu - ctr[0]
 		dy := dram - ctr[1]
-		d := dx*dx + dy*dy
+		d := float64(dx*dx) + float64(dy*dy)
 		if bestD < 0 || d < bestD {
 			best, bestD = i, d
 		}

@@ -63,16 +63,16 @@ func Synthesize(a Archetype, name string, r *rng.RNG) AppMetrics {
 	nHot := 1 + r.Intn(2)
 	nAux := 1 + r.Intn(3)
 
-	hotShare := 1.0 - (a.AuxShareMin + r.Float64()*(a.AuxShareMax-a.AuxShareMin))
-	totalRuntime := 5.0 + r.Float64()*10
+	hotShare := 1.0 - (a.AuxShareMin + float64(r.Float64()*(a.AuxShareMax-a.AuxShareMin)))
+	totalRuntime := 5.0 + float64(r.Float64()*10)
 
 	for i := 0; i < nHot; i++ {
 		k := Kernel{
 			Name:    fmt.Sprintf("%s_hot%d", name, i),
 			Runtime: totalRuntime * hotShare / float64(nHot),
-			DRAMBW:  a.HotDRAMMin + r.Float64()*(a.HotDRAMMax-a.HotDRAMMin),
+			DRAMBW:  a.HotDRAMMin + float64(r.Float64()*(a.HotDRAMMax-a.HotDRAMMin)),
 		}
-		k.FUUtil[a.FU] = a.HotFUMin + r.Float64()*(a.HotFUMax-a.HotFUMin)
+		k.FUUtil[a.FU] = a.HotFUMin + float64(r.Float64()*(a.HotFUMax-a.HotFUMin))
 		// Secondary units see light traffic.
 		for fu := FuncUnit(0); fu < numFuncUnits; fu++ {
 			if fu != a.FU {
@@ -85,9 +85,9 @@ func Synthesize(a Archetype, name string, r *rng.RNG) AppMetrics {
 		k := Kernel{
 			Name:    fmt.Sprintf("%s_aux%d", name, i),
 			Runtime: totalRuntime * (1 - hotShare) / float64(nAux),
-			DRAMBW:  0.45 + r.Float64()*0.25, // aux kernels are bandwidth-ish
+			DRAMBW:  0.45 + float64(r.Float64()*0.25), // aux kernels are bandwidth-ish
 		}
-		k.FUUtil[FUSingle] = 1.0 + r.Float64()*2.5
+		k.FUUtil[FUSingle] = 1.0 + float64(r.Float64()*2.5)
 		k.FUUtil[FUSpecial] = r.Float64() * 1.5
 		app.Kernels = append(app.Kernels, k)
 	}

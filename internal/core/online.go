@@ -113,7 +113,7 @@ func (o *OnlineScorer) ObserveRound(j *sim.Job, perGPU []float64, _ float64) {
 		if o.samples[c][g] == 0 {
 			o.est[c][g] = perGPU[i]
 		} else {
-			o.est[c][g] = (1-o.Alpha)*o.est[c][g] + o.Alpha*perGPU[i]
+			o.est[c][g] = float64((1-o.Alpha)*o.est[c][g]) + float64(o.Alpha*perGPU[i])
 		}
 		o.samples[c][g]++
 		if o.effective(c, g) != before {

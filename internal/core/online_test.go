@@ -216,3 +216,25 @@ func TestNoHysteresisAblationMigrates(t *testing.T) {
 		t.Errorf("hysteresis-on should reuse equal-quality PrevAlloc, got %v", out2[1])
 	}
 }
+
+// TestPALPlacesWhenLearnedScoresExceedEveryBin is the regression test
+// for a PAL traversal that ended in a panic: its last entry filters at
+// the worst static bin, and an online scorer that learned every GPU
+// runs slower than that bin left no GPU under any entry. PAL must then
+// make the PM-First pick over every free GPU.
+func TestPALPlacesWhenLearnedScoresExceedEveryBin(t *testing.T) {
+	o, _ := onlineFixture()
+	for g := 0; g < 16; g++ {
+		observe(o, 0, g, 2.0+float64(g)*0.1, 2)
+	}
+	p := NewPAL(o, 1.5, nil)
+	out := p.PlaceRound(topo16(), []*sim.Job{mkJob(0, 2, 0)}, 0)
+	got := out[0]
+	if len(got) != 2 {
+		t.Fatalf("placed %v, want 2 GPUs", got)
+	}
+	// The two GPUs that learned the lowest scores.
+	if got[0] != 0 || got[1] != 1 {
+		t.Errorf("placed %v, want the PM-First pick [0 1]", got)
+	}
+}

@@ -228,9 +228,16 @@ func (p *PAL) placeJob(c *reservation, j *sim.Job) []cluster.GPUID {
 		}
 	}
 	// The last across-node entry filters at the worst bin score, which
-	// admits every free GPU, so reaching here means the engine violated
-	// its capacity guarantee.
-	panic("core: PAL traversal exhausted with insufficient free GPUs")
+	// admits every free GPU under static scores. An online scorer's
+	// learned score can exceed every bin (a stale GPU running slower
+	// than any profiled one), so the traversal ends in a PM-First pick
+	// over every free GPU; only an engine that broke its capacity
+	// guarantee fails that.
+	var ok bool
+	if p.pick, ok = c.takeBest(p.pick[:0], class, d); !ok {
+		panic("core: PAL traversal exhausted with insufficient free GPUs")
+	}
+	return p.pick
 }
 
 // rackUnder finds the d lowest-score free GPUs with score <= v confined

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/vprof"
 )
 
 // This file holds ablation experiments beyond the paper's figures,
@@ -16,46 +14,59 @@ import (
 // online re-profiling extension, and the three-level rack locality
 // extension.
 //
-// Every ablation runs figure cells. Its paper-default row is the plain
-// cell, keyed and cached like any figure's (the PM-First rows share
+// Every ablation runs figure cells, keyed and cached like any figure's.
+// Its paper-default row is the plain cell (the PM-First rows share
 // fig11's cells, the static-profile row table04's), and each variant
-// row is the same cells under an alteration that replaces only the
-// placer, which runCells runs uncached.
+// row is the same cells under policy.params, the placers' ablation
+// knobs (internal/core/register.go).
 
-// variant is one ablation row: the ablation's cells under alter, where
-// a nil alter is the plain cells, the paper's configuration.
+// variant is one ablation row: the ablation's cells under params, where
+// nil params are the plain cells, the paper's configuration.
 type variant struct {
-	name  string
-	alter alteration
+	name   string
+	params map[string]float64
 }
 
-// ablate runs the cells once per variant and adds a row per variant to
-// t: its name, the mean over the cells of their average JCT, then the
-// columns extra (when non-nil) derives from its results. It returns
-// each variant's mean JCT.
+// ablate runs cells once per variant, all in one sweep, and adds a
+// row per variant to t: its name, the mean over the cells of their
+// average JCT, then the columns extra (when non-nil) derives from its
+// results. It returns each variant's mean JCT.
 func ablate(scale Scale, t *Table, cells []*scenario.Spec, variants []variant, extra func([]*sim.Result) []string) ([]float64, error) {
+	specs := make([]*scenario.Spec, 0, len(variants)*len(cells))
+	for _, v := range variants {
+		for _, spec := range cells {
+			// A shallow copy per variant: normalization only sets
+			// idempotent defaults on what the copies share, and the
+			// variants' params hold no zeros for it to delete.
+			c := *spec
+			c.Policy.Params = v.params
+			specs = append(specs, &c)
+		}
+	}
+	results, err := RunCells(scale.ctx(), t.Name, specs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(results) / len(variants)
 	means := make([]float64, len(variants))
 	for i, v := range variants {
-		results, err := runCells(scale.ctx(), t.Name, cells, v.alter)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", t.Name, v.name, err)
-		}
-		jcts := make([]float64, len(results))
-		for j, res := range results {
+		rows := results[i*n : (i+1)*n]
+		jcts := make([]float64, len(rows))
+		for j, res := range rows {
 			jcts[j] = stats.Mean(res.JCTs())
 		}
 		means[i] = stats.Mean(jcts)
 		row := []string{v.name, Hours(means[i])}
 		if extra != nil {
-			row = append(row, extra(results)...)
+			row = append(row, extra(rows)...)
 		}
 		t.AddRow(row...)
 	}
 	return means, nil
 }
 
-// siaCells returns the Sia baseline cell of every trace of the scale for
-// pol under the named scheduler.
+// siaCells returns the Sia baseline cell of every trace of the scale
+// for pol under the named scheduler.
 func siaCells(scale Scale, pol Policy, schedName string) []*scenario.Spec {
 	specs := make([]*scenario.Spec, 0, len(scale.SiaTraces))
 	for _, idx := range scale.SiaTraces {
@@ -76,13 +87,11 @@ func AblationK(scale Scale) (*Table, error) {
 	}
 	var variants []variant
 	for _, k := range []int{1, 2, 4, 8} {
-		variants = append(variants, variant{fmt.Sprintf("fixed K=%d", k), func(b *scenario.Built, cfg *sim.Config) {
-			cfg.Placer = core.NewPMFirst(vprof.BinProfileK(b.Profile, k))
-		}})
+		variants = append(variants, variant{fmt.Sprintf("fixed K=%d", k), map[string]float64{"bins": float64(k)}})
 	}
 	variants = append(variants,
 		variant{"silhouette-selected", nil},
-		variant{"exact scores", func(b *scenario.Built, cfg *sim.Config) { cfg.Placer = core.NewPMFirst(b.Profile) }},
+		variant{"exact scores", map[string]float64{"exact_scores": 1}},
 	)
 	if _, err := ablate(scale, t, siaCells(scale, PMFirst, "fifo"), variants, nil); err != nil {
 		return nil, err
@@ -101,11 +110,7 @@ func AblationPriority(scale Scale) (*Table, error) {
 	}
 	jcts, err := ablate(scale, t, siaCells(scale, PMFirst, "fifo"), []variant{
 		{"class priority on (paper)", nil},
-		{"class priority off", func(b *scenario.Built, cfg *sim.Config) {
-			p := core.NewPMFirst(scenario.Bins(b.Profile))
-			p.NoClassPriority = true
-			cfg.Placer = p
-		}},
+		{"class priority off", map[string]float64{"no_class_priority": 1}},
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -136,11 +141,7 @@ func AblationHysteresis(scale Scale) (*Table, error) {
 	}
 	_, err := ablate(scale, t, siaCells(scale, PALPolicy, "las"), []variant{
 		{"hysteresis on", nil},
-		{"hysteresis off", func(b *scenario.Built, cfg *sim.Config) {
-			p := core.NewPAL(scenario.Bins(b.Profile), cfg.Lacross, cfg.ModelLacross)
-			p.NoHysteresis = true
-			cfg.Placer = p
-		}},
+		{"hysteresis off", map[string]float64{"no_hysteresis": 1}},
 	}, migrationsPerJob)
 	if err != nil {
 		return nil, err
@@ -162,13 +163,10 @@ func AblationOnline(scale Scale) (*Table, error) {
 	// The static stale profile is the paper's configuration, table04's
 	// PAL cluster-mode cell; online, the scorer observes realized
 	// slowdowns and corrects.
-	jcts, err := ablate(scale, t, []*scenario.Spec{testbedSpec(PALPolicy, true)}, []variant{
+	cells := []*scenario.Spec{testbedSpec(PALPolicy, true)}
+	jcts, err := ablate(scale, t, cells, []variant{
 		{"PAL, static stale profile", nil},
-		{"PAL, online re-profiling", func(b *scenario.Built, cfg *sim.Config) {
-			scorer := core.NewOnlineScorer(scenario.Bins(b.Profile))
-			cfg.Placer = core.NewPAL(scorer, cfg.Lacross, cfg.ModelLacross)
-			cfg.Observer = scorer
-		}},
+		{"PAL, online re-profiling", map[string]float64{"online": 1}},
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -199,9 +197,7 @@ func AblationRack(scale Scale) (*Table, error) {
 		cells = append(cells, spec)
 	}
 	_, err := ablate(scale, t, cells, []variant{
-		{"two-level (paper)", func(b *scenario.Built, cfg *sim.Config) {
-			cfg.Placer = core.NewPAL(scenario.Bins(b.Profile), cfg.Lacross, cfg.ModelLacross)
-		}},
+		{"two-level (paper)", map[string]float64{"two_level": 1}},
 		{"three-level (rack extension)", nil},
 	}, nil)
 	if err != nil {

@@ -137,30 +137,25 @@ func SetPool(p *runner.Pool) *runner.Pool {
 	return sharedPool.Swap(p)
 }
 
-// alteration edits a built cell's sim.Config inside the worker, after
-// the spec built it: an ablation swaps the placer (and may attach an
-// observer), fig18 steps every round.
-type alteration func(b *scenario.Built, cfg *sim.Config)
-
 // runCells builds every figure cell and runs it through the shared
 // pool, returning the results in spec order; it is the one way an
 // experiment runs a simulation. label prefixes task names in errors and
-// progress output; each task is further named by its trace and its cell
-// coordinates (policy, scheduler, penalty). Every cell carries its own
-// engine counters, which the pool hands its probe for the cells it
-// executes.
+// progress output; each task is further named by its trace, its cell
+// coordinates (policy, scheduler, penalty) and its policy params. Every
+// cell carries its own engine counters, which the pool hands its probe
+// for the cells it executes.
 //
-// A nil alter runs each cell keyed by scenario.Built.Key, so a
-// configuration two figures ask for simulates once. A non-nil alter is
-// applied to every cell's config, and those cells run uncached: their
-// key would describe the spec, not the alteration, and caching them
-// would alias the plain cell.
+// Each cell runs keyed by scenario.Built.Key, so a configuration two
+// figures ask for simulates once — unless naive: then every round
+// materializes (sim.Config.DisableFastForward) and the cells run
+// uncached. fig18 is the one naive caller: its PlaceTimes are
+// wall-clock, not a function of the key.
 //
 // A truncated run (MaxRounds hit) is promoted to an error: figure and
 // table runners aggregate blindly, and partial metrics must never flow
 // into a published table. The scenario sweep, which has a "truncated"
 // column, is the surface that reports truncation as data.
-func runCells(ctx context.Context, label string, specs []*scenario.Spec, alter alteration) ([]*sim.Result, error) {
+func runCells(ctx context.Context, label string, specs []*scenario.Spec, naive bool) ([]*sim.Result, error) {
 	sweep := runner.NewSweep(Pool())
 	for _, spec := range specs {
 		b, err := buildCell(spec)
@@ -170,8 +165,11 @@ func runCells(ctx context.Context, label string, specs []*scenario.Spec, alter a
 		ctrs := &sim.Counters{}
 		b.Counters = ctrs
 		cell := fmt.Sprintf("%s %s", b.Trace.Name, spec.Name)
+		if p := spec.Policy.Params; p != nil {
+			cell = fmt.Sprintf("%s %v", cell, p)
+		}
 		key := ""
-		if alter == nil {
+		if !naive {
 			key = b.Key()
 		}
 		sweep.AddTask(runner.Task{
@@ -182,9 +180,7 @@ func runCells(ctx context.Context, label string, specs []*scenario.Spec, alter a
 				if err != nil {
 					return nil, err
 				}
-				if alter != nil {
-					alter(b, &cfg)
-				}
+				cfg.DisableFastForward = naive
 				res, err := sim.Run(cfg)
 				if err == nil && res.Truncated {
 					return nil, fmt.Errorf("%s: truncated at MaxRounds with %d unfinished jobs",
@@ -203,7 +199,7 @@ func runCells(ctx context.Context, label string, specs []*scenario.Spec, alter a
 // building and running each spec in a loop. It normalizes the specs in
 // place.
 func RunCells(ctx context.Context, label string, specs []*scenario.Spec) ([]*sim.Result, error) {
-	return runCells(ctx, label, specs, nil)
+	return runCells(ctx, label, specs, false)
 }
 
 // Scale controls experiment sizes so unit tests can exercise the full

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -23,9 +24,10 @@ var update = flag.Bool("update", false, "rewrite the quick-scale table goldens u
 // fig18's timings are wall-clock, so its golden pins the epoch counts
 // only. Both runs' caches sit on one fresh store. Each experiment runs
 // cold first, filling the store, then again on a second cache holding
-// no result the experiment's cold run computed, so every cached cell of
-// that run is a result decoded from the store, and its table must equal
-// the golden too. Rewrite the goldens with
+// no result the experiment's cold run computed, so every cell of that
+// run is a result decoded from the store — it simulates nothing but
+// fig18's three naive, uncached cells — and its table must equal the
+// golden too. Rewrite the goldens with
 //
 //	go test ./internal/experiments -run TestAllExperimentsQuickScale -update
 func TestAllExperimentsQuickScale(t *testing.T) {
@@ -37,6 +39,8 @@ func TestAllExperimentsQuickScale(t *testing.T) {
 	cold.SetBackend(st)
 	warm.SetBackend(st)
 	coldPool, warmPool := runner.NewPool(0, cold), runner.NewPool(0, warm)
+	executed := &executedProbe{}
+	warmPool.SetProbe(executed)
 	defer experiments.SetPool(experiments.SetPool(coldPool))
 	scale := experiments.QuickScale()
 	for _, name := range experiments.Names() {
@@ -55,6 +59,14 @@ func TestAllExperimentsQuickScale(t *testing.T) {
 					t.Fatalf("%s from the store failed: %v", name, err)
 				}
 				checkGolden(t, table, false)
+				ran := executed.take()
+				want := 0
+				if name == "fig18" {
+					want = 3
+				}
+				if len(ran) != want {
+					t.Errorf("%s from the store simulated %d tasks %q, want %d", name, len(ran), ran, want)
+				}
 			})
 		})
 	}
@@ -65,6 +77,30 @@ func TestAllExperimentsQuickScale(t *testing.T) {
 		t.Errorf("store runs simulated %d cached cells, read %d from the store with %d errors; want 0, some and 0",
 			ws.Misses, ws.StoreHits, ws.StoreErrors)
 	}
+}
+
+// executedProbe records the labels of the tasks a pool simulates.
+type executedProbe struct {
+	mu     sync.Mutex
+	labels []string
+}
+
+func (p *executedProbe) ObserveTask(sp runner.TaskSpan) {
+	if sp.Outcome != runner.OutcomeExecuted && sp.Outcome != runner.OutcomeSnapshotFork {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.labels = append(p.labels, sp.Label)
+}
+
+// take returns the labels recorded since the last take.
+func (p *executedProbe) take() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	labels := p.labels
+	p.labels = nil
+	return labels
 }
 
 // checkTable sanity-checks a table: rows, header-width consistency,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -24,7 +23,7 @@ func Fig18(scale Scale) (*Table, error) {
 	// fig18 is the one experiment whose table varies run to run (and
 	// with concurrent neighbors): its claim is a shape ("far below the
 	// 300 s epoch"), not an absolute.
-	results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, sizes), naiveStepping)
+	results, err := runCells(scale.ctx(), "fig18", fig18Specs(scale, sizes), true)
 	if err != nil {
 		return nil, fmt.Errorf("fig18: %w", err)
 	}
@@ -44,18 +43,10 @@ func Fig18(scale Scale) (*Table, error) {
 	return t, nil
 }
 
-// naiveStepping makes a cell step every round: on the fast path PAL
-// skips placement at fixpoints, which would silently turn fig18's "per
-// epoch" into "per placement call". Being an alteration, it also keeps
-// the cells uncached: PlaceTimes is a wall-clock measurement, so the
-// result is not a pure function of the configuration and storing it
-// under a content-addressed key would break the cache's contract.
-func naiveStepping(_ *scenario.Built, cfg *sim.Config) {
-	cfg.DisableFastForward = true
-}
-
-// fig18Specs builds one PAL/FIFO Synergy run per cluster size; Fig18
-// runs them under naiveStepping.
+// fig18Specs builds one PAL/FIFO Synergy run per cluster size. Fig18
+// runs them naive: on the fast path PAL skips placement at fixpoints,
+// which would silently turn its "per epoch" into "per placement call",
+// and their wall-clock PlaceTimes must not be cached.
 func fig18Specs(scale Scale, sizes []int) []*scenario.Spec {
 	specs := make([]*scenario.Spec, 0, len(sizes))
 	for _, size := range sizes {

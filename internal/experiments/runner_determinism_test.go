@@ -82,7 +82,9 @@ func TestFigureCellKeys(t *testing.T) {
 		"trace":    cellSpec(SiaClusterNodes, siaWorkload(2), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
 		"cluster":  cellSpec(2*SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
 		"perModel": cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
+		"params":   cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^1),
 	}
+	mutations["params"].Policy.Params = map[string]float64{"no_hysteresis": 1}
 	for name, spec := range mutations {
 		if name != "perModel" {
 			spec.Locality.PerModel = true
@@ -90,6 +92,13 @@ func TestFigureCellKeys(t *testing.T) {
 		if key(spec) == ref {
 			t.Errorf("mutating %s does not change the key (stale-cache hazard)", name)
 		}
+	}
+	// A param spelled out at its paper default keys like the plain cell.
+	spelled := cellSpec(SiaClusterNodes, siaWorkload(1), PALPolicy, "fifo", 1.5, ExperimentSeed^1)
+	spelled.Locality.PerModel = true
+	spelled.Policy.Params = map[string]float64{"no_hysteresis": 0, "online": 0}
+	if key(spelled) != ref {
+		t.Error("policy params at their zero defaults change the key")
 	}
 	if key(testbedSpec(PALPolicy, true)) == key(testbedSpec(PALPolicy, false)) {
 		t.Error("the stale profile does not feed the key")

@@ -45,7 +45,7 @@ func Create(dir string, h Header) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	w := &Writer{f: f, path: path}
+	w := NewWriter(f, path)
 	if err := w.append(h); err != nil {
 		f.Close()
 		os.Remove(path)
@@ -53,6 +53,12 @@ func Create(dir string, h Header) (*Writer, error) {
 	}
 	return w, nil
 }
+
+// NewWriter journals into f, already open for writing under path,
+// without a header record: Create is the constructor the CLIs use. It
+// lets a test journal into a file whose every write fails (/dev/full),
+// the degraded path Close reports.
+func NewWriter(f *os.File, path string) *Writer { return &Writer{f: f, path: path} }
 
 // Path returns the journal file's path.
 func (w *Writer) Path() string { return w.path }

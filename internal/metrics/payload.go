@@ -67,7 +67,7 @@ type SeriesData struct {
 func (s SeriesData) Times(p *Payload) []float64 {
 	out := make([]float64, len(s.Rounds))
 	for i, r := range s.Rounds {
-		out[i] = p.TimeBase + float64(r)*p.RoundSec
+		out[i] = p.TimeBase + float64(float64(r)*p.RoundSec)
 	}
 	return out
 }

@@ -27,6 +27,9 @@ type BuildEnv struct {
 	// variability-aware policies consult. Variability-agnostic baselines
 	// ignore it; pm-first/pal fail without it.
 	Scores vprof.BinnedScorer
+	// Profile is the raw profile Scores bins, for policies that bin it
+	// differently or consult exact scores (pm-first/pal params).
+	Profile *vprof.Profile
 	// Lacross is the inter-node locality penalty PAL's L×V matrix uses.
 	Lacross float64
 	// ModelLacross optionally overrides Lacross per model name.
@@ -37,6 +40,10 @@ type BuildEnv struct {
 	// Seed feeds policies that randomize (the Random and Packed
 	// baselines' tie-breaking).
 	Seed uint64
+	// Params are the policy's numeric parameters (a scenario's
+	// policy.params). Each builder validates its own; the baselines
+	// take none.
+	Params map[string]float64
 }
 
 // Builder constructs a placement policy from its environment.
@@ -109,19 +116,27 @@ func Names() []string {
 	return names
 }
 
+// noParams rejects any parameters, for policies that take none.
+func noParams(name string, params map[string]float64) error {
+	for k := range params {
+		return fmt.Errorf("place: %s takes no parameters, got %q", name, k)
+	}
+	return nil
+}
+
 func init() {
-	Register("random-sticky", func(env BuildEnv) (sim.Placer, error) {
-		return NewRandom(true, env.Seed), nil
-	})
-	Register("random-non-sticky", func(env BuildEnv) (sim.Placer, error) {
-		return NewRandom(false, env.Seed), nil
-	})
-	Register("packed-sticky", func(env BuildEnv) (sim.Placer, error) {
-		return NewPacked(true, env.Seed), nil
-	})
-	Register("packed-non-sticky", func(env BuildEnv) (sim.Placer, error) {
-		return NewPacked(false, env.Seed), nil
-	})
+	baseline := func(name string, build func(seed uint64) sim.Placer) {
+		Register(name, func(env BuildEnv) (sim.Placer, error) {
+			if err := noParams(name, env.Params); err != nil {
+				return nil, err
+			}
+			return build(env.Seed), nil
+		})
+	}
+	baseline("random-sticky", func(seed uint64) sim.Placer { return NewRandom(true, seed) })
+	baseline("random-non-sticky", func(seed uint64) sim.Placer { return NewRandom(false, seed) })
+	baseline("packed-sticky", func(seed uint64) sim.Placer { return NewPacked(true, seed) })
+	baseline("packed-non-sticky", func(seed uint64) sim.Placer { return NewPacked(false, seed) })
 	RegisterAlias("random", "random-non-sticky")
 	RegisterAlias("tiresias", "packed-sticky")
 	RegisterAlias("packed", "packed-sticky")

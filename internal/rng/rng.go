@@ -101,7 +101,7 @@ func (r *RNG) NormFloat64() float64 {
 // LogNormal returns a lognormal variate with the given parameters of the
 // underlying normal distribution (mu, sigma).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // Exp returns an exponential variate with the given rate (events per unit
@@ -118,32 +118,6 @@ func (r *RNG) Exp(rate float64) float64 {
 		}
 	}
 	return -math.Log(u) / rate
-}
-
-// Poisson returns a Poisson variate with the given mean, using Knuth's
-// method for small means and a normal approximation above 64 (accurate to
-// well under the noise of any experiment here).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := int(math.Round(mean + math.Sqrt(mean)*r.NormFloat64()))
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }
 
 // Shuffle pseudo-randomly permutes s in place (Fisher–Yates), drawing

@@ -209,30 +209,6 @@ func TestExpPanicsOnNonPositiveRate(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(23)
-	for _, mean := range []float64{0.5, 3, 20, 100} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > mean*0.05+0.05 {
-			t.Errorf("Poisson(%v) mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonNonPositiveMean(t *testing.T) {
-	if v := New(1).Poisson(0); v != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", v)
-	}
-	if v := New(1).Poisson(-3); v != 0 {
-		t.Errorf("Poisson(-3) = %d, want 0", v)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64) bool {
 		p := New(seed).Perm(50)

@@ -9,9 +9,11 @@ import (
 )
 
 // DefaultCacheCapacity bounds the result cache when the caller does not
-// choose a size. 512 comfortably covers a full paper-scale regeneration
-// (the complete evaluation is a few hundred distinct simulations) while
-// keeping the worst case around a few hundred MB of retained results.
+// choose a size, keeping the worst case around a few hundred MB of
+// retained results. A full paper-scale regeneration keys 515 distinct
+// simulations, a few more than fit; measured with `palsweep
+// -experiments all -scale full -workers 2`, it simulated 518 cells and
+// served 133 cache hits at this capacity and at 4096 alike.
 const DefaultCacheCapacity = 512
 
 // Backend is a second cache tier behind the in-memory LRU: a durable,

@@ -311,6 +311,13 @@ func (b *Built) Config() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
+	// A placer that learns from execution feedback (policy.params
+	// online) observes the run.
+	observer, _ := placer.(sim.Observer)
+	if observer != nil && s.Fork != nil {
+		return sim.Config{}, fmt.Errorf("scenario %s: policy %s learns from execution feedback, which a fork snapshot does not capture; drop the fork block or the online param",
+			s.Name, s.Policy.Name)
+	}
 	admit, err := buildAdmission(s.Admission)
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("scenario %s: %w", s.Name, err)
@@ -363,6 +370,7 @@ func (b *Built) Config() (sim.Config, error) {
 		Trace:               b.Trace,
 		Sched:               schedPolicy,
 		Placer:              placer,
+		Observer:            observer,
 		Admit:               admit,
 		TrueProfile:         b.TrueProfile,
 		Lacross:             s.Locality.Lacross,
@@ -384,7 +392,8 @@ func (b *Built) Config() (sim.Config, error) {
 // policy takes its RNG stream from policy.seed when set; otherwise, and
 // for a fork's differing warmup policy, the stream derives from the
 // spec seed and the policy name — so each policy gets the stream it
-// would have gotten as the spec's policy.
+// would have gotten as the spec's policy. Only the spec's own policy
+// takes policy.params.
 func (b *Built) buildPlacer(name string) (sim.Placer, error) {
 	s := b.Spec
 	var modelLacross map[string]float64
@@ -392,15 +401,21 @@ func (b *Built) buildPlacer(name string) (sim.Placer, error) {
 		modelLacross = trace.LacrossByModel()
 	}
 	seed := runner.DeriveSeed(s.Seed, "scenario/placer/"+name)
-	if name == s.Policy.Name && s.Policy.Seed != 0 {
-		seed = s.Policy.Seed
+	var params map[string]float64
+	if name == s.Policy.Name {
+		if s.Policy.Seed != 0 {
+			seed = s.Policy.Seed
+		}
+		params = s.Policy.Params
 	}
 	return place.Build(name, place.BuildEnv{
 		Scores:       Bins(b.Profile),
+		Profile:      b.Profile,
 		Lacross:      s.Locality.Lacross,
 		ModelLacross: modelLacross,
 		Lrack:        s.Locality.Lrack,
 		Seed:         seed,
+		Params:       params,
 	})
 }
 

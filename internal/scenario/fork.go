@@ -141,9 +141,11 @@ func (b *Built) PrefixKey() string {
 	probe.Name = ""
 	probe.Fork = nil
 	if wp != s.Policy.Name {
-		// A switched warmup placer derives its own stream; the spec's
-		// placer seed belongs to the post-fork policy only.
+		// A switched warmup placer derives its own stream and takes no
+		// params; the spec's placer seed and params belong to the
+		// post-fork policy only.
 		probe.Policy.Seed = 0
+		probe.Policy.Params = nil
 	}
 	probe.Policy.Name = wp
 	if ws != s.Sched.Name {

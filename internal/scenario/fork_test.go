@@ -75,6 +75,24 @@ func TestPrefixKeySensitivity(t *testing.T) {
 	if reseeded.PrefixKey() != ref {
 		t.Error("post-fork placer seed perturbs the prefix key (kills snapshot sharing)")
 	}
+	// Nor its params: a switched warmup placer takes none.
+	tuned := buildSpec(t, forkBaseSpec, func(s *Spec) {
+		s.Fork = &ForkSpec{Rounds: 10, Policy: "packed-sticky"}
+		s.Policy.Params = map[string]float64{"no_hysteresis": 1}
+	})
+	if tuned.PrefixKey() != ref {
+		t.Error("post-fork placer params perturb the prefix key (kills snapshot sharing)")
+	}
+	// An own-policy warmup does take them.
+	ownParams := func(params map[string]float64) string {
+		return buildSpec(t, forkBaseSpec, func(s *Spec) {
+			s.Fork = &ForkSpec{Rounds: 10}
+			s.Policy.Params = params
+		}).PrefixKey()
+	}
+	if ownParams(nil) == ownParams(map[string]float64{"no_hysteresis": 1}) {
+		t.Error("the params of an own-policy warmup placer do not perturb the prefix key")
+	}
 	// An own-policy warmup does draw from policy.seed.
 	own := func(seed uint64) string {
 		return buildSpec(t, forkBaseSpec, func(s *Spec) {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 )
@@ -282,12 +283,8 @@ func (s *Spec) expandCells(axes []gridAxis) ([]*Spec, error) {
 // independently.
 func (s *Spec) clone() *Spec {
 	c := *s
-	if s.Sched.Params != nil {
-		c.Sched.Params = make(map[string]float64, len(s.Sched.Params))
-		for k, v := range s.Sched.Params {
-			c.Sched.Params[k] = v
-		}
-	}
+	c.Policy.Params = maps.Clone(s.Policy.Params)
+	c.Sched.Params = maps.Clone(s.Sched.Params)
 	c.Workload.Demands = append([]int(nil), s.Workload.Demands...)
 	c.Workload.DemandWeights = append([]float64(nil), s.Workload.DemandWeights...)
 	c.Metrics.Series = append([]string(nil), s.Metrics.Series...)

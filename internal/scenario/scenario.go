@@ -187,6 +187,24 @@ type PolicySpec struct {
 	// values were drawn with; the random and packed placers draw from
 	// it, PAL and PM-First do not.
 	Seed uint64 `json:"seed,omitempty"`
+	// Params are the policy's numeric parameters, validated by its
+	// registry builder; the baselines take none. PM-First and PAL take
+	// the paper's ablation knobs, each 0 by default, the paper's
+	// configuration (internal/core/register.go):
+	//   - bins (pm-first): a fixed K-Means bin count K >= 1 in place of
+	//     the silhouette-selected one;
+	//   - exact_scores (pm-first): 1 consults unbinned per-GPU scores;
+	//   - no_class_priority (pm-first): 1 drops the class placement
+	//     priority;
+	//   - no_hysteresis (pal): 1 re-places every job fresh each round;
+	//   - online (pal): 1 re-profiles scores from execution feedback
+	//     (§V-A); such a run cannot fork;
+	//   - two_level (pal): 1 keeps the two-level L×V matrix on a racked
+	//     cluster (locality.lrack > 0).
+	// Normalization drops zero entries, so a spec spelling out a default
+	// keys like one omitting it. Like Seed, a fork's warmup placer takes
+	// them only when the warmup policy is the spec's own.
+	Params map[string]float64 `json:"params,omitempty"`
 }
 
 // SchedSpec selects the scheduling policy from the registry in
@@ -430,6 +448,14 @@ func (s *Spec) normalize() {
 	}
 	if s.Policy.Name == "" {
 		s.Policy.Name = "pal"
+	}
+	for k, v := range s.Policy.Params {
+		if v == 0 {
+			delete(s.Policy.Params, k)
+		}
+	}
+	if len(s.Policy.Params) == 0 {
+		s.Policy.Params = nil
 	}
 	if s.Sched.Name == "" {
 		s.Sched.Name = "fifo"

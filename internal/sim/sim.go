@@ -1051,7 +1051,10 @@ func (e *engine) bulkAdvance(now float64, rounds int) (float64, int) {
 		}
 		for _, j := range running {
 			j.Remaining -= round / j.sd
-			j.Attained += round * float64(j.Spec.Demand)
+			// The explicit float64 rounds the product, so no architecture
+			// fuses it into a multiply-add: results must not depend on
+			// GOARCH. Every such product in the engine is wrapped alike.
+			j.Attained += float64(round * float64(j.Spec.Demand))
 		}
 		now += round
 		rounds++
@@ -1359,7 +1362,7 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 			}
 			e.cfg.Observer.ObserveRound(j, perGPU, now)
 		}
-		wallToFinish := j.Remaining * sd
+		wallToFinish := float64(j.Remaining * sd)
 		wallRun := round
 		if wallToFinish <= round {
 			wallRun = wallToFinish
@@ -1376,7 +1379,7 @@ func (e *engine) advance(prefix []*Job, now float64) int {
 		} else {
 			j.Remaining -= round / sd
 		}
-		j.Attained += wallRun * float64(j.Spec.Demand)
+		j.Attained += float64(wallRun * float64(j.Spec.Demand))
 	}
 	if finished > 0 {
 		// Freed GPUs can change every remaining job's fresh pick.
@@ -1439,7 +1442,7 @@ func (e *engine) result(start, end float64, rounds int) (*Result, error) {
 		var ideal float64
 		for _, j := range e.jobs {
 			if j.Done && j.Started {
-				ideal += float64(j.Spec.Demand) * j.Spec.Work
+				ideal += float64(float64(j.Spec.Demand) * j.Spec.Work)
 			}
 		}
 		res.ProductiveUtilization = ideal / capacity

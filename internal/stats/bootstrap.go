@@ -41,7 +41,7 @@ func BootstrapImprovementCI(base, ours []float64, resamples int, level float64, 
 		estimates[i] = Improvement(sb/float64(n), so/float64(n))
 	}
 	sort.Float64s(estimates)
-	alpha := (1 - level) / 2
+	alpha := float64((1 - level) / 2)
 	return CI{
 		Low:   percentileSorted(estimates, alpha*100),
 		High:  percentileSorted(estimates, (1-alpha)*100),

@@ -75,7 +75,7 @@ func (h *StreamingHist) Quantile(p float64) float64 {
 	if p >= 100 {
 		return h.Max
 	}
-	target := p / 100 * float64(h.N)
+	target := float64(p / 100 * float64(h.N))
 	var cum float64
 	for i, c := range h.Counts {
 		if c == 0 {
@@ -84,7 +84,7 @@ func (h *StreamingHist) Quantile(p float64) float64 {
 		next := cum + float64(c)
 		if next >= target {
 			frac := (target - cum) / float64(c)
-			v := h.Lo + (float64(i)+frac)*h.binWidth()
+			v := h.Lo + float64((float64(i)+frac)*h.binWidth())
 			if v < h.Min {
 				v = h.Min
 			}
@@ -114,7 +114,7 @@ func (h *StreamingHist) CDF() []CDFPoint {
 		}
 		cum += c
 		out = append(out, CDFPoint{
-			Value:    h.Lo + float64(i+1)*h.binWidth(),
+			Value:    h.Lo + float64(float64(i+1)*h.binWidth()),
 			Fraction: float64(cum) / float64(h.N),
 		})
 	}
@@ -131,7 +131,7 @@ func (h *StreamingHist) Mean() float64 {
 	var s float64
 	for i, c := range h.Counts {
 		if c != 0 {
-			s += float64(c) * (h.Lo + (float64(i)+0.5)*w)
+			s += float64(float64(c) * (h.Lo + float64((float64(i)+0.5)*w)))
 		}
 	}
 	return s / float64(h.N)

@@ -73,7 +73,7 @@ func StdDev(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }
@@ -100,14 +100,16 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	// Each explicit float64 rounds a product, so no architecture fuses
+	// it into a multiply-add: percentiles must not depend on GOARCH.
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Median returns the 50th percentile of xs.
@@ -179,8 +181,8 @@ func BoxplotOf(xs []float64) Boxplot {
 		Max:    sorted[len(sorted)-1],
 	}
 	iqr := b.Q3 - b.Q1
-	loBound := b.Q1 - 1.5*iqr
-	hiBound := b.Q3 + 1.5*iqr
+	loBound := b.Q1 - float64(1.5*iqr)
+	hiBound := b.Q3 + float64(1.5*iqr)
 	b.WhiskerLow = b.Max
 	b.WhiskerHigh = b.Min
 	for _, x := range sorted {
@@ -246,7 +248,7 @@ func Histogram(xs []float64, lo, hi float64, nbins int) (edges []float64, counts
 	edges = make([]float64, nbins+1)
 	width := (hi - lo) / float64(nbins)
 	for i := range edges {
-		edges[i] = lo + float64(i)*width
+		edges[i] = lo + float64(float64(i)*width)
 	}
 	counts = make([]int, nbins)
 	for _, x := range xs {

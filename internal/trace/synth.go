@@ -209,7 +209,7 @@ func synthArrivals(p SynthParams, r *rng.RNG) []float64 {
 		// realize f.
 		f := p.BurstFraction
 		burstRate := p.BurstFactor * ratePerSec
-		quietRate := ratePerSec * (1 - f*p.BurstFactor) / (1 - f)
+		quietRate := ratePerSec * (1 - float64(f*p.BurstFactor)) / (1 - f)
 		burstMean := p.BurstMeanSec
 		quietMean := burstMean * (1 - f) / f
 
@@ -259,7 +259,7 @@ func synthArrivals(p SynthParams, r *rng.RNG) []float64 {
 		for i := range out {
 			for {
 				t += r.Exp(peak)
-				rate := ratePerSec * (1 + a*math.Sin(2*math.Pi*t/period))
+				rate := ratePerSec * (1 + float64(a*math.Sin(2*math.Pi*t/period)))
 				if r.Float64()*peak < rate {
 					out[i] = t
 					break

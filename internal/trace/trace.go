@@ -42,7 +42,7 @@ type Trace struct {
 func (t *Trace) TotalGPUSeconds() float64 {
 	var s float64
 	for _, j := range t.Jobs {
-		s += float64(j.Demand) * j.Work
+		s += float64(float64(j.Demand) * j.Work)
 	}
 	return s
 }

@@ -131,7 +131,7 @@ func Generate(shape ClusterShape, numGPUs int, seed uint64) *Profile {
 			base := r.LogNormal(0, cs.Sigma) * nodeFactor[g/gpn]
 			if cs.OutlierFrac > 0 && r.Float64() < cs.OutlierFrac {
 				// Slow-tail GPU: multiplier uniform in [OutlierMin, OutlierMax].
-				base *= cs.OutlierMin + r.Float64()*(cs.OutlierMax-cs.OutlierMin)
+				base *= cs.OutlierMin + float64(r.Float64()*(cs.OutlierMax-cs.OutlierMin))
 			}
 			raw[g] = base
 		}
