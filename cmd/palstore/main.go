@@ -4,18 +4,18 @@
 // archived *sim.Result per canonical configuration hash — plus, in a
 // sibling versioned tree, the engine snapshots forked sweeps capture
 // (one per shared warmup prefix). ls and info report both kinds side by
-// side; verify re-hashes and re-decodes both; gc applies one policy to
-// both trees.
+// side; verify decodes both, checking every hash they carry; gc applies
+// one policy to both trees.
 //
 // Subcommands:
 //
 //	palstore ls     -store DIR              list stored objects (key, size, ages, embedded payloads)
 //	palstore info   -store DIR KEY          one object in detail (unique key prefix OK)
-//	palstore verify -store DIR              re-hash and decode every object
+//	palstore verify -store DIR              decode every object, checking every hash
 //	palstore gc     -store DIR -max-bytes N -max-age DUR   evict LRU/stale objects
 //	palstore export -store DIR -format csv|md|text|json    summary table of stored runs
 //
-// verify exits non-zero when any object fails its content hash or does
+// verify exits non-zero when any object fails one of its hashes or does
 // not decode under the current codec, so CI can gate on store health.
 // export tabulates straight from the archived results — no simulation,
 // no separate metrics pass — with the same formats as palsweep.
@@ -68,7 +68,7 @@ func usage() {
 commands:
   ls      -store DIR                        list stored objects
   info    -store DIR KEY                    show one object (unique key prefix OK)
-  verify  -store DIR                        re-hash + decode every object; non-zero exit on problems
+  verify  -store DIR                        decode every object, checking every hash; non-zero exit on problems
   gc      -store DIR [-max-bytes N] [-max-age DUR]   evict stale/LRU objects, compact the index
   export  -store DIR [-format csv|md|text|json]      summary table of stored runs
 `)
@@ -172,9 +172,6 @@ func cmdInfo(args []string) {
 	fmt.Printf("key          %s\n", key)
 	fmt.Printf("kind         result\n")
 	fmt.Printf("size         %d bytes\n", info.Size)
-	if info.SHA256 != "" {
-		fmt.Printf("sha256       %s\n", info.SHA256)
-	}
 	fmt.Printf("created      %s\n", info.Created.Format(time.RFC3339))
 	fmt.Printf("last access  %s\n", info.LastAccess.Format(time.RFC3339))
 	if p := metrics.FromResult(res); p != nil {
@@ -369,9 +366,6 @@ func snapshotInfo(st *store.Store, key string) {
 	fmt.Printf("key          %s\n", key)
 	fmt.Printf("kind         snapshot\n")
 	fmt.Printf("size         %d bytes\n", info.Size)
-	if info.SHA256 != "" {
-		fmt.Printf("sha256       %s\n", info.SHA256)
-	}
 	fmt.Printf("created      %s\n", info.Created.Format(time.RFC3339))
 	fmt.Printf("last access  %s\n", info.LastAccess.Format(time.RFC3339))
 	if snap.Completed {

@@ -45,8 +45,8 @@ func palstore(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // fillStore simulates a normal run and one in which no job completes,
 // and stores each result under its spec's key. The wall-clock placement
-// timings are dropped first, so every object's bytes (and the size and
-// hash info prints) are fixed.
+// timings are dropped first, so every object's bytes (and the size info
+// prints) are fixed.
 func fillStore(t *testing.T, dir string) {
 	t.Helper()
 	st, err := store.Open(dir)
@@ -107,8 +107,7 @@ func TestInfoAndExportOutput(t *testing.T) {
 
 const infoNormal = `key          32296f0334e1442fe007733bae55f489ce0c527c4410af0312b52b67b495555b
 kind         result
-size         99492 bytes
-sha256       b66cb8bccb35ed2e52e48345424dd440a68a6a5084c9c496f65d179df517d1be
+size         99593 bytes
 created      TIME
 last access  TIME
 run          diurnal-pal-demo (policy pal, sched fifo)
@@ -123,8 +122,7 @@ utilization  30.11%
 
 const infoNothing = `key          a7fd944ca43904a57079c486536875fb0cb1dbc55eb5ed9648815b75c9fd4143
 kind         result
-size         707 bytes
-sha256       e9207e634dcc50250124382b300c0bb80448cef306802f562a1fd01ccab77b03
+size         806 bytes
 created      TIME
 last access  TIME
 run          (no telemetry archived)

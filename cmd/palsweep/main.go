@@ -122,7 +122,6 @@ func main() {
 		scale      = flag.String("scale", "full", "experiment scale: full or quick")
 		format     = flag.String("format", "text", "output format: text, csv, md, json")
 		outDir     = flag.String("out", "", "write one file per experiment into this directory instead of stdout")
-		cacheCap   = flag.Int("cache", 0, "result-cache capacity in simulations (0 = default)")
 		list       = flag.Bool("list", false, "list available experiments and groups, then exit")
 		quiet      = flag.Bool("quiet", false, "suppress the progress line")
 		metricsDir = flag.String("metrics", "", "with -scenario: collect telemetry and archive each scenario's payload (JSON) and series (CSV) into this directory for palreport")
@@ -199,6 +198,11 @@ func main() {
 	if err := export.CheckFormat(*format); err != nil {
 		fatal(err)
 	}
+	if *format == "csv" && *outDir == "" && len(names) > 1 {
+		// CSV tables written back to back to stdout carry nothing a
+		// reader could split them on.
+		fatal(fmt.Errorf("-format csv with %d experiments needs -out (one file per experiment)", len(names)))
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -212,7 +216,7 @@ func main() {
 	sc.Ctx = ctx
 
 	sess, err := cli.Open(cli.Options{
-		Prog: "palsweep", Workers: *workers, CacheCap: *cacheCap,
+		Prog: "palsweep", Workers: *workers,
 		StoreDir: *storeDir, JournalDir: *journalDir, Shard: *shardFlag,
 		CPUProfile: *cpuProfile, MemProfile: *memProfile, Quiet: *quiet,
 		// A scenario sweep that archives no payloads reads nothing of a

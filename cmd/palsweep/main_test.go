@@ -60,3 +60,30 @@ func TestExpandScenarioArgs(t *testing.T) {
 		}
 	}
 }
+
+// TestCSVToStdoutNeedsOut: CSV tables written back to back to stdout
+// carry nothing to split them on, so -format csv naming more than one
+// experiment (a group alias counts its members) without -out is a usage
+// error naming -out, and prints no table. One experiment's CSV still
+// goes to stdout, and -out takes any number.
+func TestCSVToStdoutNeedsOut(t *testing.T) {
+	for _, exps := range []string{"fig03,fig05", "sia"} {
+		out, stderr, code := palsweep(t, "-experiments", exps, "-scale", "quick", "-format", "csv", "-quiet")
+		if code != 2 || out != "" || !strings.Contains(stderr, "-out") {
+			t.Errorf("-experiments %s: exit %d, stdout %q, stderr %q; want exit 2 and an error naming -out", exps, code, out, stderr)
+		}
+	}
+	out, stderr, code := palsweep(t, "-experiments", "fig03", "-scale", "quick", "-format", "csv", "-quiet")
+	if code != 0 || !strings.HasPrefix(out, "app,") {
+		t.Errorf("one experiment: exit %d, stdout %q, stderr %q", code, out, stderr)
+	}
+	dir := t.TempDir()
+	if _, stderr, code := palsweep(t, "-experiments", "fig03,fig05", "-scale", "quick", "-format", "csv", "-out", dir, "-quiet"); code != 0 {
+		t.Errorf("two experiments with -out: exit %d: %s", code, stderr)
+	}
+	for _, name := range []string{"fig03.csv", "fig05.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Error(err)
+		}
+	}
+}

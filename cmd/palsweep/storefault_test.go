@@ -115,13 +115,14 @@ func TestStoreShardFaultDegradesAndHeals(t *testing.T) {
 	}
 }
 
-// TestStoreTruncatedObjectsDegradeAndHeal: two objects of a live store
-// cut short — one inside its core, one inside its metrics section —
+// TestStoreTruncatedObjectsDegradeAndHeal: three damaged objects of a
+// live store — one cut short inside its core, one cut short inside its
+// metrics section, one with a digit of its core swapped for another —
 // fail their reads, and nothing else does. The warm sweep degrades
 // instead of failing: exit status 0, tables byte-identical to a run
-// without a store, and a closing warning that counts the two failed
-// reads. Its Put rewrites both objects, so the store then verifies clean
-// and the next warm sweep simulates nothing.
+// without a store, and a closing warning that counts the three failed
+// reads. Its Put rewrites all three objects, so the store then verifies
+// clean and the next warm sweep simulates nothing.
 func TestStoreTruncatedObjectsDegradeAndHeal(t *testing.T) {
 	dir := t.TempDir()
 	spec := filepath.Join(dir, "grid.json")
@@ -156,31 +157,41 @@ func TestStoreTruncatedObjectsDegradeAndHeal(t *testing.T) {
 		key := c.built.Key()
 		return filepath.Join(storeDir, export.ResultFormatVersion, "objects", key[:2], key+".json")
 	}
-	// cut keeps the first n bytes of an object, n chosen from the offset
-	// of its core's newline and its length.
-	cut := func(path string, n func(newline, size int) int) {
+	// damage rewrites an object through edit, which gets the offsets of
+	// its core's first byte (just past the header line) and of the
+	// core's newline.
+	damage := func(path string, edit func(data []byte, coreAt, newline int) []byte) {
 		t.Helper()
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newline := bytes.IndexByte(data, '\n')
-		if newline < 0 || newline+1 == len(data) {
+		coreAt := bytes.IndexByte(data, '\n') + 1
+		newline := coreAt + bytes.IndexByte(data[coreAt:], '\n')
+		if newline < coreAt || newline+1 == len(data) {
 			t.Fatalf("%s has no section after its core", path)
 		}
-		if err := os.WriteFile(path, data[:n(newline, len(data))], 0o644); err != nil {
+		if err := os.WriteFile(path, edit(data, coreAt, newline), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cut(object(cells[0]), func(newline, _ int) int { return newline / 2 })
-	cut(object(cells[1]), func(newline, size int) int { return (newline + size) / 2 })
+	damage(object(cells[0]), func(data []byte, coreAt, newline int) []byte { return data[:(coreAt+newline)/2] })
+	damage(object(cells[1]), func(data []byte, _, newline int) []byte { return data[:(newline+len(data))/2] })
+	damage(object(cells[2]), func(data []byte, coreAt, _ int) []byte {
+		at := coreAt + bytes.Index(data[coreAt:], []byte(`"rounds":`)) + len(`"rounds":`)
+		if at < coreAt || data[at] < '0' || data[at] > '9' {
+			t.Fatal("core has no rounds digit")
+		}
+		data[at] = '0' + (data[at]-'0'+1)%10
+		return data
+	})
 
 	stderr = sweep("degraded")
-	if want := "palsweep: WARNING: persistent store degraded: 2 backend errors\n"; !strings.Contains(stderr, want) {
+	if want := "palsweep: WARNING: persistent store degraded: 3 backend errors\n"; !strings.Contains(stderr, want) {
 		t.Errorf("degraded sweep's stderr lacks %q:\n%s", want, stderr)
 	}
-	if !strings.Contains(stderr, ", 2 simulated,") {
-		t.Errorf("degraded sweep did not re-simulate exactly the two cut objects:\n%s", stderr)
+	if !strings.Contains(stderr, ", 3 simulated,") {
+		t.Errorf("degraded sweep did not re-simulate exactly the three damaged objects:\n%s", stderr)
 	}
 	if problems := storeVerify(t, storeDir); len(problems) > 0 {
 		t.Errorf("healed store failed verification: %v", problems)

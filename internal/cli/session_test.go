@@ -29,19 +29,12 @@ func TestSweepSummaryMilliseconds(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsNegativeSizes: a negative -workers or -cache is a
-// usage error naming the flag, not a silent run at the default size; 0
-// keeps meaning "default".
+// TestOpenRejectsNegativeSizes: a negative -workers is a usage error
+// naming the flag, not a silent run at the default size; 0 keeps
+// meaning "default".
 func TestOpenRejectsNegativeSizes(t *testing.T) {
-	for _, o := range []Options{{Workers: -3}, {CacheCap: -5}} {
-		o.Prog = "palsweep"
-		flagName := "-workers"
-		if o.CacheCap < 0 {
-			flagName = "-cache"
-		}
-		if _, err := Open(o); err == nil || !strings.Contains(err.Error(), flagName) {
-			t.Errorf("Open(%+v): error %v, want one naming %s", o, err, flagName)
-		}
+	if _, err := Open(Options{Prog: "palsweep", Workers: -3}); err == nil || !strings.Contains(err.Error(), "-workers") {
+		t.Errorf("Open(-workers -3): error %v, want one naming -workers", err)
 	}
 	sess, err := Open(Options{Prog: "palsweep"})
 	if err != nil {

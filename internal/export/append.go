@@ -168,12 +168,20 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// --- archive header ---
+
+func (e *jsonBuf) header(h *header) {
+	e.raw(`{"format":`)
+	e.str(h.Format)
+	e.raw(`,"body":`)
+	e.frame(h.Body)
+	e.b = append(e.b, '}')
+}
+
 // --- result core ---
 
 func (e *jsonBuf) resultCore(c *resultCore) {
-	e.raw(`{"format":`)
-	e.str(c.Format)
-	e.raw(`,"jobs":`)
+	e.raw(`{"jobs":`)
 	list(e, c.Jobs, (*jsonBuf).archivedJob)
 	e.raw(`,"measured":`)
 	e.b = appendInts(e.b, c.Measured)
@@ -188,9 +196,9 @@ func (e *jsonBuf) resultCore(c *resultCore) {
 	e.raw(`,"place_times":`)
 	e.floats(c.PlaceTimes)
 	e.raw(`,"metrics":`)
-	e.section(c.Metrics)
+	e.frame(c.Metrics)
 	e.raw(`,"decisions":`)
-	e.section(c.Decisions)
+	e.frame(c.Decisions)
 	e.raw(`,"truncated":`)
 	e.bool(c.Truncated)
 	e.raw(`,"unfinished":`)
@@ -234,15 +242,15 @@ func (e *jsonBuf) archivedJob(j *archivedJob) {
 	e.b = append(e.b, '}')
 }
 
-func (e *jsonBuf) section(s *section) {
-	if s == nil {
+func (e *jsonBuf) frame(f *frame) {
+	if f == nil {
 		e.raw("null")
 		return
 	}
 	e.raw(`{"bytes":`)
-	e.int(s.Bytes)
+	e.int(f.Bytes)
 	e.raw(`,"sha256":`)
-	e.str(s.SHA256)
+	e.str(f.SHA256)
 	e.b = append(e.b, '}')
 }
 

@@ -20,13 +20,13 @@ import (
 
 // marshalSection encodes v with encoding/json as one payload section and
 // frames it: the reference the section appenders are held to.
-func marshalSection(v any, what string) (*section, []byte, error) {
+func marshalSection(v any, what string) (*frame, []byte, error) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return nil, nil, fmt.Errorf("export: encode %s section: %w", what, err)
 	}
 	sum := sha256.Sum256(data)
-	return &section{Bytes: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}, data, nil
+	return &frame{Bytes: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}, data, nil
 }
 
 // referenceEncodeResult writes the archive EncodeResult writes, through
@@ -52,10 +52,16 @@ func referenceEncodeResult(w io.Writer, res *sim.Result) error {
 		}
 		core.Decisions, sections = ref, append(sections, data)
 	}
-	if err := encodeArchive(w, &core, "result"); err != nil {
+	body, err := json.Marshal(&core)
+	if err != nil {
 		return err
 	}
-	for _, data := range sections {
+	body = append(body, '\n')
+	ref, err := json.Marshal(&header{Format: resultFormat, Body: newFrame(body)})
+	if err != nil {
+		return err
+	}
+	for _, data := range append([][]byte{append(ref, '\n'), body}, sections...) {
 		if _, err := w.Write(data); err != nil {
 			return err
 		}
@@ -154,9 +160,10 @@ func appCase[T any](app func(*jsonBuf, *T)) appenderCase {
 }
 
 var appenderCases = []appenderCase{
+	appCase((*jsonBuf).header),
 	appCase((*jsonBuf).resultCore),
 	appCase((*jsonBuf).archivedJob),
-	appCase((*jsonBuf).section),
+	appCase((*jsonBuf).frame),
 	appCase((*jsonBuf).payload),
 	appCase((*jsonBuf).series),
 	appCase((*jsonBuf).jobRecord),

@@ -12,9 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Contracts shared by the result and snapshot codecs: one strict decode
-// pass that still rejects what the format excludes, and whitespace that
-// is not part of the format.
+// Contracts shared by the result and snapshot codecs: one frame whose
+// header tags the codec revision and hashes the body byte for byte, and
+// one strict decode pass that still rejects what the format excludes.
 
 // smallCellSpec is a fast cell with both sinks on, so its snapshot
 // carries sink state as well as engine state.
@@ -72,10 +72,6 @@ type archiveCase struct {
 	format string // the codec's format-tag prefix, without version
 	data   []byte
 	decode func([]byte) (any, error)
-	// framed: the archive's length is part of its format (a result's
-	// sections are byte-counted), so even trailing whitespace is
-	// trailing data.
-	framed bool
 }
 
 func archiveCases(t *testing.T) []archiveCase {
@@ -87,7 +83,6 @@ func archiveCases(t *testing.T) []archiveCase {
 			format: "pal-result/",
 			data:   encoded(t, func(w io.Writer) error { return EncodeResult(w, sampleResult()) }),
 			decode: func(b []byte) (any, error) { return DecodeResult(bytes.NewReader(b)) },
-			framed: true,
 		},
 		{
 			name:   "snapshot",
@@ -98,12 +93,13 @@ func archiveCases(t *testing.T) []archiveCase {
 	}
 }
 
-// retagged re-marshals an archive's top-level object after edit, so a
-// tamper does not depend on the archive's whitespace.
+// retagged re-marshals an archive's header object after edit, so a
+// tamper does not depend on the header's whitespace.
 func retagged(t *testing.T, data []byte, edit func(map[string]json.RawMessage)) []byte {
 	t.Helper()
+	nl := bytes.IndexByte(data, '\n')
 	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
+	if err := json.Unmarshal(data[:nl], &top); err != nil {
 		t.Fatal(err)
 	}
 	edit(top)
@@ -111,24 +107,35 @@ func retagged(t *testing.T, data []byte, edit func(map[string]json.RawMessage)) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return append(out, data[nl:]...)
+}
+
+// reframed returns a valid archive with its body replaced by edit(body)
+// and its header re-framed to match, so a tamper reaches the body's
+// decoder behind a valid hash.
+func reframed(tb testing.TB, archive []byte, edit func(body []byte) []byte) []byte {
+	tb.Helper()
+	var h header
+	nl := bytes.IndexByte(archive, '\n')
+	if nl < 0 || json.Unmarshal(archive[:nl], &h) != nil || h.Body == nil {
+		tb.Fatal("archive has no header line")
+	}
+	body, rest, err := h.Body.cut(archive[nl+1:], true, "test", "body")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body = edit(bytes.Clone(body))
+	return append(append(appendHeader(nil, h.Format, body), body...), rest...)
 }
 
 // TestArchiveRejectsTrailingData: anything after the archive is
 // corruption (a torn concatenation, an appended fragment), not a valid
-// archive with noise after it. Only an unframed archive may end in
-// whitespace.
+// archive with noise after it. Both archives are framed, so even
+// trailing whitespace is trailing data.
 func TestArchiveRejectsTrailingData(t *testing.T) {
 	for _, c := range archiveCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := c.decode(append(bytes.Clone(c.data), " \n\t\r\n"...))
-			if !c.framed && err != nil {
-				t.Fatalf("trailing whitespace rejected: %v", err)
-			}
-			if c.framed && err == nil {
-				t.Fatal("trailing whitespace after a framed archive decoded")
-			}
-			for _, trailer := range []string{"garbage", "{}", "0", "]", `{"format":"x"}`, "\n" + string(c.data)} {
+			for _, trailer := range []string{" \n\t\r\n", "garbage", "{}", "0", "]", `{"format":"x"}`, "\n" + string(c.data)} {
 				if _, err := c.decode(append(bytes.Clone(c.data), trailer...)); err == nil {
 					t.Errorf("archive followed by %.20q decoded", trailer)
 				}
@@ -178,28 +185,37 @@ func TestArchiveRequiresFormat(t *testing.T) {
 	}
 }
 
-// TestArchiveIndentedTwinDecodes: whitespace is not part of either
-// format, so an archive indented the way earlier encoders wrote it
-// decodes to exactly what its compact twin decodes to, and re-encodes
-// to the compact bytes. This is why compact encoding needs no format
-// version bump.
-func TestArchiveIndentedTwinDecodes(t *testing.T) {
+// TestArchiveBodyHashedByteForByte: the body's whitespace is part of
+// the archive. A body indented under its original header is refused as
+// a hash mismatch; re-framed, it decodes to exactly what its compact
+// twin decodes to and re-encodes to the compact bytes.
+func TestArchiveBodyHashedByteForByte(t *testing.T) {
 	for _, c := range archiveCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			var indented bytes.Buffer
-			if err := json.Indent(&indented, c.data, "", " "); err != nil {
-				t.Fatal(err)
+			indent := func(body []byte) []byte {
+				var out bytes.Buffer
+				if err := json.Indent(&out, body, "", " "); err != nil {
+					t.Fatal(err)
+				}
+				return out.Bytes()
 			}
-			if len(indented.Bytes()) <= len(c.data) {
-				t.Fatalf("indented twin is %d bytes, compact %d: encoder is not compact", indented.Len(), len(c.data))
+			twinBytes := reframed(t, c.data, indent)
+			// The twin's body and sections under the compact archive's header.
+			unframed := append(bytes.Clone(c.data[:bytes.IndexByte(c.data, '\n')+1]),
+				twinBytes[bytes.IndexByte(twinBytes, '\n')+1:]...)
+			if len(twinBytes) <= len(c.data) {
+				t.Fatalf("indented twin is %d bytes, compact %d: encoder is not compact", len(twinBytes), len(c.data))
+			}
+			if _, err := c.decode(unframed); err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+				t.Fatalf("indented body under the compact header: err = %v, want a hash mismatch", err)
 			}
 			compact, err := c.decode(c.data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			twin, err := c.decode(indented.Bytes())
+			twin, err := c.decode(twinBytes)
 			if err != nil {
-				t.Fatalf("indented archive rejected: %v", err)
+				t.Fatalf("re-framed indented archive rejected: %v", err)
 			}
 			if !reflect.DeepEqual(compact, twin) {
 				t.Fatal("indented and compact archives decode differently")

@@ -11,9 +11,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The framed v4 layout: a core line, then the hash-framed metrics and
-// decisions sections. The core decoder must agree with the full decoder
-// on everything but the payloads, and both must refuse damaged bytes.
+// The framed layout: a header line, the core line it frames, then the
+// metrics and decisions sections the core frames. The core decoder must
+// agree with the full decoder on everything but the payloads; both must
+// refuse a damaged header or core, and the full decoder a damaged
+// section too.
 
 // withoutPayloads returns a shallow copy of res with its sinks dropped,
 // the value UnmarshalResultCore is held to.
@@ -24,14 +26,16 @@ func withoutPayloads(res *sim.Result) *sim.Result {
 }
 
 // framedArchive encodes archivableResult (both sections present) and
-// returns the archive with the byte offsets of its core's end (the
-// newline) and of the decisions section's start.
-func framedArchive(t *testing.T) (data []byte, newline, decisionsAt int) {
+// returns the archive with the byte offsets of its core's start (just
+// past the header's newline), of its core's end (the core's newline) and
+// of the decisions section's start.
+func framedArchive(t *testing.T) (data []byte, coreAt, newline, decisionsAt int) {
 	t.Helper()
 	data = encoded(t, func(w io.Writer) error { return EncodeResult(w, archivableResult()) })
-	newline = bytes.IndexByte(data, '\n')
+	coreAt = bytes.IndexByte(data, '\n') + 1
+	newline = coreAt + bytes.IndexByte(data[coreAt:], '\n')
 	var core resultCore
-	if err := json.Unmarshal(data[:newline], &core); err != nil {
+	if err := json.Unmarshal(data[coreAt:newline], &core); err != nil {
 		t.Fatal(err)
 	}
 	if core.Metrics == nil || core.Decisions == nil {
@@ -40,7 +44,7 @@ func framedArchive(t *testing.T) (data []byte, newline, decisionsAt int) {
 	if want := newline + 1 + int(core.Metrics.Bytes+core.Decisions.Bytes); want != len(data) {
 		t.Fatalf("archive is %d bytes, framing declares %d", len(data), want)
 	}
-	return data, newline, newline + 1 + int(core.Metrics.Bytes)
+	return data, coreAt, newline, newline + 1 + int(core.Metrics.Bytes)
 }
 
 // TestResultCoreMatchesFull: the core decoder returns exactly what the
@@ -74,29 +78,43 @@ func TestResultCoreMatchesFull(t *testing.T) {
 }
 
 // TestResultArchiveDamageRejected: every damage a stored object can
-// suffer makes both decoders return an error.
+// suffer makes the full decoder return an error. The core decoder
+// rejects all of it but a section damaged in place, whose bytes it
+// neither parses nor hashes.
 func TestResultArchiveDamageRejected(t *testing.T) {
-	data, newline, decisionsAt := framedArchive(t)
+	data, coreAt, newline, decisionsAt := framedArchive(t)
 	flip := func(at int) func([]byte) []byte {
 		return func(b []byte) []byte { b[at] ^= 0x01; return b }
 	}
+	// A digit of the core swapped for another: the core still decodes,
+	// to a different result.
+	digit := coreAt + bytes.Index(data[coreAt:], []byte(`"rounds":`)) + len(`"rounds":`)
+	if data[digit] < '0' || data[digit] > '9' {
+		t.Fatalf("no digit after \"rounds\": %q", data[digit])
+	}
 	damage := map[string]func([]byte) []byte{
-		// Core bytes the strict decode must trip over: an opening and a
+		"header-open": flip(0),
+		"header-hash": flip(coreAt - 5),
+		// Core bytes the strict decode would trip over: an opening and a
 		// closing brace, and a letter of a field name.
-		"core-open":         flip(0),
+		"core-open":         flip(coreAt),
 		"core-close":        flip(newline - 1),
 		"core-field":        flip(bytes.Index(data, []byte(`"makespan"`)) + 1),
+		"core-digit-swap":   func(b []byte) []byte { b[digit] = '0' + (b[digit]-'0'+1)%10; return b },
 		"core-newline":      flip(newline),
+		"truncated":         func(b []byte) []byte { return b[:len(b)-1] },
+		"truncated-to-core": func(b []byte) []byte { return b[:newline+1] },
+		"core-only":         func(b []byte) []byte { return b[:newline] },
+		"header-only":       func(b []byte) []byte { return b[:coreAt] },
+		"appended":          func(b []byte) []byte { return append(b, '}') },
+		"appended-newline":  func(b []byte) []byte { return append(b, '\n') },
+		"doubled":           func(b []byte) []byte { return append(b, b...) },
+	}
+	inSections := map[string]func([]byte) []byte{
 		"metrics-section":   flip((newline + decisionsAt) / 2),
 		"metrics-first":     flip(newline + 1),
 		"decisions-section": flip((decisionsAt + len(data)) / 2),
 		"decisions-last":    flip(len(data) - 1),
-		"truncated":         func(b []byte) []byte { return b[:len(b)-1] },
-		"truncated-to-core": func(b []byte) []byte { return b[:newline+1] },
-		"core-only":         func(b []byte) []byte { return b[:newline] },
-		"appended":          func(b []byte) []byte { return append(b, '}') },
-		"appended-newline":  func(b []byte) []byte { return append(b, '\n') },
-		"doubled":           func(b []byte) []byte { return append(b, b...) },
 	}
 	for name, edit := range damage {
 		t.Run(name, func(t *testing.T) {
@@ -109,30 +127,56 @@ func TestResultArchiveDamageRejected(t *testing.T) {
 			}
 		})
 	}
+	for name, edit := range inSections {
+		t.Run(name, func(t *testing.T) {
+			bad := edit(bytes.Clone(data))
+			if _, err := UnmarshalResult(bad); err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+				t.Errorf("full decode: err = %v, want a section hash mismatch", err)
+			}
+			if _, err := UnmarshalResultCore(bad); err != nil {
+				t.Errorf("core decode hashed a section it does not parse: %v", err)
+			}
+		})
+	}
 }
 
-// TestResultV3ArchiveVersionMismatch: a v3 archive — one JSON value
-// with its payloads embedded — reports the version, not the fields or
-// framing the v4 decoders do not know.
-func TestResultV3ArchiveVersionMismatch(t *testing.T) {
+// TestPreviousArchiveVersionsMismatch: archives of earlier codec
+// revisions — a v3 result, one JSON value with its payloads embedded; a
+// v4 result, a core line leading with its format tag and framing
+// sections after it; a v2 snapshot, the snapshot wrapped beside its tag
+// — report the version, not the fields or framing the current decoders
+// do not know.
+func TestPreviousArchiveVersionsMismatch(t *testing.T) {
 	v3 := `{"format":"pal-result/v3","jobs":[],"measured":[],"makespan":0,"utilization":0,` +
 		`"productive_utilization":0,"rounds":0,"place_times":null,` +
 		`"metrics":{"name":"x","series":[]},"decisions":null,"truncated":false,"unfinished":0}` + "\n"
-	for name, decode := range map[string]func([]byte) (*sim.Result, error){
-		"full": UnmarshalResult, "core": UnmarshalResultCore,
+	v4 := `{"format":"pal-result/v4","jobs":[],"measured":[],"makespan":0,"utilization":0,` +
+		`"productive_utilization":0,"rounds":0,"place_times":null,` +
+		`"metrics":{"bytes":2,"sha256":"44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"},` +
+		`"decisions":null,"truncated":false,"unfinished":0}` + "\n{}"
+	snapV2 := `{"format":"pal-snapshot/v2","snapshot":{"rounds":3}}` + "\n"
+	decoders := map[string]func([]byte) (any, error){
+		"full":     func(b []byte) (any, error) { return UnmarshalResult(b) },
+		"core":     func(b []byte) (any, error) { return UnmarshalResultCore(b) },
+		"snapshot": func(b []byte) (any, error) { return UnmarshalSnapshot(b) },
+	}
+	for _, c := range []struct{ archive, decoder string }{
+		{v3, "full"}, {v3, "core"}, {v4, "full"}, {v4, "core"}, {snapV2, "snapshot"},
 	} {
-		if _, err := decode([]byte(v3)); err == nil || !strings.Contains(err.Error(), "codec version mismatch") {
-			t.Errorf("%s: err = %v, want codec version mismatch", name, err)
+		if _, err := decoders[c.decoder]([]byte(c.archive)); err == nil || !strings.Contains(err.Error(), "codec version mismatch") {
+			t.Errorf("%s decode of %.26s: err = %v, want codec version mismatch", c.decoder, c.archive, err)
 		}
 	}
 }
 
 // TestResultSectionFramingRejected: a section frame must describe the
-// bytes after the core exactly, and a section must decode to a value.
+// bytes after the core exactly, and a section must decode to a value. A
+// frame whose hash is wrong but whose length is right is the full
+// decoder's to refuse.
 func TestResultSectionFramingRejected(t *testing.T) {
-	data, newline, _ := framedArchive(t)
+	data, coreAt, newline, _ := framedArchive(t)
 	var core map[string]json.RawMessage
-	if err := json.Unmarshal(data[:newline], &core); err != nil {
+	if err := json.Unmarshal(data[coreAt:newline], &core); err != nil {
 		t.Fatal(err)
 	}
 	reframe := func(field, frame string) []byte {
@@ -145,37 +189,42 @@ func TestResultSectionFramingRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(append(line, '\n'), data[newline+1:]...)
+		body := append(line, '\n')
+		return append(append(appendHeader(nil, resultFormat, body), body...), data[newline+1:]...)
 	}
+	wrongHash := reframe("metrics", strings.Replace(string(core["metrics"]), `"sha256":"`, `"sha256":"0`, 1))
 	for name, bad := range map[string][]byte{
 		"metrics-dropped":   reframe("metrics", `null`),
 		"negative-length":   reframe("metrics", `{"bytes":-1,"sha256":""}`),
 		"overlong":          reframe("decisions", `{"bytes":1000000000,"sha256":""}`),
-		"wrong-hash":        reframe("metrics", strings.Replace(string(core["metrics"]), `"sha256":"`, `"sha256":"0`, 1)),
+		"wrong-hash":        wrongHash,
 		"unknown-frame-key": reframe("metrics", strings.Replace(string(core["metrics"]), `{`, `{"x":1,`, 1)),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := UnmarshalResult(bad); err == nil {
 				t.Error("full decode accepted a misframed archive")
 			}
-			if _, err := UnmarshalResultCore(bad); err == nil {
-				t.Error("core decode accepted a misframed archive")
+			if _, err := UnmarshalResultCore(bad); (err == nil) != (name == "wrong-hash") {
+				t.Errorf("core decode: err = %v", err)
 			}
 		})
 	}
 	// A null section body matches its hash, so only the full decode can
 	// refuse it.
-	ref, body, err := marshalSection(json.RawMessage("null"), "metrics")
+	ref, section, err := marshalSection(json.RawMessage("null"), "metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	null := append(encoded(t, func(w io.Writer) error {
-		return encodeArchive(w, &resultCore{Format: resultFormat, Metrics: ref}, "result")
-	}), body...)
+	body, err := json.Marshal(&resultCore{Metrics: ref})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, '\n')
+	null := append(append(appendHeader(nil, resultFormat, body), body...), section...)
 	if _, err := UnmarshalResultCore(null); err != nil {
 		t.Fatalf("core decode rejected a well-framed archive: %v", err)
 	}
-	if _, err := UnmarshalResult(null); err == nil || !strings.Contains(err.Error(), "null section") {
-		t.Errorf("err = %v, want null section", err)
+	if _, err := UnmarshalResult(null); err == nil || !strings.Contains(err.Error(), "null value") {
+		t.Errorf("err = %v, want null value", err)
 	}
 }

@@ -12,13 +12,14 @@ import (
 	"repro/internal/vprof"
 )
 
-// Hand-written decoder for the result archive's core: the read-side
-// mirror of append.go. It reads the core straight into a *sim.Result and
-// its jobs, without reflection and without an intermediate archive
-// value, and it accepts only what a strict encoding/json decode of
-// resultCore accepts, to the same value:
+// Hand-written decoder for the result archive's core, and for the
+// header every archive leads with: the read-side mirror of append.go.
+// It reads the core straight into a *sim.Result and its jobs, without
+// reflection and without an intermediate archive value, and it accepts
+// only what a strict encoding/json decode of resultCore accepts, to the
+// same value:
 //
-//   - whitespace between tokens is skipped, so an indented core decodes;
+//   - whitespace between tokens is skipped (the hash pins the body's bytes);
 //   - null reads as the field's zero value (nil for a slice or a section
 //     frame), which is what encoding/json leaves in a fresh value;
 //   - numbers are checked against JSON's grammar, then parsed by
@@ -33,22 +34,30 @@ import (
 // whatever this decoder accepts, the reference accepts, to a deep-equal
 // result.
 
-// unmarshalCore decodes the result core at the front of data, then
-// checks the framing after it (cutSections). It returns the result
-// without payloads and the raw section bytes. Decode errors go through
-// checkFormat, as decodeArchive's do, so an archive of another codec
-// revision reports "codec version mismatch".
-func unmarshalCore(data []byte) (res *sim.Result, metricsData, decisionsData []byte, err error) {
-	d := coreDecoder{b: data}
-	var c decodedCore
-	object(&d, &c, coreFields)
-	if err = checkFormat(data, d.err, c.format, resultFormat, "result"); err != nil {
+// unmarshalCore cuts the archive's frame (cutFrame), decodes the
+// result core that is its body, then checks the sections after it
+// (cutSections), hashing them only when hashSections is set. It returns
+// the result without payloads and the raw section bytes.
+func unmarshalCore(data []byte, hashSections bool) (res *sim.Result, metricsData, decisionsData []byte, err error) {
+	body, rest, err := cutFrame(data, resultFormat, "result")
+	if err != nil {
 		return nil, nil, nil, err
+	}
+	d := coreDecoder{b: body}
+	var c decodedCore
+	if !object(&d, &c, coreFields) {
+		d.fail(errors.New("null core"))
+	}
+	if d.err == nil && !onlyWhitespace(body[d.i:]) {
+		d.fail(errors.New("trailing data after the core"))
+	}
+	if d.err != nil {
+		return nil, nil, nil, fmt.Errorf("export: decode result archive: %w", d.err)
 	}
 	if c.res.Measured, err = measuredJobs(c.res.Jobs, c.measured); err != nil {
 		return nil, nil, nil, err
 	}
-	if metricsData, decisionsData, err = cutSections(data[d.i:], c.metrics, c.decisions); err != nil {
+	if metricsData, decisionsData, err = cutSections(rest, c.metrics, c.decisions, hashSections); err != nil {
 		return nil, nil, nil, err
 	}
 	return &c.res, metricsData, decisionsData, nil
@@ -75,10 +84,9 @@ func measuredJobs(jobs []*sim.Job, measured []int) ([]*sim.Job, error) {
 
 // decodedCore is the core as read, before its measured indices resolve.
 type decodedCore struct {
-	format             string
 	res                sim.Result
 	measured           []int
-	metrics, decisions *section
+	metrics, decisions *frame
 }
 
 // field reads the value of one object key into a *T.
@@ -91,7 +99,6 @@ type field[T any] struct {
 // them: object tries the next one in line before it searches.
 var (
 	coreFields = []field[decodedCore]{
-		{"format", func(d *coreDecoder, c *decodedCore) { c.format = string(d.text()) }},
 		{"jobs", func(d *coreDecoder, c *decodedCore) { c.res.Jobs = d.jobs() }},
 		{"measured", func(d *coreDecoder, c *decodedCore) { c.measured = d.ints() }},
 		{"makespan", func(d *coreDecoder, c *decodedCore) { c.res.Makespan = d.float() }},
@@ -99,8 +106,8 @@ var (
 		{"productive_utilization", func(d *coreDecoder, c *decodedCore) { c.res.ProductiveUtilization = d.float() }},
 		{"rounds", func(d *coreDecoder, c *decodedCore) { c.res.Rounds = d.int() }},
 		{"place_times", func(d *coreDecoder, c *decodedCore) { c.res.PlaceTimes = d.floats() }},
-		{"metrics", func(d *coreDecoder, c *decodedCore) { c.metrics = d.section() }},
-		{"decisions", func(d *coreDecoder, c *decodedCore) { c.decisions = d.section() }},
+		{"metrics", func(d *coreDecoder, c *decodedCore) { c.metrics = d.frame() }},
+		{"decisions", func(d *coreDecoder, c *decodedCore) { c.decisions = d.frame() }},
 		{"truncated", func(d *coreDecoder, c *decodedCore) { c.res.Truncated = d.bool() }},
 		{"unfinished", func(d *coreDecoder, c *decodedCore) { c.res.Unfinished = d.int() }},
 	}
@@ -122,9 +129,9 @@ var (
 		{"migrations", func(d *coreDecoder, j *sim.Job) { j.Migrations = d.int() }},
 		{"prev_alloc", func(d *coreDecoder, j *sim.Job) { j.PrevAlloc = d.gpuIDs() }},
 	}
-	sectionFields = []field[section]{
-		{"bytes", func(d *coreDecoder, s *section) { s.Bytes = d.int64() }},
-		{"sha256", func(d *coreDecoder, s *section) { s.SHA256 = string(d.text()) }},
+	frameFields = []field[frame]{
+		{"bytes", func(d *coreDecoder, f *frame) { f.Bytes = d.int64() }},
+		{"sha256", func(d *coreDecoder, f *frame) { f.SHA256 = string(d.text()) }},
 	}
 )
 
@@ -511,11 +518,11 @@ func (d *coreDecoder) jobs() []*sim.Job {
 	return jobs
 }
 
-// section reads a section frame; null reads as nil, no section.
-func (d *coreDecoder) section() *section {
-	s := new(section)
-	if !object(d, s, sectionFields) {
+// frame reads a span's frame; null reads as nil, no span.
+func (d *coreDecoder) frame() *frame {
+	f := new(frame)
+	if !object(d, f, frameFields) {
 		return nil
 	}
-	return s
+	return f
 }

@@ -3,6 +3,7 @@ package export
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"strings"
@@ -15,19 +16,37 @@ import (
 )
 
 // referenceUnmarshalResult decodes an archive as UnmarshalResult does,
-// but with encoding/json decoding the core into resultCore: the
-// definition the hand-written core decoder (decode.go) is held to.
+// but with encoding/json decoding the header into header and the core
+// into resultCore: the definition the hand-written decoder (decode.go)
+// is held to.
 func referenceUnmarshalResult(data []byte) (*sim.Result, error) {
-	var arch resultCore
-	end, err := decodeArchive(data, &arch, &arch.Format, resultFormat, "result")
+	var h header
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&h)
+	end := dec.InputOffset()
+	if err == nil && (end >= int64(len(data)) || data[end] != '\n') {
+		err = errors.New("header not followed by a newline")
+	}
+	if err := checkFormat(data, err, h.Format, resultFormat, "result"); err != nil {
+		return nil, err
+	}
+	if h.Body == nil {
+		return nil, errors.New("header frames no body")
+	}
+	body, rest, err := h.Body.cut(data[end+1:], true, "result", "body")
 	if err != nil {
 		return nil, err
 	}
-	res, err := referenceResult(&arch)
+	arch, err := decodeJSON[resultCore](body)
 	if err != nil {
 		return nil, err
 	}
-	metricsData, decisionsData, err := cutSections(data[end:], arch.Metrics, arch.Decisions)
+	res, err := referenceResult(arch)
+	if err != nil {
+		return nil, err
+	}
+	metricsData, decisionsData, err := cutSections(rest, arch.Metrics, arch.Decisions, true)
 	if err != nil {
 		return nil, err
 	}
@@ -79,33 +98,43 @@ func referenceResult(arch *resultCore) (*sim.Result, error) {
 	return res, err
 }
 
-// indentCore returns archive with its core line indented and its
-// sections as they were.
+// indentCore returns archive with its core indented and re-framed, and
+// its sections as they were.
 func indentCore(tb testing.TB, archive []byte) []byte {
 	tb.Helper()
-	nl := bytes.IndexByte(archive, '\n')
-	if nl < 0 {
-		tb.Fatal("archive has no core line")
-	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, archive[:nl], "", "\t"); err != nil {
-		tb.Fatal(err)
-	}
-	return append(out.Bytes(), archive[nl:]...)
+	return reframed(tb, archive, func(core []byte) []byte {
+		var out bytes.Buffer
+		if err := json.Indent(&out, core, "", "\t"); err != nil {
+			tb.Fatal(err)
+		}
+		return out.Bytes()
+	})
 }
 
-// coreVariant is sampleResult's archive with edits to its core: each
-// pair of olds names a string and its replacement.
-func coreVariant(tb testing.TB, olds ...string) []byte {
+// framedCore is the archive framing core as its body, without sections.
+func framedCore(core string) []byte {
+	return append(appendHeader(nil, resultFormat, []byte(core)), core...)
+}
+
+// sampleCore is sampleResult's core line.
+func sampleCore(tb testing.TB) []byte {
 	tb.Helper()
 	data := encoded(tb, func(w io.Writer) error { return EncodeResult(w, sampleResult()) })
+	return data[bytes.IndexByte(data, '\n')+1:]
+}
+
+// coreVariant is sampleResult's archive with edits to its core,
+// re-framed: each pair of olds names a string and its replacement.
+func coreVariant(tb testing.TB, olds ...string) []byte {
+	tb.Helper()
+	core := sampleCore(tb)
 	for i := 0; i < len(olds); i += 2 {
-		if !bytes.Contains(data, []byte(olds[i])) {
-			tb.Fatalf("archive lacks %q", olds[i])
+		if !bytes.Contains(core, []byte(olds[i])) {
+			tb.Fatalf("core lacks %q", olds[i])
 		}
-		data = bytes.Replace(data, []byte(olds[i]), []byte(olds[i+1]), 1)
+		core = bytes.Replace(core, []byte(olds[i]), []byte(olds[i+1]), 1)
 	}
-	return data
+	return framedCore(string(core))
 }
 
 // decoderSeeds are archives at the edges of the core grammar: what the
@@ -116,8 +145,11 @@ func decoderSeeds(tb testing.TB) map[string][]byte {
 	v3 := `{"format":"pal-result/v3","jobs":[],"measured":[],"makespan":0,"utilization":0,` +
 		`"productive_utilization":0,"rounds":0,"place_times":null,"unknown":{"x":[1]},` +
 		`"metrics":{"name":"x","series":[]},"decisions":null,"truncated":false,"unfinished":0}` + "\n"
-	full := encoded(tb, func(w io.Writer) error { return EncodeResult(w, sampleResult()) })
-	cut := bytes.Index(full, []byte(`"makespan":660.5`)) + len(`"makespan":66`)
+	v4 := `{"format":"pal-result/v4","jobs":[],"measured":[],"makespan":0,"utilization":0,` +
+		`"productive_utilization":0,"rounds":0,"place_times":null,"metrics":null,"decisions":null,` +
+		`"truncated":false,"unfinished":0}` + "\n"
+	core := string(sampleCore(tb))
+	cut := func(at string, n int) []byte { return framedCore(core[:strings.Index(core, at)+n]) }
 	return map[string][]byte{
 		"escaped-model":   coreVariant(tb, `"model":"resnet50"`, `"model":"res\u006eet\/50\u00e9"`),
 		"escaped-key":     coreVariant(tb, `"rounds":`, `"r\u006funds":`),
@@ -125,6 +157,12 @@ func decoderSeeds(tb testing.TB) map[string][]byte {
 		"bad-utf8-model":  coreVariant(tb, `"model":"gpt2"`, "\"model\":\"gpt\xff2\""),
 		"control-model":   coreVariant(tb, `"model":"gpt2"`, "\"model\":\"gpt\x012\""),
 		"v3-unknown":      []byte(v3),
+		"v4-unframed":     []byte(v4),
+		"header-reorder":  retagHeader(tb, `{"format":`, `{"body":`),
+		"header-spaced":   retagHeader(tb, `,"body":{"bytes":`, " ,\t\"body\" : {\"bytes\" :"),
+		"header-unknown":  retagHeader(tb, `{"format":`, `{"x":1,"format":`),
+		"header-no-body":  []byte(`{"format":"pal-result/` + ResultFormatVersion + `"}` + "\n"),
+		"header-cr":       retagHeader(tb, "}}\n", "}}\r\n"),
 		"minus-zero":      coreVariant(tb, `"makespan":660.5`, `"makespan":-0`),
 		"minus-zero-int":  coreVariant(tb, `"rounds":5`, `"rounds":-0`),
 		"small-exponent":  coreVariant(tb, `"utilization":0.3341`, `"utilization":1e-7`),
@@ -144,8 +182,8 @@ func decoderSeeds(tb testing.TB) map[string][]byte {
 		"empty-job":       coreVariant(tb, `"jobs":[`, `"jobs":[{},`),
 		"empty-alloc":     coreVariant(tb, `"alloc":[3]`, `"alloc":[]`),
 		"null-in-alloc":   coreVariant(tb, `"alloc":[3]`, `"alloc":[null,3]`),
-		"fields-reorder":  coreVariant(tb, `,"unfinished":2}`, `}`, `{"format"`, `{"unfinished":2,"format"`),
-		"missing-fields":  []byte(`{"format":"pal-result/v4","jobs":[{"id":4}],"measured":[0]}` + "\n"),
+		"fields-reorder":  coreVariant(tb, `,"unfinished":2}`, `}`, `{"jobs"`, `{"unfinished":2,"jobs"`),
+		"missing-fields":  framedCore(`{"jobs":[{"id":4}],"measured":[0]}` + "\n"),
 		"spaced":          coreVariant(tb, `"rounds":5,`, " \"rounds\" \t:\r\n 5 ,\n"),
 		"repeated-key":    coreVariant(tb, `"rounds":5`, `"rounds":5,"rounds":6`),
 		"repeated-null":   coreVariant(tb, `"rounds":5`, `"rounds":5,"rounds":null`),
@@ -157,13 +195,24 @@ func decoderSeeds(tb testing.TB) map[string][]byte {
 		"missing-comma":   coreVariant(tb, `"rounds":5,`, `"rounds":5 `),
 		"bad-literal":     coreVariant(tb, `"truncated":true`, `"truncated":tru`),
 		"section-unknown": coreVariant(tb, `"metrics":null`, `"metrics":{"bytes":0,"sha256":"x","y":1}`),
-		"top-null":        []byte("null\n"),
-		"top-array":       []byte("[]\n"),
+		"trailing-core":   coreVariant(tb, "}\n", "} {}\n"),
+		"top-null":        framedCore("null\n"),
+		"top-array":       framedCore("[]\n"),
 		"empty":           nil,
-		"cut-mid-number":  full[:cut],
-		"cut-mid-string":  full[:bytes.Index(full, []byte(`"gpt2"`))+3],
-		"cut-mid-object":  full[:bytes.Index(full, []byte(`"measured"`))],
+		"cut-mid-number":  cut(`"makespan":660.5`, len(`"makespan":66`)),
+		"cut-mid-string":  cut(`"gpt2"`, 3),
+		"cut-mid-object":  cut(`"measured"`, 0),
 	}
+}
+
+// retagHeader is sampleResult's archive with one edit to its header.
+func retagHeader(tb testing.TB, old, new string) []byte {
+	tb.Helper()
+	data := encoded(tb, func(w io.Writer) error { return EncodeResult(w, sampleResult()) })
+	if !bytes.Contains(data, []byte(old)) {
+		tb.Fatalf("archive lacks %q", old)
+	}
+	return bytes.Replace(data, []byte(old), []byte(new), 1)
 }
 
 // TestCoreDecoderMatchesReference: on every seed, the hand-written core

@@ -2,10 +2,6 @@ package export
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -33,23 +29,26 @@ import (
 //     identically on live and loaded results — and a decision trace
 //     (Result.Decisions) likewise archives and comes back as a
 //     decision.ArchivedSink;
-//   - the format field names the codec revision; the decoders reject
-//     any other revision loudly instead of guessing, and reject missing
-//     or trailing bytes.
+//   - the header's format tag names the codec revision; the decoders
+//     reject any other revision loudly instead of guessing, and reject
+//     missing or trailing bytes.
 //
-// An archive is framed so a reader that needs only the result's core —
-// jobs, measured set, summary fields, place times — never parses the
-// telemetry that makes up most of its bytes:
+// An archive is the shared frame (archive.go) around the result's core,
+// followed by the telemetry sections the core frames in turn, so a
+// reader that needs only the core — jobs, measured set, summary fields,
+// place times — never parses the telemetry that makes up most of an
+// archive's bytes:
 //
-//	<core JSON>\n<metrics section><decisions section>
+//	<header>\n<core JSON>\n<metrics section><decisions section>
 //
-// The core is one JSON value holding everything but the payloads; for
-// each of metrics and decisions it holds either null (no section) or
-// {"bytes":N,"sha256":"<hex>"}, and the section that follows is exactly
-// N bytes of compact JSON whose SHA-256 is the recorded hash.
-// UnmarshalResult decodes everything; UnmarshalResultCore decodes the
-// core, checks the framing and the section hashes, and leaves the
-// payloads unparsed, so both reject a damaged frame or section.
+// The core is the header's body: one JSON value holding everything but
+// the payloads. For each of metrics and decisions it holds either null
+// (no section) or {"bytes":N,"sha256":"<hex>"}, and the section that
+// follows is exactly N bytes of compact JSON whose SHA-256 is the
+// recorded hash. Each decoder checks exactly what it parses:
+// UnmarshalResult checks the header, the core's hash and both sections'
+// hashes; UnmarshalResultCore checks the header, the core's hash and the
+// sections' lengths, and hashes no section byte, since it parses none.
 //
 // The schema is the JSON encoding/json gives the archive types below and
 // the metrics and decision payload types, under their struct tags. The
@@ -65,8 +64,8 @@ import (
 // encoding/json's.
 //
 // Bumping the codec (any change to the archive schema or its semantics)
-// means bumping ResultFormatVersion. Whitespace inside the core is not
-// part of the format: an indented core decodes unchanged. The version is
+// means bumping ResultFormatVersion. The body is hashed byte for byte,
+// so whitespace inside the core is part of the archive. The version is
 // deliberately part of the store's on-disk layout, NOT of the simulation
 // cache keys: a codec bump invalidates persisted artifacts without
 // perturbing scenario keys or their golden-key tests.
@@ -77,10 +76,11 @@ import (
 // v2 added the embedded decision trace; v3 dropped the util_series
 // and events fields (the GPUs-in-use series lives in the metrics
 // payload); v4 moved the metrics payload and decision trace out of the
-// core into hash-framed sections after it.
-const ResultFormatVersion = "v4"
+// core into hash-framed sections after it; v5 moved the format tag into
+// a header line that frames the core with its own hash.
+const ResultFormatVersion = "v5"
 
-// resultFormat is the full format tag embedded in every archive.
+// resultFormat is the full format tag in every archive's header.
 const resultFormat = "pal-result/" + ResultFormatVersion
 
 // archivedJob flattens one sim.Job (spec + final mutable state) into the
@@ -111,8 +111,6 @@ type archivedJob struct {
 // Jobs so the decoded result's Measured slice aliases the same *Job
 // values, exactly as the engine leaves it.
 type resultCore struct {
-	Format string `json:"format"`
-
 	Jobs     []archivedJob `json:"jobs"`
 	Measured []int         `json:"measured"`
 
@@ -123,50 +121,16 @@ type resultCore struct {
 
 	PlaceTimes []float64 `json:"place_times"`
 
-	Metrics   *section `json:"metrics"`
-	Decisions *section `json:"decisions"`
+	Metrics   *frame `json:"metrics"`
+	Decisions *frame `json:"decisions"`
 
 	Truncated  bool `json:"truncated"`
 	Unfinished int  `json:"unfinished"`
 }
 
-// section frames one payload section in the core: the section's length
-// in bytes and the hex SHA-256 of those bytes.
-type section struct {
-	Bytes  int64  `json:"bytes"`
-	SHA256 string `json:"sha256"`
-}
-
-// cutSection splits the section framed by ref off the front of rest,
-// checking its length and hash. A nil ref is an absent section.
-func cutSection(rest []byte, ref *section, what string) (data, after []byte, err error) {
-	if ref == nil {
-		return nil, rest, nil
-	}
-	if ref.Bytes < 0 || ref.Bytes > int64(len(rest)) {
-		return nil, nil, fmt.Errorf("export: result archive: %s section declares %d bytes, %d remain (truncated archive?)", what, ref.Bytes, len(rest))
-	}
-	data, after = rest[:ref.Bytes], rest[ref.Bytes:]
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != ref.SHA256 {
-		return nil, nil, fmt.Errorf("export: result archive: %s section content hash mismatch", what)
-	}
-	return data, after, nil
-}
-
-// decodeSection strictly decodes one payload section: unknown fields,
-// trailing data and a null body are rejected.
+// decodeSection strictly decodes one payload section.
 func decodeSection[T any](data []byte, what string) (*T, error) {
-	var v *T
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&v)
-	if err == nil && !onlyWhitespace(data[dec.InputOffset():]) {
-		err = errors.New("trailing data after the section")
-	}
-	if err == nil && v == nil {
-		err = errors.New("null section")
-	}
+	v, err := decodeJSON[T](data)
 	if err != nil {
 		return nil, fmt.Errorf("export: decode result archive: %s section: %w", what, err)
 	}
@@ -174,21 +138,20 @@ func decodeSection[T any](data []byte, what string) (*T, error) {
 }
 
 // EncodeResult writes res as a deterministic, versioned archive: the
-// compact core line, then the metrics and decisions sections it frames.
-// Encoding the same result twice produces identical bytes. A result
-// carrying a metrics sink that does not expose a payload (anything
-// other than a metrics.Collector or metrics.ArchivedSink) — or a
-// decision sink that does not expose a trace — cannot be archived
-// faithfully and is an error rather than a silent drop, as is a
-// non-finite float anywhere in the archive. On error nothing is
-// written.
+// header, the compact core line it frames, then the metrics and
+// decisions sections the core frames. Encoding the same result twice
+// produces identical bytes. A result carrying a metrics sink that does
+// not expose a payload (anything other than a metrics.Collector or
+// metrics.ArchivedSink) — or a decision sink that does not expose a
+// trace — cannot be archived faithfully and is an error rather than a
+// silent drop, as is a non-finite float anywhere in the archive. On
+// error nothing is written.
 func EncodeResult(w io.Writer, res *sim.Result) error {
-	return withArchive(res, func(core, sections []byte) error {
-		if _, err := w.Write(core); err != nil {
-			return fmt.Errorf("export: encode result: %w", err)
-		}
-		if _, err := w.Write(sections); err != nil {
-			return fmt.Errorf("export: encode result: %w", err)
+	return withArchive(res, func(parts ...[]byte) error {
+		for _, p := range parts {
+			if _, err := w.Write(p); err != nil {
+				return fmt.Errorf("export: encode result: %w", err)
+			}
 		}
 		return nil
 	})
@@ -198,8 +161,8 @@ func EncodeResult(w io.Writer, res *sim.Result) error {
 // slice of exactly its length.
 func MarshalResult(res *sim.Result) ([]byte, error) {
 	var out []byte
-	err := withArchive(res, func(core, sections []byte) error {
-		out = append(append(make([]byte, 0, len(core)+len(sections)), core...), sections...)
+	err := withArchive(res, func(parts ...[]byte) error {
+		out = bytes.Join(parts, nil)
 		return nil
 	})
 	return out, err
@@ -209,57 +172,59 @@ func MarshalResult(res *sim.Result) ([]byte, error) {
 // encodes stop regrowing one from scratch per result.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// withArchive encodes res in a pooled buffer and hands use its core
-// line and its sections, which use must not retain.
-func withArchive(res *sim.Result, use func(core, sections []byte) error) error {
+// withArchive encodes res in a pooled buffer and hands use the
+// archive's parts in order — header, core, sections — which use must
+// not retain.
+func withArchive(res *sim.Result, use func(parts ...[]byte) error) error {
 	bp := encodeBufs.Get().(*[]byte)
 	defer encodeBufs.Put(bp)
-	data, coreAt, err := appendResult((*bp)[:0], res)
+	data, coreAt, headerAt, err := appendResult((*bp)[:0], res)
 	*bp = data[:0]
 	if err != nil {
 		return err
 	}
-	return use(data[coreAt:], data[:coreAt])
+	return use(data[headerAt:], data[coreAt:headerAt], data[:coreAt])
 }
 
-// appendResult appends res's archive to b with its two parts swapped:
-// first the sections, hashed as they are appended, then the core line
-// that frames them, which starts at the returned offset.
-func appendResult(b []byte, res *sim.Result) (data []byte, coreAt int, err error) {
+// appendResult appends res's archive to b with its three parts in
+// reverse: first the sections, hashed as they are appended, then the
+// core line that frames them, starting at coreAt, then the header that
+// frames the core, starting at headerAt.
+func appendResult(b []byte, res *sim.Result) (data []byte, coreAt, headerAt int, err error) {
 	core, payload, decisions, err := newResultCore(res)
 	if err != nil {
-		return b, 0, err
+		return b, 0, 0, err
 	}
 	e := jsonBuf{b: b}
 	if payload != nil {
-		if core.Metrics, err = e.frame("metrics", func() { e.payload(payload) }); err != nil {
-			return e.b, 0, err
+		if core.Metrics, err = e.section("metrics", func() { e.payload(payload) }); err != nil {
+			return e.b, 0, 0, err
 		}
 	}
 	if decisions != nil {
-		if core.Decisions, err = e.frame("decisions", func() { e.trace(decisions) }); err != nil {
-			return e.b, 0, err
+		if core.Decisions, err = e.section("decisions", func() { e.trace(decisions) }); err != nil {
+			return e.b, 0, 0, err
 		}
 	}
 	coreAt = len(e.b)
 	e.resultCore(&core)
 	e.b = append(e.b, '\n')
 	if e.err != nil {
-		return e.b, 0, fmt.Errorf("export: encode result: %w", e.err)
+		return e.b, 0, 0, fmt.Errorf("export: encode result: %w", e.err)
 	}
-	return e.b, coreAt, nil
+	headerAt = len(e.b)
+	return appendHeader(e.b, resultFormat, e.b[coreAt:]), coreAt, headerAt, nil
 }
 
-// frame appends one payload section through add and frames the bytes it
-// appended.
-func (e *jsonBuf) frame(what string, add func()) (*section, error) {
+// section appends one payload section through add and frames the bytes
+// it appended.
+func (e *jsonBuf) section(what string, add func()) (*frame, error) {
 	start := len(e.b)
 	add()
 	if e.err != nil {
 		return nil, fmt.Errorf("export: encode %s section: %w", what, e.err)
 	}
-	sum := sha256.Sum256(e.b[start:])
-	return &section{Bytes: int64(len(e.b) - start), SHA256: hex.EncodeToString(sum[:])}, nil
+	return newFrame(e.b[start:]), nil
 }
 
 // newResultCore flattens res into its archive core, sections not yet
@@ -281,7 +246,6 @@ func newResultCore(res *sim.Result) (core resultCore, payload *metrics.Payload, 
 		}
 	}
 	core = resultCore{
-		Format:                resultFormat,
 		Makespan:              res.Makespan,
 		Utilization:           res.Utilization,
 		ProductiveUtilization: res.ProductiveUtilization,
@@ -341,13 +305,14 @@ func DecodeResult(r io.Reader) (*sim.Result, error) {
 }
 
 // UnmarshalResult decodes the whole archive in data: the core and both
-// payload sections, each strictly. Unknown fields, a section whose
-// length or hash disagrees with its frame, missing or trailing bytes
-// and any format revision other than the current one are rejected — a
-// store populated by a future codec fails loudly instead of yielding a
-// silently lossy result. data is not retained.
+// payload sections, each strictly, after checking the header and every
+// hash. Unknown fields, a span whose length or hash disagrees with its
+// frame, missing or trailing bytes and any format revision other than
+// the current one are rejected — a store populated by a future codec
+// fails loudly instead of yielding a silently lossy result. data is not
+// retained.
 func UnmarshalResult(data []byte) (*sim.Result, error) {
-	res, metricsData, decisionsData, err := unmarshalCore(data)
+	res, metricsData, decisionsData, err := unmarshalCore(data, true)
 	if err != nil {
 		return nil, err
 	}
@@ -379,26 +344,28 @@ func attachPayloads(res *sim.Result, metricsData, decisionsData []byte) error {
 
 // UnmarshalResultCore decodes only the archive's core, for readers that
 // never look at telemetry: the result comes back with nil Metrics and
-// Decisions. The framing and both sections' hashes are still checked,
-// so it rejects every damaged archive UnmarshalResult rejects short of
-// a section whose bytes match their hash but do not decode — which no
-// encoder writes. data is not retained.
+// Decisions. It checks the header, the core's hash and that the
+// sections fill the rest of the archive exactly, but hashes no section
+// byte: a section damaged without a change in length is left to the
+// full decode, which parses it. data is not retained.
 func UnmarshalResultCore(data []byte) (*sim.Result, error) {
-	res, _, _, err := unmarshalCore(data)
+	res, _, _, err := unmarshalCore(data, false)
 	return res, err
 }
 
-// cutSections checks the framing after a core: one newline, then
-// exactly the sections the core frames, each matching its hash.
-func cutSections(rest []byte, metricsRef, decisionsRef *section) (metricsData, decisionsData []byte, err error) {
-	if len(rest) == 0 || rest[0] != '\n' {
-		return nil, nil, fmt.Errorf("export: result archive: core not followed by a newline")
+// cutSections checks the framing after the core: exactly the sections
+// the core frames, each of its length and, when hash is set, matching
+// its hash.
+func cutSections(rest []byte, metricsRef, decisionsRef *frame, hash bool) (metricsData, decisionsData []byte, err error) {
+	if metricsRef != nil {
+		if metricsData, rest, err = metricsRef.cut(rest, hash, "result", "metrics section"); err != nil {
+			return nil, nil, err
+		}
 	}
-	if metricsData, rest, err = cutSection(rest[1:], metricsRef, "metrics"); err != nil {
-		return nil, nil, err
-	}
-	if decisionsData, rest, err = cutSection(rest, decisionsRef, "decisions"); err != nil {
-		return nil, nil, err
+	if decisionsRef != nil {
+		if decisionsData, rest, err = decisionsRef.cut(rest, hash, "result", "decisions section"); err != nil {
+			return nil, nil, err
+		}
 	}
 	if len(rest) != 0 {
 		return nil, nil, fmt.Errorf("export: result archive: %d bytes of trailing data after the last section", len(rest))

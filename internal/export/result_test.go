@@ -175,10 +175,12 @@ func TestResultCodecRejectsUnknownFields(t *testing.T) {
 	if err := EncodeResult(&buf, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
-	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"rounds":`), []byte(`"bogus_field": 1, "rounds":`), 1)
-	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil {
-		t.Fatal("unknown field accepted")
+	tampered := reframed(t, buf.Bytes(), func(core []byte) []byte {
+		return bytes.Replace(core, []byte(`"rounds":`), []byte(`"bogus_field": 1, "rounds":`), 1)
+	})
+	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil ||
+		!strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("err = %v, want unknown field", err)
 	}
 }
 
@@ -189,11 +191,12 @@ func TestResultCodecRejectsBadMeasuredIndex(t *testing.T) {
 	if err := EncodeResult(&buf, sampleResult()); err != nil {
 		t.Fatal(err)
 	}
-	tampered := bytes.Replace(buf.Bytes(),
-		[]byte(`"measured":[0]`), []byte(`"measured":[7]`), 1)
-	if bytes.Equal(tampered, buf.Bytes()) {
-		t.Fatal("tampering failed to find the measured field")
-	}
+	tampered := reframed(t, buf.Bytes(), func(core []byte) []byte {
+		if !bytes.Contains(core, []byte(`"measured":[0]`)) {
+			t.Fatal("tampering failed to find the measured field")
+		}
+		return bytes.Replace(core, []byte(`"measured":[0]`), []byte(`"measured":[7]`), 1)
+	})
 	if _, err := DecodeResult(bytes.NewReader(tampered)); err == nil ||
 		!strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want out-of-range error", err)
@@ -205,8 +208,8 @@ func TestResultCodecRejectsBadMeasuredIndex(t *testing.T) {
 // even with an empty measured list — is corruption, not a result that
 // could never be archived again.
 func TestResultCodecRejectsMeasuredWithoutJobs(t *testing.T) {
-	archive := `{"format":"pal-result/` + ResultFormatVersion + `","jobs":null,"measured":[]}`
-	if _, err := DecodeResult(strings.NewReader(archive)); err == nil ||
+	archive := framedCore(`{"jobs":null,"measured":[]}` + "\n")
+	if _, err := DecodeResult(bytes.NewReader(archive)); err == nil ||
 		!strings.Contains(err.Error(), "no jobs") {
 		t.Fatalf("err = %v, want measured-without-jobs error", err)
 	}

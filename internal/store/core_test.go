@@ -11,8 +11,12 @@ import (
 )
 
 // The core-read view must keep the store's self-healing contract: a
-// damaged object is an error, the cache re-simulates, and the Put of
-// the fresh result replaces the damage.
+// damaged header or core is an error, the cache re-simulates, and the
+// Put of the fresh result replaces the damage. A core read checks each
+// section's length, so a cut section is an error too; but a section
+// damaged in place is invisible to it, as it neither parses nor hashes
+// the section: the intact core is served, and the full read that parses
+// the section is the one that errors and heals.
 
 var _ runner.Backend = CoreReads{}
 
@@ -28,9 +32,14 @@ func TestStoreCoreReadsHealThroughCache(t *testing.T) {
 	if err := export.EncodeResult(&want, res); err != nil {
 		t.Fatal(err)
 	}
-	for name, at := range map[string]func(n int) int{
-		"core":      func(int) int { return 1 },
-		"decisions": func(n int) int { return n - 2 },
+	for name, c := range map[string]struct {
+		damage      func(b []byte) []byte
+		sectionOnly bool
+	}{
+		"header":        {damage: func(b []byte) []byte { b[1] ^= 0x01; return b }},
+		"core":          {damage: func(b []byte) []byte { b[bytes.IndexByte(b, '\n')+2] ^= 0x01; return b }},
+		"decisions":     {damage: func(b []byte) []byte { b[len(b)-2] ^= 0x01; return b }, sectionOnly: true},
+		"decisions-cut": {damage: func(b []byte) []byte { return b[:len(b)-2] }},
 	} {
 		t.Run(name, func(t *testing.T) {
 			st, err := Open(t.TempDir())
@@ -40,14 +49,21 @@ func TestStoreCoreReadsHealThroughCache(t *testing.T) {
 			if err := st.Put(key, res); err != nil {
 				t.Fatal(err)
 			}
-			damaged := bytes.Clone(want.Bytes())
-			damaged[at(len(damaged))] ^= 0x01
+			damaged := c.damage(bytes.Clone(want.Bytes()))
 			if err := os.WriteFile(st.objectPath(key), damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
+			var backend runner.Backend = CoreReads{Store: st}
+			if c.sectionOnly {
+				core, ok, err := st.GetCore(key)
+				if err != nil || !ok || len(core.Jobs) != len(res.Jobs) {
+					t.Fatalf("core read of an object with a damaged section: ok=%v err=%v", ok, err)
+				}
+				backend = st
+			}
 			cache := runner.NewResultCache(0)
-			cache.SetBackend(CoreReads{Store: st})
+			cache.SetBackend(backend)
 			runs := 0
 			got, hit, err := cache.Do(key, func() (*sim.Result, error) { runs++; return res, nil })
 			if err != nil || hit || runs != 1 || got != res {

@@ -149,8 +149,6 @@ func (s *Store) gcTree(p GCPolicy, now time.Time) (GCReport, error) {
 		report.Kept++
 		report.KeptBytes += o.info.Size
 		survivors[o.key] = &indexEntry{
-			Size:       o.info.Size,
-			SHA256:     o.info.SHA256,
 			Created:    o.info.Created,
 			LastAccess: o.info.LastAccess,
 		}

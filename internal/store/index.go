@@ -11,23 +11,21 @@ import (
 )
 
 // The index is append-only JSONL: cheap to update under concurrent
-// writers (one flocked O_APPEND write per record), reconstructible when
-// lost (objects are the ground truth; the index only adds content
-// hashes and access times), and compacted by GC into one put record per
-// surviving object.
+// writers (one flocked O_APPEND write per record), dispensable (objects
+// are the ground truth and carry their own hashes; the index only adds
+// creation and access times), and compacted by GC into one put record
+// per surviving object.
 
 // Index record operations.
 const (
-	opPut    = "put"    // object written: size, content hash, creation time
+	opPut    = "put"    // object written: creation time
 	opAccess = "access" // object read: refreshes last-access for GC
 )
 
 // indexRecord is one JSONL line.
 type indexRecord struct {
-	Op     string `json:"op"`
-	Key    string `json:"key"`
-	Size   int64  `json:"size,omitempty"`
-	SHA256 string `json:"sha256,omitempty"`
+	Op  string `json:"op"`
+	Key string `json:"key"`
 	// UnixNano is the record's event time in nanoseconds since the epoch:
 	// creation for put records, access time for access records.
 	// Nanosecond resolution keeps GC's recency ordering exact even for
@@ -40,15 +38,13 @@ type indexRecord struct {
 
 // indexEntry is the folded per-key state of the index.
 type indexEntry struct {
-	Size       int64
-	SHA256     string
 	Created    time.Time
 	LastAccess time.Time
 }
 
 // appendIndex appends one record under the exclusive advisory lock —
-// the path for put records, whose metadata (content hash, size,
-// creation time) should never be lost to a racing compaction.
+// the path for put records, whose creation time should never be lost to
+// a racing compaction.
 func (s *Store) appendIndex(rec indexRecord) error {
 	l, err := s.acquire(true)
 	if err != nil {
@@ -98,8 +94,7 @@ const maxIndexLine = 1 << 20
 // loadIndexLocked reads and folds the index; the caller holds the lock.
 // Unparsable lines are skipped rather than fatal: the only way one
 // arises is a torn append (crash mid-write), and the object files remain
-// the ground truth. So are over-long lines and records whose content
-// hash is neither empty nor 64 lowercase hex digits.
+// the ground truth. So are over-long lines.
 func (s *Store) loadIndexLocked() (map[string]*indexEntry, error) {
 	data, err := os.ReadFile(s.index)
 	if err != nil {
@@ -120,9 +115,7 @@ func (s *Store) loadIndexLocked() (map[string]*indexEntry, error) {
 			continue
 		}
 		var rec indexRecord
-		// A content hash has a key's shape: 64 lowercase hex digits.
-		if err := json.Unmarshal(line, &rec); err != nil || !validKey(rec.Key) ||
-			(rec.SHA256 != "" && !validKey(rec.SHA256)) {
+		if err := json.Unmarshal(line, &rec); err != nil || !validKey(rec.Key) {
 			continue // torn or foreign line; objects are the ground truth
 		}
 		e := entries[rec.Key]
@@ -132,8 +125,6 @@ func (s *Store) loadIndexLocked() (map[string]*indexEntry, error) {
 		}
 		switch rec.Op {
 		case opPut:
-			e.Size = rec.Size
-			e.SHA256 = rec.SHA256
 			e.Created = time.Unix(0, rec.UnixNano)
 			access := rec.AccessNano
 			if access == 0 {
@@ -165,8 +156,6 @@ func (s *Store) writeIndexLocked(entries map[string]*indexEntry) error {
 		line, err := json.Marshal(indexRecord{
 			Op:         opPut,
 			Key:        k,
-			Size:       e.Size,
-			SHA256:     e.SHA256,
 			UnixNano:   e.Created.UnixNano(),
 			AccessNano: e.LastAccess.UnixNano(),
 		})

@@ -167,7 +167,10 @@ func TestSnapshotsInvisibleToResultListings(t *testing.T) {
 }
 
 // TestVerifyCoversSnapshots: verify must pass a store holding healthy
-// snapshots and flag a corrupted snapshot object with its kind.
+// snapshots and flag a corrupted snapshot object with its kind — a byte
+// flipped mid-object, or one digit of the body swapped for another,
+// which leaves valid JSON of the same length — and a snapshot read must
+// refuse either rather than resume from it.
 func TestVerifyCoversSnapshots(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -185,22 +188,35 @@ func TestVerifyCoversSnapshots(t *testing.T) {
 	if len(problems) != 0 {
 		t.Fatalf("healthy store reported problems: %v", problems)
 	}
-	// Flip a byte mid-object: the content hash must catch it.
 	path := st.snapTree().objectPath(key)
-	data, err := os.ReadFile(path)
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	body := bytes.IndexByte(clean, '\n') + 1
+	digit := body + bytes.Index(clean[body:], []byte(`"rounds":`)) + len(`"rounds":`)
+	if digit < body || clean[digit] < '0' || clean[digit] > '9' {
+		t.Fatal("snapshot body has no rounds digit")
 	}
-	problems, err = st.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) != 1 || problems[0].Kind != "snapshot" || problems[0].Key != key {
-		t.Fatalf("problems = %v, want one snapshot finding for %s", problems, key[:16])
+	for name, edit := range map[string]func([]byte){
+		"mid-object flip": func(b []byte) { b[len(b)/2] ^= 0xFF },
+		"body digit swap": func(b []byte) { b[digit] = '0' + (b[digit]-'0'+1)%10 },
+	} {
+		data := bytes.Clone(clean)
+		edit(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		problems, err = st.Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(problems) != 1 || problems[0].Kind != "snapshot" || problems[0].Key != key {
+			t.Fatalf("%s: problems = %v, want one snapshot finding for %s", name, problems, key[:16])
+		}
+		if _, _, err := st.GetSnapshot(key); err == nil {
+			t.Fatalf("%s: snapshot read served a damaged object", name)
+		}
 	}
 }
 

@@ -15,12 +15,16 @@
 //	<root>/<codec-version>/lock                         advisory-lock target
 //
 // An object is one file in the result codec's framed layout
-// (export.EncodeResult): a compact core line — jobs, summary fields and
-// a length + SHA-256 frame per payload — followed by the metrics and
-// decisions sections. Get and Peek decode all of it; GetCore (and the
-// CoreReads backend view a payload-free scenario sweep uses) decodes
-// the core and only hashes the sections, which are most of the bytes.
-// Keeping one file per object keeps one fsync per Put.
+// (export.EncodeResult): a header line carrying the format tag and the
+// length and SHA-256 of the compact core line after it, the core — jobs,
+// summary fields and a length + SHA-256 frame per payload — and then the
+// metrics and decisions sections. Integrity is the codec's: each read
+// checks the hashes of what it parses, so a damaged object is an error
+// on read, never a served result. Get and Peek decode and check all of
+// it; GetCore (and the CoreReads backend view a payload-free scenario
+// sweep uses) checks the header and the core and only the lengths of
+// the sections, which are most of the bytes. Snapshot objects carry the
+// same frame. Keeping one file per object keeps one fsync per Put.
 //
 // The codec version (export.ResultFormatVersion) is a path component, so
 // bumping the result codec orphans old artifacts instead of misreading
@@ -28,18 +32,16 @@
 // their golden-key tests. Objects are written with temp-file + rename
 // (atomic on POSIX), so a crash mid-Put can leave a stray temp file but
 // never a torn object. The index is append-only JSONL — put records
-// carry size/content-hash/creation time, access records refresh
-// last-access for GC — and is advisory-flocked so N concurrent palsweep
-// processes share one store safely; a torn trailing line (crash during
-// append) is skipped on load, and objects missing from the index are
-// reconstructed from file metadata. Store implements runner.Backend, so
-// a ResultCache fronts it as tier 2 with single-flight intact.
+// carry the creation time, access records refresh last-access for GC —
+// and is advisory-flocked so N concurrent palsweep processes share one
+// store safely; a torn trailing line (crash during append) is skipped
+// on load, and objects missing from the index fall back to file times.
+// Store implements runner.Backend, so a ResultCache fronts it as tier 2
+// with single-flight intact.
 package store
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -183,11 +185,12 @@ func (s *Store) ObjectSize(key string) (int64, bool) {
 
 // Put persists a result under key. The write is atomic (temp file +
 // rename in the object's shard directory) and idempotent: when the key
-// already holds an object with the same content (the normal case — by
-// the content-addressing invariant, equal keys mean equal results) only
-// the index is touched. An existing object whose bytes differ — bit
+// already holds an object with the same bytes (the normal case — by the
+// content-addressing invariant, equal keys mean equal results) only its
+// last access is touched. An existing object whose bytes differ — bit
 // rot, truncation, a torn manual copy — is atomically replaced, so a
 // re-simulated result self-heals the store instead of wedging the key.
+// The store hashes nothing itself: the archive carries its own hashes.
 // Implements runner.Backend.
 func (s *Store) Put(key string, res *sim.Result) error {
 	if !validKey(key) {
@@ -204,30 +207,7 @@ func (s *Store) Put(key string, res *sim.Result) error {
 // encoded object bytes under key with the atomic-rename and indexing
 // contract documented on Put. The caller has validated the key.
 func (s *Store) putBytes(key string, data []byte) error {
-	sum := sha256.Sum256(data)
-	// record is the put record for data, stamped when it is appended.
-	record := func() indexRecord {
-		now := time.Now().UnixNano()
-		return indexRecord{
-			Op:         opPut,
-			Key:        key,
-			Size:       int64(len(data)),
-			SHA256:     hex.EncodeToString(sum[:]),
-			UnixNano:   now,
-			AccessNano: now,
-		}
-	}
 	if existing, err := os.ReadFile(s.objectPath(key)); err == nil && bytes.Equal(existing, data) {
-		// The object is already durable and identical. Normally only a
-		// recency touch is due — but if the index lost this key's put
-		// record (crash between rename and append), re-record the
-		// metadata we just computed, restoring Verify's hash check.
-		if idx, err := s.loadIndex(); err == nil {
-			if e := idx[key]; e == nil || e.SHA256 == "" {
-				_ = s.appendIndex(record())
-				return nil
-			}
-		}
 		s.touch(key)
 		return nil
 	}
@@ -270,9 +250,10 @@ func (s *Store) putBytes(key string, data []byte) error {
 		return cleanup(err)
 	}
 	// The object is durable at this point; a failed metadata append only
-	// costs GC precision (the entry is reconstructed from file metadata),
-	// so the error is deliberately dropped.
-	_ = s.appendIndex(record())
+	// costs GC precision (the entry falls back to file times), so the
+	// error is deliberately dropped.
+	now := time.Now().UnixNano()
+	_ = s.appendIndex(indexRecord{Op: opPut, Key: key, UnixNano: now, AccessNano: now})
 	return nil
 }
 
@@ -285,8 +266,10 @@ func (s *Store) Get(key string) (*sim.Result, bool, error) {
 }
 
 // GetCore is Get through the core decoder: the result comes back
-// without its metrics payload and decision trace, which are hashed but
-// not parsed. A damaged object is an error exactly as for Get.
+// without its metrics payload and decision trace, which are neither
+// parsed nor hashed. A damaged header or core, or sections of the wrong
+// length, are an error as for Get; a section damaged in place is left
+// to the reads that parse it (Get, Peek, Verify).
 func (s *Store) GetCore(key string) (*sim.Result, bool, error) {
 	return s.load(key, true, export.UnmarshalResultCore)
 }
@@ -301,8 +284,8 @@ func (s *Store) Peek(key string) (*sim.Result, bool, error) {
 // CoreReads is the runner.Backend view of a store for callers that
 // never read a result's telemetry (a scenario sweep that archives no
 // payloads): Get is GetCore, everything else — Put, ObjectSize — is the
-// store's own. A damaged object is still an error, which the result
-// cache answers by re-simulating; the Put of that result heals it.
+// store's own. A damaged core is still an error, which the result cache
+// answers by re-simulating; the Put of that result heals it.
 type CoreReads struct{ *Store }
 
 // Get implements runner.Backend through GetCore.
@@ -378,12 +361,8 @@ func (s *Store) Len() (int, error) {
 // ObjectInfo is one stored object's metadata, merged from the object
 // file and the index.
 type ObjectInfo struct {
-	Key  string
-	Size int64
-	// SHA256 is the content hash of the archived bytes recorded at Put
-	// time; empty when the index lost the put record (Verify then checks
-	// decodability only).
-	SHA256     string
+	Key        string
+	Size       int64
 	Created    time.Time
 	LastAccess time.Time
 }
@@ -434,7 +413,6 @@ func (s *Store) Infos() ([]ObjectInfo, error) {
 func (s *Store) mergeInfo(key string, st os.FileInfo, e *indexEntry) ObjectInfo {
 	info := ObjectInfo{Key: key, Size: st.Size(), Created: st.ModTime(), LastAccess: st.ModTime()}
 	if e != nil {
-		info.SHA256 = e.SHA256
 		if !e.Created.IsZero() {
 			info.Created = e.Created
 		}

@@ -204,7 +204,7 @@ func TestStoreBasics(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Info: ok=%v err=%v", ok, err)
 	}
-	if info.Size <= 0 || info.SHA256 == "" || info.Created.IsZero() {
+	if info.Size <= 0 || info.Created.IsZero() {
 		t.Errorf("Info incomplete: %+v", info)
 	}
 
@@ -664,10 +664,12 @@ func TestStoreShardContentionGridCells(t *testing.T) {
 	}
 }
 
-// TestStorePutRestoresLostIndexMetadata: a crash between rename and
-// index append loses a put record; re-Putting the identical result must
-// re-record the content hash so Verify's bit-rot check is restored.
-func TestStorePutRestoresLostIndexMetadata(t *testing.T) {
+// TestStorePutAfterLostIndexRecord: a crash between rename and
+// index append loses a put record. Re-Putting the identical result only
+// touches the object, Info falls back to the file's time for its
+// creation, and Verify still catches same-length corruption, because the
+// archive carries its own hash.
+func TestStorePutAfterLostIndexRecord(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -679,17 +681,17 @@ func TestStorePutRestoresLostIndexMetadata(t *testing.T) {
 	if err := os.Remove(st.index); err != nil { // simulate the lost append
 		t.Fatal(err)
 	}
-	if err := st.Put(key, res); err != nil { // identical bytes: no rewrite, but metadata returns
+	if err := st.Put(key, res); err != nil { // identical bytes: no rewrite
 		t.Fatal(err)
 	}
 	info, ok, err := st.Info(key)
 	if err != nil || !ok {
 		t.Fatalf("Info: ok=%v err=%v", ok, err)
 	}
-	if info.SHA256 == "" {
-		t.Fatal("put record not restored")
+	if info.Created.IsZero() || info.LastAccess.IsZero() {
+		t.Fatalf("Info lost its times: %+v", info)
 	}
-	// The restored hash must be live: same-length corruption is caught.
+	// The archive's own hash still catches same-length corruption.
 	data, err := os.ReadFile(st.objectPath(key))
 	if err != nil {
 		t.Fatal(err)
@@ -700,16 +702,16 @@ func TestStorePutRestoresLostIndexMetadata(t *testing.T) {
 	}
 	problems, err := st.Verify()
 	if err != nil || len(problems) != 1 {
-		t.Fatalf("problems=%v err=%v, want the restored hash to catch corruption", problems, err)
+		t.Fatalf("problems=%v err=%v, want the archive's hash to catch corruption", problems, err)
 	}
 }
 
-// TestStoreReadsIndentedObjects: earlier encoders wrote archives
-// indented. Whitespace is not part of either format, so a store holding
-// such objects (the same bytes, indexed with their own content hashes)
-// verifies and serves them unchanged, and a re-Put rewrites each
-// compact through Put's replace-on-difference path.
-func TestStoreReadsIndentedObjects(t *testing.T) {
+// TestStoreRefusesReformattedObjects: an archive's body is hashed byte
+// for byte, so an object whose body was re-indented under its original
+// header (a hand edit, a reformatting tool) is damage: Get, GetSnapshot
+// and Verify refuse it, and a re-Put rewrites each compact through Put's
+// replace-on-difference path.
+func TestStoreRefusesReformattedObjects(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -724,8 +726,9 @@ func TestStoreReadsIndentedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	indented := func(b *bytes.Buffer) []byte {
-		var out bytes.Buffer
-		if err := json.Indent(&out, b.Bytes(), "", " "); err != nil {
+		nl := bytes.IndexByte(b.Bytes(), '\n') + 1
+		out := bytes.NewBuffer(bytes.Clone(b.Bytes()[:nl]))
+		if err := json.Indent(out, b.Bytes()[nl:], "", " "); err != nil {
 			t.Fatal(err)
 		}
 		return out.Bytes()
@@ -741,21 +744,15 @@ func TestStoreReadsIndentedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(stage string) {
-		t.Helper()
-		if problems, err := st.Verify(); err != nil || len(problems) != 0 {
-			t.Fatalf("%s: verify: problems=%v err=%v", stage, problems, err)
-		}
-		gotRes, ok, err := st.Get(key)
-		if err != nil || !ok || !reflect.DeepEqual(gotRes, res) {
-			t.Fatalf("%s: result ok=%v err=%v, or not deep-equal", stage, ok, err)
-		}
-		gotSnap, ok, err := st.GetSnapshot(key)
-		if err != nil || !ok || !reflect.DeepEqual(gotSnap, snap) {
-			t.Fatalf("%s: snapshot ok=%v err=%v, or not deep-equal", stage, ok, err)
-		}
+	if problems, err := st.Verify(); err != nil || len(problems) != 2 {
+		t.Fatalf("verify: problems=%v err=%v, want both objects flagged", problems, err)
 	}
-	check("indented")
+	if _, _, err := st.Get(key); err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+		t.Fatalf("result read: err = %v, want a hash mismatch", err)
+	}
+	if _, _, err := st.GetSnapshot(key); err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+		t.Fatalf("snapshot read: err = %v, want a hash mismatch", err)
+	}
 
 	if err := st.Put(key, res); err != nil {
 		t.Fatal(err)
@@ -771,7 +768,17 @@ func TestStoreReadsIndentedObjects(t *testing.T) {
 			t.Fatalf("%s not rewritten compact (err=%v)", path, err)
 		}
 	}
-	check("re-put")
+	if problems, err := st.Verify(); err != nil || len(problems) != 0 {
+		t.Fatalf("verify after re-put: problems=%v err=%v", problems, err)
+	}
+	gotRes, ok, err := st.Get(key)
+	if err != nil || !ok || !reflect.DeepEqual(gotRes, res) {
+		t.Fatalf("result ok=%v err=%v, or not deep-equal", ok, err)
+	}
+	gotSnap, ok, err := st.GetSnapshot(key)
+	if err != nil || !ok || !reflect.DeepEqual(gotSnap, snap) {
+		t.Fatalf("snapshot ok=%v err=%v, or not deep-equal", ok, err)
+	}
 }
 
 // TestStoreIsStoreRoot: a store whose only tree belongs to an older
